@@ -22,14 +22,22 @@ from .game import (
     denormalize_gap,
     support,
 )
-from .lp import StandardFormLP, assemble_equalizer_lp, solve_lp
+from .lp import LPError, StandardFormLP, assemble_equalizer_lp, solve_lp
 
 DEFAULT_CERT_TOL = 1e-8
 
 
 def certificate_tolerance() -> float:
     env = os.environ.get("HEDGE_NASH_TOL")
-    return float(env) if env else DEFAULT_CERT_TOL
+    if not env:
+        return DEFAULT_CERT_TOL
+    try:
+        tol = float(env)
+    except ValueError:
+        raise GameError(f"HEDGE_NASH_TOL is not a number: {env!r}") from None
+    if not 0.0 <= tol < np.inf:
+        raise GameError(f"HEDGE_NASH_TOL must be finite and >= 0, got {env!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -105,33 +113,45 @@ def find_equalizer(game: SymmetricGame) -> EquilibriumCertificate | None:
     return make_certificate(game, x, method="equalizer_lp")
 
 
+def _spread_lp(payoff: np.ndarray, carrier: list[int]) -> StandardFormLP:
+    """Spread program on ``carrier``: minimize u - l over strategies X
+    supported on the carrier, subject to l <= (CX)_i <= u for every i in
+    the carrier and (CX)_j <= l for every j outside it.
+
+    Variables are [X on the carrier (m), u, l, one slack per inequality];
+    the rows are the n + m inequalities and sum(X) = 1. Payoffs are shifted
+    by -min(C, 0) so that u, l >= 0 cuts nothing off: the shift moves every
+    (CX)_i by the same amount, so neither the spread nor the dominance
+    constraints change.
+    """
+    n, m = payoff.shape[0], len(carrier)
+    outside = [j for j in range(n) if j not in carrier]
+    cx = payoff[:, carrier] - min(float(payoff.min()), 0.0)  # (CX)_i = cx[i] @ X
+    inequalities = np.vstack([
+        np.column_stack([cx[carrier], -np.ones(m), np.zeros(m)]),    # (CX)_i <= u
+        np.column_stack([-cx[carrier], np.zeros(m), np.ones(m)]),    # l <= (CX)_i
+        np.column_stack([cx[outside], np.zeros(n - m), -np.ones(n - m)]),  # (CX)_j <= l
+    ])
+    a = np.block([[inequalities, np.eye(n + m)],
+                  [np.ones(m), np.zeros(n + m + 2)]])                # sum(X) = 1
+    d = np.zeros(a.shape[1])
+    d[m:m + 2] = 1.0, -1.0
+    return StandardFormLP(a=a, b=np.eye(n + m + 1)[-1], objective=d, sense="minimize")
+
+
 def min_equalizer_gap(game: SymmetricGame) -> tuple[np.ndarray, float]:
     """Minimize the payoff spread (CX)_max - (CX)_min over the simplex.
 
-    The minimum is 0 exactly when an equalizer exists. Variables are
-    [X, eps, slacks]; every ordered pair (i, j) contributes
-    (CX)_i - (CX)_j - eps + s_ij = 0.
+    The minimum is 0 exactly when an equalizer exists. This is the spread
+    program on the full carrier (2n + 1 rows); the spread returned is
+    recomputed from the strategy.
     """
-    c = game.payoff
-    n = game.n
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    n_vars = n + 1 + len(pairs)
-    a = np.zeros((len(pairs) + 1, n_vars))
-    b = np.zeros(len(pairs) + 1)
-    for row, (i, j) in enumerate(pairs):
-        a[row, :n] = c[i] - c[j]
-        a[row, n] = -1.0
-        a[row, n + 1 + row] = 1.0
-    a[-1, :n] = 1.0
-    b[-1] = 1.0
-    d = np.zeros(n_vars)
-    d[n] = 1.0
-    result = solve_lp(StandardFormLP(a=a, b=b, objective=d, sense="minimize"))
-    assert result.status == "optimal"  # simplex is nonempty and spread bounded
-    x = result.solution[:n]
-    x = np.clip(x, 0.0, None)
-    x = x / x.sum()
-    cx = c @ x
+    solved = best_subequalizer(game, range(game.n))
+    if solved is None:  # feasible and bounded: only round-off gets here
+        raise LPError("spread program on the full carrier found no optimum "
+                      "(numerical breakdown)")
+    x = solved[0]
+    cx = game.payoff @ x
     return x, float(cx.max() - cx.min())
 
 
@@ -149,49 +169,26 @@ def best_subequalizer(game: SymmetricGame, carrier) -> tuple[np.ndarray, float] 
     n = game.n
     if carrier[0] < 0 or carrier[-1] >= n:
         raise GameError(f"carrier indices out of range for n={n}")
-    c = game.payoff
-    outside = [j for j in range(n) if j not in carrier]
-    m = len(carrier)
-    cols = np.array(carrier)
-
-    in_pairs = [(i, j) for i in carrier for j in carrier if i != j]
-    dom_pairs = [(i, j) for i in carrier for j in outside]
-    n_slack = len(in_pairs) + len(dom_pairs)
-    n_vars = m + 1 + n_slack
-    rows = len(in_pairs) + len(dom_pairs) + 1
-    a = np.zeros((rows, n_vars))
-    b = np.zeros(rows)
-    row = 0
-    for i, j in in_pairs:  # (CX)_i - (CX)_j <= eps
-        a[row, :m] = c[i, cols] - c[j, cols]
-        a[row, m] = -1.0
-        a[row, m + 1 + row] = 1.0
-        row += 1
-    for i, j in dom_pairs:  # (CX)_j <= (CX)_i
-        a[row, :m] = c[j, cols] - c[i, cols]
-        a[row, m + 1 + row] = 1.0
-        row += 1
-    a[row, :m] = 1.0
-    b[row] = 1.0
-    d = np.zeros(n_vars)
-    d[m] = 1.0
-    result = solve_lp(StandardFormLP(a=a, b=b, objective=d, sense="minimize"))
+    result = solve_lp(_spread_lp(game.payoff, carrier))
     if result.status != "optimal":
         return None
     x = np.zeros(n)
-    x[cols] = np.clip(result.solution[:m], 0.0, None)
+    x[carrier] = np.clip(result.solution[:len(carrier)], 0.0, None)
     x /= x.sum()
     return x, float(result.objective_value)
 
 
-def verify_support(game: SymmetricGame, candidate_support) -> EquilibriumCertificate | None:
+def verify_support(game: SymmetricGame, candidate_support,
+                   tol: float | None = None) -> EquilibriumCertificate | None:
     """Exact equilibrium with support inside ``candidate_support``, if the
-    subequalizer program solves with spread within the certificate tolerance."""
+    subequalizer program solves with spread within ``tol`` (default: the
+    certificate tolerance)."""
     result = best_subequalizer(game, candidate_support)
     if result is None:
         return None
     x, eps = result
-    tol = certificate_tolerance()
+    if tol is None:
+        tol = certificate_tolerance()
     if eps > tol:
         return None
     cert = make_certificate(game, x, method="support_lp")

@@ -178,12 +178,14 @@ def cmd_extract(args) -> int:
 def cmd_verify(args) -> int:
     game = _load_game_spec(args.game)
     tol = args.tol if args.tol is not None else certificate_tolerance()
+    if not 0.0 <= tol < np.inf:
+        raise GameError(f"--tol must be finite and >= 0, got {tol!r}")
     if (args.x is None) == (args.support is None):
         raise GameError("exactly one of --x or --support is required")
 
     if args.support is not None:
         candidate = [int(tok) for tok in args.support.split(",")]
-        cert = verify_support(game, candidate)
+        cert = verify_support(game, candidate, tol=tol)
         if cert is None:
             print(f"support {candidate}: no equilibrium certificate "
                   f"(subequalizer infeasible or spread > {tol:g})")

@@ -193,7 +193,9 @@ def relative_entropy(p, q) -> float:
     value = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     value = max(value, 0.0)
     # sanity bound, stronger than Pinsker on the simplex
-    assert value + 1e-9 >= float(np.sum((p - q) ** 2))
+    if value + 1e-9 < float(np.sum((p - q) ** 2)):
+        raise GameError("relative entropy below its lower bound ||p - q||^2: "
+                        "p and q must be strategies")
     return value
 
 

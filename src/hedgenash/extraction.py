@@ -87,6 +87,7 @@ def extract_certificate(game: SymmetricGame, trace: Trace,
     r = record or trace.final
     n = game.n
     attempts: list[dict] = []
+    verified: dict[frozenset, EquilibriumCertificate | None] = {}
     for criterion in criteria:
         if criterion not in CRITERIA:
             raise GameError(f"unknown ranking criterion {criterion!r}")
@@ -102,7 +103,10 @@ def extract_certificate(game: SymmetricGame, trace: Trace,
             ranking = rank_by_iterate_mass(trace, r)
         for m in range(1, n + 1):
             candidate = ranking.order[:m]
-            cert = verify_support(game, candidate)
+            key = frozenset(candidate)  # criteria often share prefixes
+            if key not in verified:
+                verified[key] = verify_support(game, candidate)
+            cert = verified[key]
             if cert is not None:
                 cert = EquilibriumCertificate(
                     strategy=cert.strategy, support=cert.support, gap=cert.gap,

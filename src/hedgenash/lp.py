@@ -4,9 +4,13 @@ Standard form here means: decision variables y >= 0, equality constraints
 A y = b, objective d.y minimized, maximized, or absent (pure feasibility).
 Callers convert inequalities by adding slack variables.
 
-The solver is a two-phase tableau simplex with Bland's anti-cycling rule.
-Instances are tiny (at most a few hundred variables), so robustness is
-preferred over speed and degeneracy is handled by Bland's rule alone.
+The solver is a two-phase tableau simplex with Bland's anti-cycling rule;
+each pivot is one rank-1 update of the dense tableau. The programs it serves
+are the payoff-spread programs of ``analysis``: n + m + 1 rows for an n x n
+game and a carrier of m strategies (2n + 1 on the full carrier), so each
+pivot is O(n^2) work. Degeneracy (most right-hand sides are 0) is handled by
+Bland's rule alone. Numerical breakdown is reported as an ``LPError``, never
+as an unchecked result.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ SENSES = ("minimize", "maximize", "feasibility")
 
 
 class LPError(ValueError):
-    """Malformed LP instance."""
+    """Malformed LP instance, or a solve that broke down numerically."""
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,9 @@ class LPResult:
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
     basis[row] = col
 
 
@@ -117,7 +121,8 @@ def solve_lp(lp: StandardFormLP) -> LPResult:
     reduced = np.zeros(c + r)
     reduced[:c] = -a.sum(axis=0)
     status = _run_simplex(tableau, basis, reduced, c + r)
-    assert status == "optimal"  # phase 1 objective is bounded below by 0
+    if status != "optimal":  # phase 1 is bounded below by 0: only round-off gets here
+        raise LPError(f"phase 1 reported {status} (numerical breakdown)")
     residual = sum(tableau[i, -1] for i in range(r) if basis[i] >= c)
     if residual > FEAS_TOL:
         return LPResult(status="infeasible")
@@ -162,12 +167,12 @@ def solve_lp(lp: StandardFormLP) -> LPResult:
 
 
 def _verify_optimal(lp: StandardFormLP, y: np.ndarray) -> None:
-    """Assert the LPResult invariants: A y = b within 1e-8, y >= -1e-10."""
+    """Check the LPResult invariants: A y = b within 1e-8, y >= -1e-10."""
     residual = float(np.max(np.abs(lp.a @ y - lp.b)))
     if residual > 1e-8:
-        raise AssertionError(f"LP solution violates A y = b by {residual:g}")
+        raise LPError(f"LP solution violates A y = b by {residual:g}")
     if float(y.min()) < -1e-10:
-        raise AssertionError(f"LP solution has negative entry {y.min():g}")
+        raise LPError(f"LP solution has negative entry {y.min():g}")
 
 
 def assemble_equalizer_lp(payoff: np.ndarray) -> StandardFormLP:

@@ -8,7 +8,6 @@ import json
 import math
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +21,6 @@ POWER_23 = hn.PowerSchedule(p=2.0 / 3.0)
 RPS_NORMALIZED = hn.validate_game([[0.5, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 1.0, 0.5]])
 IDENTITY2 = hn.validate_game(np.eye(2))
 HAWK_DOVE_NORM = hn.normalize_payoffs(hn.validate_game([[0.0, 3.0], [1.0, 2.0]]))[0]
-
-FAILURE_LOG = Path(__file__).resolve().parent.parent / "extraction_failures.json"
 
 
 def _report(num: int, description: str, passed: bool, detail: str = "") -> None:
@@ -132,7 +129,8 @@ def test_criterion_5_trajectory_identity_suite():
     assert elapsed <= 60.0
 
 
-def test_criterion_6_extraction_matches_oracle():
+def test_criterion_6_extraction_matches_oracle(tmp_path):
+    failure_log = tmp_path / "extraction_failures.json"
     started = time.perf_counter()
     successes = 0
     mismatches = []
@@ -169,14 +167,12 @@ def test_criterion_6_extraction_matches_oracle():
             mismatches.append(seed)
     elapsed = time.perf_counter() - started
     if failures:
-        FAILURE_LOG.write_text(json.dumps(failures, indent=2) + "\n")
-    elif FAILURE_LOG.exists():
-        FAILURE_LOG.unlink()
+        failure_log.write_text(json.dumps(failures, indent=2) + "\n")
     passed = successes >= 95 and not mismatches and elapsed <= 900.0
     _report(6, "extraction agrees with the enumeration oracle",
             passed, f"{successes}/100 extracted, {len(mismatches)} mismatches, "
                     f"{elapsed:.0f}s")
-    assert successes >= 95, f"failures logged to {FAILURE_LOG}"
+    assert successes >= 95, f"failures logged to {failure_log}"
     assert not mismatches
     assert elapsed <= 900.0
 

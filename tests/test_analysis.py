@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hedgenash.analysis as analysis
 from hedgenash import (
     GameError,
     best_subequalizer,
@@ -8,6 +9,7 @@ from hedgenash import (
     enumerate_symmetric_equilibria,
     epsilon_gap,
     find_equalizer,
+    generate_game,
     is_well_supported,
     make_certificate,
     min_equalizer_gap,
@@ -90,6 +92,12 @@ class TestCertificates:
         monkeypatch.delenv("HEDGE_NASH_TOL")
         assert certificate_tolerance() == 1e-8
 
+    @pytest.mark.parametrize("value", ["tight", "nan", "-1e-6", "inf"])
+    def test_bad_tolerance_env_is_game_error(self, monkeypatch, value):
+        monkeypatch.setenv("HEDGE_NASH_TOL", value)
+        with pytest.raises(GameError, match="HEDGE_NASH_TOL"):
+            certificate_tolerance()
+
 
 class TestEqualizers:
     def test_rps_equalizer_uniform(self, rps_nonneg):
@@ -144,6 +152,29 @@ class TestSubequalizer:
             best_subequalizer(rps_nonneg, [0, 5])
 
 
+class TestSpreadProgramSize:
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        shapes = []
+        original = analysis.solve_lp
+
+        def capture(lp):
+            shapes.append(lp.a.shape)
+            return original(lp)
+
+        monkeypatch.setattr(analysis, "solve_lp", capture)
+        return shapes
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_min_gap_has_2n_plus_1_rows(self, captured, n):
+        min_equalizer_gap(generate_game("random_uniform", n, 0))
+        assert [rows for rows, _ in captured] == [2 * n + 1]
+
+    def test_subequalizer_has_n_plus_m_plus_1_rows(self, captured):
+        best_subequalizer(generate_game("random_uniform", 12, 0), [1, 4, 7])
+        assert [rows for rows, _ in captured] == [12 + 3 + 1]
+
+
 class TestVerifySupport:
     def test_identity_full_support(self, identity2):
         cert = verify_support(identity2, [0, 1])
@@ -154,6 +185,12 @@ class TestVerifySupport:
 
     def test_rps_pure_support_fails(self, rps_nonneg):
         assert verify_support(rps_nonneg, [0]) is None
+
+    def test_explicit_tolerance(self):
+        # row 1 earns row 0's payoff plus 1e-5 against anything: spread 1e-5
+        g = validate_game([[0.2, 0.4], [0.2 + 1e-5, 0.4 + 1e-5]])
+        assert verify_support(g, [0, 1]) is None
+        assert verify_support(g, [0, 1], tol=1e-4) is not None
 
     def test_hawk_dove(self, hawk_dove):
         cert = verify_support(hawk_dove, [0, 1])

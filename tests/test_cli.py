@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hedgenash import load_game, save_game, validate_game
+import hedgenash.analysis as analysis
+from hedgenash import LPError, load_game, save_game, validate_game
 from hedgenash.cli import main
 
 RPS_NORMALIZED = [[0.5, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 1.0, 0.5]]
@@ -121,6 +122,41 @@ class TestVerify:
     def test_bad_support_fails(self, rps_file):
         rc = main(["verify", "--game", rps_file, "--support", "0"])
         assert rc == 1
+
+    def test_support_tol_is_honoured(self, tmp_path):
+        # row 1 earns row 0's payoff plus 1e-5 against anything: spread 1e-5
+        path = tmp_path / "near.json"
+        save_game(validate_game([[0.2, 0.4], [0.2 + 1e-5, 0.4 + 1e-5]]), path)
+        args = ["verify", "--game", str(path), "--support", "0,1"]
+        assert main(args) == 1
+        assert main(args + ["--tol", "1e-4"]) == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_is_config_error(self, rps_file, capsys, tol):
+        assert main(["verify", "--game", rps_file, "--support", "0",
+                     f"--tol={tol}"]) == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_non_numeric_env_tolerance_is_config_error(self, rps_file, capsys,
+                                                       monkeypatch):
+        monkeypatch.setenv("HEDGE_NASH_TOL", "tight")
+        assert main(["verify", "--game", rps_file, "--support", "0,1,2"]) == 2
+        err = capsys.readouterr().err
+        assert "HEDGE_NASH_TOL" in err and len(err.splitlines()) == 1
+
+    def test_lp_failure_is_config_error(self, rps_file, capsys, monkeypatch):
+        def broken(lp):
+            raise LPError("LP solution violates A y = b by 0.1")
+
+        monkeypatch.setattr(analysis, "solve_lp", broken)
+        assert main(["verify", "--game", rps_file, "--x", "uniform"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: LP solution violates A y = b by 0.1"]
+
+    def test_mid_size_equalizer_spread_solves(self):
+        # the pairwise spread program broke down on this game
+        assert main(["verify", "--game", "random_uniform:16:1",
+                     "--x", "uniform"]) in (0, 1)
 
     def test_requires_exactly_one_input(self, rps_file):
         assert main(["verify", "--game", rps_file]) == 2

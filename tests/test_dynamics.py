@@ -208,6 +208,11 @@ class TestRelativeEntropy:
         with pytest.raises(GameError):
             relative_entropy([0.5, 0.5], [1.0, 0.0])
 
+    def test_lower_bound_breach_is_game_error(self):
+        # not strategies: KL 2 ln 2 falls below ||p - q||^2 = 2
+        with pytest.raises(GameError):
+            relative_entropy([2.0, 0.0], [1.0, 1.0])
+
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=100, deadline=None)
     def test_dominates_squared_distance(self, seed):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hedgenash.analysis as analysis
 from hedgenash import (
     GameError,
     PowerSchedule,
@@ -135,6 +136,31 @@ class TestExtractCertificate:
         tr = run_trajectory(identity2, uniform_strategy(2), POWER_23, 10)
         with pytest.raises(GameError):
             extract_certificate(identity2, tr, criteria=("entropy",))
+
+    def test_shared_prefixes_verified_once(self, monkeypatch):
+        # strategy 2 dominates: average mass and iterate mass both rank
+        # (0, 1, 2) and fail on every prefix; average payoff puts 2 first
+        game = validate_game([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        calls = []
+        original = analysis.best_subequalizer
+
+        def counting(game, carrier):
+            calls.append(tuple(carrier))
+            return original(game, carrier)
+
+        monkeypatch.setattr(analysis, "best_subequalizer", counting)
+        out = extract_certificate(game, trace_with([0.5, 0.3, 0.2]),
+                                  criteria=("average_mass", "iterate_mass",
+                                            "average_payoff"))
+        assert out.certificate.method == "extract:average_payoff:m=1"
+        assert len(calls) == 4  # {0}, {0, 1}, {0, 1, 2}, then {2}
+        assert [(a["criterion"], a["m"], a["support"], a["verified"])
+                for a in out.attempts] == [
+            ("average_mass", 1, [0], False), ("average_mass", 2, [0, 1], False),
+            ("average_mass", 3, [0, 1, 2], False),
+            ("iterate_mass", 1, [0], False), ("iterate_mass", 2, [0, 1], False),
+            ("iterate_mass", 3, [0, 1, 2], False),
+            ("average_payoff", 1, [2], True)]
 
     def test_soundness_gap_recomputed(self, hawk_dove_norm):
         tr = run_trajectory(hawk_dove_norm, uniform_strategy(2), POWER_23,

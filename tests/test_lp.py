@@ -8,6 +8,7 @@ from hedgenash import (
     solve_lp,
     validate_game,
 )
+from hedgenash.lp import _pivot, _verify_optimal
 
 
 def solve(a, b, d, sense):
@@ -110,6 +111,27 @@ class TestSolveLP:
         points[:, 2:] = groups[:, 1:]
         sampled_best = float((points @ d).min())
         assert res.objective_value <= sampled_best + 1e-7
+
+    def test_residual_violation_raises_lperror(self):
+        lp = StandardFormLP(a=np.array([[1.0, 1.0]]), b=np.array([1.0]),
+                            objective=np.zeros(2)).validated()
+        with pytest.raises(LPError, match="violates A y = b"):
+            _verify_optimal(lp, np.array([0.5, 0.6]))
+        with pytest.raises(LPError, match="negative entry"):
+            _verify_optimal(lp, np.array([1.5, -0.5]))
+
+    def test_pivot_matches_row_by_row_elimination(self):
+        rng = np.random.default_rng(3)
+        tableau = rng.uniform(-1, 1, size=(5, 8))
+        tableau[2, 4] = 0.0  # a row the elimination leaves alone
+        expected = tableau.copy()
+        expected[1] /= expected[1, 4]
+        for i in (0, 2, 3, 4):
+            expected[i] = expected[i] - expected[i, 4] * expected[1]
+        basis = np.arange(5)
+        _pivot(tableau, basis, 1, 4)
+        assert np.array_equal(tableau, expected)
+        assert basis[1] == 4
 
 
 class TestEqualizerLP:
