@@ -119,10 +119,13 @@ def validate_schedule(schedule) -> ScheduleValidation:
 
     For power schedules these hold exactly when 1/2 < p <= 1 (the tail term
     behaves like alpha_k^2, a p-series with exponent 2p). Custom lists are
-    only checked for positivity; their asymptotics cannot be verified.
+    only checked for finite positive rates; their asymptotics cannot be
+    verified.
     """
     if isinstance(schedule, PowerSchedule):
         p = schedule.p
+        if not math.isfinite(p):
+            return ScheduleValidation(False, "exponent must be finite")
         if p <= 0:
             return ScheduleValidation(False, "alpha_k does not tend to 0")
         if p <= 0.5:
@@ -140,6 +143,8 @@ def validate_schedule(schedule) -> ScheduleValidation:
     if isinstance(schedule, CustomSchedule):
         if not schedule.values:
             return ScheduleValidation(False, "empty rate list")
+        if not all(math.isfinite(v) for v in schedule.values):
+            return ScheduleValidation(False, "rates must be finite")
         if min(schedule.values) <= 0:
             return ScheduleValidation(False, "rates must be positive")
         return ScheduleValidation(True, flags=("unverified-asymptotics",))
@@ -178,9 +183,16 @@ def hedge_step(game: SymmetricGame, x, alpha: float) -> np.ndarray:
         raise GameError("hedge step requires an interior strategy")
     if not (alpha > 0 and math.isfinite(alpha)):
         raise GameError(f"learning rate must be positive and finite, got {alpha!r}")
-    logits = np.log(x) + alpha * (game.payoff @ x)
-    w = np.exp(logits - logits.max())
-    return w / w.sum()
+    return _hedge_map(np.log(x), game.payoff @ x, alpha)
+
+
+def _hedge_map(log_x, cx, alphas) -> np.ndarray:
+    """T_alpha(x) along the last axis: the softmax of ln x + alpha * Cx with
+    max-subtraction. The arguments broadcast, so one call maps a whole
+    (samples, rates, n) block; on 1-D input it is the single update."""
+    logits = log_x + alphas * cx
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def relative_entropy(p, q) -> float:
@@ -197,48 +209,6 @@ def relative_entropy(p, q) -> float:
         raise GameError("relative entropy below its lower bound ||p - q||^2: "
                         "p and q must be strategies")
     return value
-
-
-# ---------------------------------------------------------------------------
-# Trajectory state and weighted averages
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TrajectoryState:
-    """Running state of a trajectory: logits, current iterate, and the
-    (weight sum, accumulator) pair defining the weighted average."""
-
-    logits: np.ndarray
-    x: np.ndarray
-    step: int
-    weight_sum: float
-    accumulator: np.ndarray
-
-    @property
-    def average(self) -> np.ndarray:
-        if self.weight_sum <= 0:
-            raise GameError("no iterates folded into the average yet")
-        return self.accumulator / self.weight_sum
-
-    @classmethod
-    def initial(cls, x0) -> "TrajectoryState":
-        x0 = as_strategy(x0)
-        if not is_interior(x0):
-            raise GameError("trajectories must start in the simplex interior")
-        return cls(logits=np.log(x0), x=x0.copy(), step=0,
-                   weight_sum=0.0, accumulator=np.zeros_like(x0))
-
-
-def update_average(state: TrajectoryState, alpha: float, x) -> TrajectoryState:
-    """Fold alpha-weighted iterate x into the running average."""
-    x = np.asarray(x, dtype=float)
-    return TrajectoryState(
-        logits=state.logits,
-        x=state.x,
-        step=state.step,
-        weight_sum=state.weight_sum + alpha,
-        accumulator=state.accumulator + alpha * x,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +333,8 @@ def run_trajectory(game: SymmetricGame, x0, schedule, k_max: int,
 
     c = game.payoff
     alphas = schedule.rates(k_max + 1)
+    if not np.all(np.isfinite(alphas)):
+        raise ScheduleError(f"schedule {schedule.label} yields a non-finite rate")
     logits = np.log(x0)
     x = x0.copy()
     accum = np.zeros_like(x0)
@@ -445,8 +417,73 @@ class DiagnosticsReport:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def _re_on_support(p, q, mask) -> float:
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+ENTROPY_CHECKS = (("entropy_alpha_convexity", POINTWISE_TOL),
+                  ("entropy_upper_bound", POINTWISE_TOL),
+                  ("entropy_lower_bound", POINTWISE_TOL),
+                  ("log_growth_bound", ACCUMULATED_TOL))
+
+# Samples drawn and evaluated per block: the (samples, rates, n) arrays stay
+# a few MB however many samples are asked for.
+_DIAG_CHUNK = 256
+_LOG_GROWTH_STEPS = 32
+
+
+def _draw_entropy_samples(rng: Xoshiro256StarStar, n: int, count: int):
+    """Draw count (X, Y, alpha grid) samples in the generator's fixed order.
+    Grids are padded to a common width by repeating their largest rate,
+    which adds no new value to any check."""
+    xs = np.empty((count, n))
+    ys = np.empty((count, n))
+    grids = []
+    for s in range(count):
+        xs[s] = rng.interior_point(n)
+        support_size = 1 + rng.randint(n) if rng.random() < 0.3 else None
+        ys[s] = rng.simplex_point(n, support_size)
+        grids.append(sorted(set(ALPHA_GRID) | {rng.uniform(0.0, 2.0) for _ in range(10)}))
+    width = max(len(g) for g in grids)
+    return xs, ys, np.array([g + g[-1:] * (width - len(g)) for g in grids])
+
+
+def _re_on_support(y, q) -> np.ndarray:
+    """RE(y, q) along the last axis, summed over the support of y."""
+    return np.sum(y * np.log(np.where(y > 0.0, y / q, 1.0)), axis=-1)
+
+
+def _entropy_violations(c: np.ndarray, xs, ys, alphas) -> tuple[float, ...]:
+    """Worst violation of each ENTROPY_CHECKS inequality over one block of
+    samples: xs, ys are (S, n), alphas is the (S, A) sorted rate grid."""
+    width = alphas.shape[1]
+    lo = np.r_[np.arange(width - 1), 0]      # midpoint pairs: neighbours,
+    hi = np.r_[np.arange(1, width), width - 1]  # then first with last
+    rates = np.concatenate([alphas, 0.5 * (alphas[:, lo] + alphas[:, hi])], axis=1)
+    log_x = np.log(xs)
+    cx = xs @ c.T
+    re_t = _re_on_support(ys[:, None, :], _hedge_map(
+        log_x[:, None, :], cx[:, None, :], rates[:, :, None]))
+    re_at, re_mid = re_t[:, :width], re_t[:, width:]
+    re_yx = _re_on_support(ys, xs)[:, None]
+    drift = np.sum((ys - xs) * cx, axis=-1)[:, None]
+    convexity = re_mid - 0.5 * (re_at[:, lo] + re_at[:, hi])
+    upper = re_at - (re_yx - alphas * drift + alphas * (np.exp(alphas) - 1.0))
+    lower = (re_yx - alphas * drift) - re_at
+
+    # short trajectories for the accumulated bound, all samples at once
+    xk, log_xk = xs, log_x
+    weight = 0.0
+    accum = np.zeros_like(xs)
+    self_play = np.zeros(len(xs))
+    growth = 0.0
+    for k in range(_LOG_GROWTH_STEPS):
+        alpha = (k + 1) ** (-2.0 / 3.0)
+        cxk = xk @ c.T
+        weight += alpha
+        accum += alpha * xk
+        self_play += alpha * np.sum(xk * cxk, axis=-1)
+        xk = _hedge_map(log_xk, cxk, alpha)
+        log_xk = np.log(xk)
+        rhs = (accum / weight) @ c.T - (self_play / weight)[:, None]
+        growth = max(growth, float(np.max((log_xk - log_x) / weight - rhs)))
+    return (float(convexity.max()), float(upper.max()), float(lower.max()), growth)
 
 
 def diagnose_entropy_bounds(game: SymmetricGame, samples: int,
@@ -460,82 +497,23 @@ def diagnose_entropy_bounds(game: SymmetricGame, samples: int,
       * the lower bound RE(Y,T(X)) >= RE(Y,X) - a(Y-X).CX;
       * the telescoped logit growth bound along a short trajectory:
         (ln X^{K+1}(i) - ln X^0(i))/A_K <= (C Xbar^K)_i - avg self-play.
+
+    Samples are drawn in blocks and each block is checked with batched
+    array operations; a given seed always checks the same samples.
     """
     if not game.normalized:
         raise GameError("entropy diagnostics assume payoffs in [0, 1]")
+    if samples < 0:
+        raise GameError(f"samples must be >= 0, got {samples}")
     rng = Xoshiro256StarStar(seed)
-    c = game.payoff
-    n = game.n
-    viol = {"entropy_alpha_convexity": 0.0, "entropy_upper_bound": 0.0,
-            "entropy_lower_bound": 0.0, "log_growth_bound": 0.0}
-
-    for _ in range(samples):
-        x = rng.interior_point(n)
-        support_size = 1 + rng.randint(n) if rng.random() < 0.3 else None
-        y = rng.simplex_point(n, support_size)
-        mask = y > 0.0
-        cx = c @ x
-        drift = float((y - x) @ cx)
-        re_yx = _re_on_support(y, x, mask)
-        log_x = np.log(x)
-
-        alphas = sorted(set(ALPHA_GRID) | {rng.uniform(0.0, 2.0) for _ in range(10)})
-
-        def t_of(alpha: float) -> np.ndarray:
-            logits = log_x + alpha * cx
-            w = np.exp(logits - logits.max())
-            return w / w.sum()
-
-        re_at = {a: _re_on_support(y, t_of(a), mask) for a in alphas}
-        pairs = list(zip(alphas, alphas[1:])) + [(alphas[0], alphas[-1])]
-        for a1, a2 in pairs:
-            mid = 0.5 * (a1 + a2)
-            lhs = _re_on_support(y, t_of(mid), mask)
-            viol["entropy_alpha_convexity"] = max(
-                viol["entropy_alpha_convexity"],
-                lhs - 0.5 * (re_at[a1] + re_at[a2]))
-        for a in alphas:
-            re_t = re_at[a]
-            viol["entropy_upper_bound"] = max(
-                viol["entropy_upper_bound"],
-                re_t - (re_yx - a * drift + a * (math.exp(a) - 1.0)))
-            viol["entropy_lower_bound"] = max(
-                viol["entropy_lower_bound"],
-                (re_yx - a * drift) - re_t)
-
-        # short trajectory for the accumulated bound
-        steps = 32
-        logits = log_x.copy()
-        xk = x.copy()
-        weight = 0.0
-        accum = np.zeros(n)
-        self_play = 0.0
-        for k in range(steps):
-            alpha = (k + 1) ** (-2.0 / 3.0)
-            cxk = c @ xk
-            weight += alpha
-            accum += alpha * xk
-            self_play += alpha * float(xk @ cxk)
-            logits += alpha * cxk
-            w = np.exp(logits - logits.max())
-            xk = w / w.sum()
-            log_next = np.log(xk)
-            rhs = c @ (accum / weight) - self_play / weight
-            lhs = (log_next - log_x) / weight
-            viol["log_growth_bound"] = max(viol["log_growth_bound"],
-                                           float(np.max(lhs - rhs)))
-
-    checks = [
-        DiagnosticCheck("entropy_alpha_convexity", samples,
-                        viol["entropy_alpha_convexity"], POINTWISE_TOL),
-        DiagnosticCheck("entropy_upper_bound", samples,
-                        viol["entropy_upper_bound"], POINTWISE_TOL),
-        DiagnosticCheck("entropy_lower_bound", samples,
-                        viol["entropy_lower_bound"], POINTWISE_TOL),
-        DiagnosticCheck("log_growth_bound", samples,
-                        viol["log_growth_bound"], ACCUMULATED_TOL),
-    ]
-    return DiagnosticsReport(checks=checks)
+    worst = [0.0] * len(ENTROPY_CHECKS)
+    for start in range(0, samples, _DIAG_CHUNK):
+        block = _draw_entropy_samples(rng, game.n, min(_DIAG_CHUNK, samples - start))
+        worst = [max(w, v) for w, v in
+                 zip(worst, _entropy_violations(game.payoff, *block))]
+    return DiagnosticsReport(checks=[
+        DiagnosticCheck(name, samples, w, tol)
+        for (name, tol), w in zip(ENTROPY_CHECKS, worst)])
 
 
 TRAJECTORY_CHECKS = ("log_ratio_identity", "payoff_floor_bound", "self_play_bound")

@@ -16,6 +16,7 @@ import numpy as np
 from .analysis import EquilibriumCertificate, epsilon_gap, verify_support
 from .dynamics import Trace, TraceRecord
 from .game import GameError, SymmetricGame
+from .lp import LPError
 
 CRITERIA = ("average_payoff", "average_mass", "iterate_mass")
 
@@ -83,11 +84,12 @@ def extract_certificate(game: SymmetricGame, trace: Trace,
     """Sweep ranking prefixes m = 1..n per criterion, LP-verifying each as a
     candidate support; first certificate wins. The sweep avoids guessing a
     separation threshold: a correct prefix is guaranteed to recur, but its
-    size is not computable from a finite trace."""
+    size is not computable from a finite trace. A candidate whose LP fails
+    numerically is recorded with its error and the sweep goes on."""
     r = record or trace.final
     n = game.n
     attempts: list[dict] = []
-    verified: dict[frozenset, EquilibriumCertificate | None] = {}
+    verified: dict[frozenset, EquilibriumCertificate | LPError | None] = {}
     for criterion in criteria:
         if criterion not in CRITERIA:
             raise GameError(f"unknown ranking criterion {criterion!r}")
@@ -105,20 +107,24 @@ def extract_certificate(game: SymmetricGame, trace: Trace,
             candidate = ranking.order[:m]
             key = frozenset(candidate)  # criteria often share prefixes
             if key not in verified:
-                verified[key] = verify_support(game, candidate)
+                try:
+                    verified[key] = verify_support(game, candidate)
+                except LPError as exc:
+                    verified[key] = exc
             cert = verified[key]
-            if cert is not None:
+            attempt = {"criterion": criterion, "m": m, "support": list(candidate),
+                       "verified": isinstance(cert, EquilibriumCertificate)}
+            if isinstance(cert, LPError):
+                attempt["error"] = str(cert)
+            attempts.append(attempt)
+            if attempt["verified"]:
                 cert = EquilibriumCertificate(
                     strategy=cert.strategy, support=cert.support, gap=cert.gap,
                     well_supported_eps=cert.well_supported_eps,
                     method=f"extract:{criterion}:m={m}",
                     game_units_gap=cert.game_units_gap,
                     game_digest=cert.game_digest)
-                attempts.append({"criterion": criterion, "m": m,
-                                 "support": list(candidate), "verified": True})
                 return ExtractionOutcome(certificate=cert, attempts=attempts)
-            attempts.append({"criterion": criterion, "m": m,
-                             "support": list(candidate), "verified": False})
     return ExtractionOutcome(certificate=None, attempts=attempts)
 
 

@@ -59,6 +59,20 @@ class TestRun:
                    "--schedule", "power:0.4", "--out", str(tmp_path / "t.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "forced"])
+    @pytest.mark.parametrize("rates", ["power:nan", "file"])
+    def test_non_finite_schedule_is_config_error(self, rps_file, tmp_path, capsys,
+                                                 rates, force):
+        if rates == "file":
+            path = tmp_path / "rates.txt"
+            path.write_text("0.5 nan " * 60)
+            rates = f"file:{path}"
+        out = tmp_path / "t.csv"
+        rc = main(["run", "--game", rps_file, "--steps", "100", "--schedule",
+                   rates, "--out", str(out)] + force)
+        assert rc == 2 and not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     def test_force_flags_summary(self, rps_file, tmp_path):
         out = tmp_path / "t.csv"
         rc = main(["run", "--game", rps_file, "--steps", "100",
@@ -205,6 +219,12 @@ class TestDiagnose:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["vacuous"] is True and payload["checks"] == []
+
+    def test_negative_samples_is_config_error(self, rps_file, capsys):
+        assert main(["diagnose", "--game", rps_file, "--samples", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: samples must be >= 0, got -5"]
 
     def test_unnormalized_game_is_normalized_first(self, tmp_path):
         path = tmp_path / "big.json"

@@ -13,7 +13,6 @@ from hedgenash import (
     PowerSchedule,
     ScheduleError,
     Trace,
-    TrajectoryState,
     diagnose_entropy_bounds,
     diagnose_trajectory_identities,
     hedge_step,
@@ -22,7 +21,6 @@ from hedgenash import (
     relative_entropy,
     run_trajectory,
     uniform_strategy,
-    update_average,
     validate_game,
     validate_schedule,
 )
@@ -167,34 +165,25 @@ class TestSchedules:
         with pytest.raises(ScheduleError):
             parse_schedule("exponential:2")
 
+    @pytest.mark.parametrize("schedule", [
+        PowerSchedule(math.nan), CustomSchedule(values=(0.5, math.nan)),
+        CustomSchedule(values=(0.5, math.inf))], ids=["power-nan", "custom-nan",
+                                                    "custom-inf"])
+    def test_non_finite_invalid(self, schedule):
+        assert not validate_schedule(schedule).valid
+
+    @pytest.mark.parametrize("schedule", [
+        PowerSchedule(math.nan), ConstantSchedule(math.nan),
+        ConstantSchedule(math.inf), PowerSchedule(-1e3),
+        CustomSchedule(values=(0.5, math.nan) * 10)])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_rates_rejected_even_forced(self, identity2, schedule):
+        with pytest.raises(ScheduleError, match="non-finite"):
+            run_trajectory(identity2, uniform_strategy(2), schedule, 10, force=True)
+
     def test_custom_exhaustion(self):
         with pytest.raises(ScheduleError):
             CustomSchedule(values=(1.0, 0.5)).rates(5)
-
-
-class TestAveraging:
-    def test_first_update(self):
-        state = TrajectoryState.initial(uniform_strategy(2))
-        state = update_average(state, 1.0, uniform_strategy(2))
-        assert state.weight_sum == 1.0
-        assert np.allclose(state.average, 0.5, atol=1e-15)
-
-    def test_equal_weights(self):
-        state = TrajectoryState.initial(np.array([0.9, 0.1]))
-        state = update_average(state, 1.0, np.array([0.9, 0.1]))
-        state = update_average(state, 1.0, np.array([0.5, 0.5]))
-        assert np.allclose(state.average, [0.7, 0.3], atol=1e-15)
-
-    def test_weighted_mean(self):
-        state = TrajectoryState.initial(np.array([0.9, 0.1]))
-        state = update_average(state, 1.0, np.array([0.9, 0.1]))
-        state = update_average(state, 3.0, np.array([0.5, 0.5]))
-        assert np.allclose(state.average, [0.6, 0.4], atol=1e-15)
-
-    def test_average_before_any_update_rejected(self):
-        state = TrajectoryState.initial(uniform_strategy(2))
-        with pytest.raises(GameError):
-            state.average
 
 
 class TestRelativeEntropy:
@@ -332,6 +321,15 @@ class TestDiagnostics:
 
     def test_entropy_suite_rps(self, rps_norm):
         assert diagnose_entropy_bounds(rps_norm, 200, seed=3).all_passed
+
+    def test_negative_samples_rejected(self, identity2):
+        with pytest.raises(GameError, match="samples"):
+            diagnose_entropy_bounds(identity2, -5, seed=0)
+
+    def test_zero_samples_vacuous(self, identity2):
+        report = diagnose_entropy_bounds(identity2, 0, seed=0)
+        assert report.all_passed and len(report.checks) == 4
+        assert all(c.samples == 0 and c.max_violation == 0.0 for c in report.checks)
 
     def test_requires_normalized_game(self, rps_nonneg):
         with pytest.raises(GameError):

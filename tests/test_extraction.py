@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import hedgenash.analysis as analysis
+import hedgenash.extraction as extraction
 from hedgenash import (
     GameError,
+    LPError,
     PowerSchedule,
     Trace,
     TraceRecord,
@@ -161,6 +163,42 @@ class TestExtractCertificate:
             ("iterate_mass", 1, [0], False), ("iterate_mass", 2, [0, 1], False),
             ("iterate_mass", 3, [0, 1, 2], False),
             ("average_payoff", 1, [2], True)]
+
+    @staticmethod
+    def failing_on(monkeypatch, bad):
+        """Make verify_support raise LPError on the carrier bad; count calls."""
+        calls = []
+        original = extraction.verify_support
+
+        def verify_support(game, candidate):
+            calls.append(frozenset(candidate))
+            if frozenset(candidate) == bad:
+                raise LPError("LP solution violates A y = b by 0.06")
+            return original(game, candidate)
+
+        monkeypatch.setattr(extraction, "verify_support", verify_support)
+        return calls
+
+    def test_lp_failure_does_not_end_the_sweep(self, rps_nonneg, monkeypatch):
+        self.failing_on(monkeypatch, frozenset({0, 1}))
+        out = extract_certificate(rps_nonneg, trace_with([0.5, 0.3, 0.2]),
+                                  criteria=("average_mass",))
+        assert out.certificate.method == "extract:average_mass:m=3"
+        assert out.attempts[1] == {
+            "criterion": "average_mass", "m": 2, "support": [0, 1],
+            "verified": False, "error": "LP solution violates A y = b by 0.06"}
+        assert "error" not in out.attempts[0] and "error" not in out.attempts[2]
+
+    def test_lp_failure_is_memoised(self, monkeypatch):
+        game = validate_game([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        calls = self.failing_on(monkeypatch, frozenset({0, 1}))
+        out = extract_certificate(game, trace_with([0.5, 0.3, 0.2]),
+                                  criteria=("average_mass", "iterate_mass",
+                                            "average_payoff"))
+        assert out.certificate.method == "extract:average_payoff:m=1"
+        assert calls.count(frozenset({0, 1})) == 1
+        assert [a["criterion"] for a in out.attempts if "error" in a] == [
+            "average_mass", "iterate_mass"]
 
     def test_soundness_gap_recomputed(self, hawk_dove_norm):
         tr = run_trajectory(hawk_dove_norm, uniform_strategy(2), POWER_23,
