@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .game import (
     denormalize_gap,
     support,
 )
-from .lp import LPError, StandardFormLP, assemble_equalizer_lp, solve_lp
+from .lp import LPError, StandardFormLP, solve_lp
 
 DEFAULT_CERT_TOL = 1e-8
 
@@ -103,14 +103,11 @@ def make_certificate(game: SymmetricGame, x, method: str) -> EquilibriumCertific
 
 
 def find_equalizer(game: SymmetricGame) -> EquilibriumCertificate | None:
-    """Strategy equalizing all pure payoffs, via the feasibility LP; None if
-    no equalizer exists. Equalizers are always equilibria."""
-    lp = assemble_equalizer_lp(game.payoff)
-    result = solve_lp(lp)
-    if result.status != "optimal":
-        return None
-    x = result.solution[:game.n]
-    return make_certificate(game, x, method="equalizer_lp")
+    """Strategy equalizing all pure payoffs: the support check on the full
+    carrier, whose spread program then has optimum 0. None if no equalizer
+    exists. Equalizers are always equilibria."""
+    cert = verify_support(game, range(game.n))
+    return None if cert is None else replace(cert, method="equalizer_lp")
 
 
 def _spread_lp(payoff: np.ndarray, carrier: list[int]) -> StandardFormLP:
@@ -136,7 +133,7 @@ def _spread_lp(payoff: np.ndarray, carrier: list[int]) -> StandardFormLP:
                   [np.ones(m), np.zeros(n + m + 2)]])                # sum(X) = 1
     d = np.zeros(a.shape[1])
     d[m:m + 2] = 1.0, -1.0
-    return StandardFormLP(a=a, b=np.eye(n + m + 1)[-1], objective=d, sense="minimize")
+    return StandardFormLP(a=a, b=np.eye(n + m + 1)[-1], objective=d)
 
 
 def min_equalizer_gap(game: SymmetricGame) -> tuple[np.ndarray, float]:

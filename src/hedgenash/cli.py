@@ -24,12 +24,12 @@ from .analysis import (
     well_supported_eps,
 )
 from .dynamics import (
+    DEFAULT_SCHEDULE,
     ScheduleError,
     Trace,
     diagnose_entropy_bounds,
     parse_schedule,
     run_trajectory,
-    validate_schedule,
 )
 from .extraction import CRITERIA, extract_certificate
 from .game import (
@@ -76,10 +76,14 @@ def _parse_x0(spec: str, n: int, seed: int) -> np.ndarray:
                     "expected uniform | random | csv:p1,p2,...")
 
 
+def _parse_schedule_arg(spec: str | None):
+    return DEFAULT_SCHEDULE if spec is None else parse_schedule(spec)
+
+
 def _run_one(config: dict) -> dict:
     """Execute one run config; returns the summary dict (also written out)."""
     game = _load_game_spec(config["game"])
-    schedule = parse_schedule(config.get("schedule", "power:0.6666666666666666"))
+    schedule = _parse_schedule_arg(config.get("schedule"))
     seed = int(config.get("seed", 0))
     x0 = _parse_x0(config.get("x0", "uniform"), game.n, seed)
     steps = int(config["steps"])
@@ -99,7 +103,7 @@ def _run_one(config: dict) -> dict:
     else:
         trace.to_jsonl(out)
 
-    validation = validate_schedule(schedule)
+    validation = schedule.validation
     final = trace.final
     summary = {
         "game": config["game"],
@@ -128,12 +132,15 @@ def _run_one(config: dict) -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise GameError(f"--jobs must be >= 1, got {args.jobs}")
     if args.config:
         configs = json.loads(Path(args.config).read_text())
         if not isinstance(configs, list):
             raise GameError("--config must hold a JSON list of run configs")
-        if args.jobs > 1:
-            with multiprocessing.Pool(args.jobs) as pool:
+        workers = min(args.jobs, len(configs))
+        if workers > 1:
+            with multiprocessing.Pool(workers) as pool:
                 summaries = pool.map(_run_one, configs)
         else:
             summaries = [_run_one(cfg) for cfg in configs]
@@ -161,7 +168,7 @@ def cmd_extract(args) -> int:
     else:
         if args.steps is None:
             raise GameError("either --trace or --steps is required")
-        schedule = parse_schedule(args.schedule)
+        schedule = _parse_schedule_arg(args.schedule)
         x0 = _parse_x0(args.x0, game.n, args.seed)
         trace = run_trajectory(game, x0, schedule, args.steps,
                                emit_every=args.emit_every, force=args.force)
@@ -277,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="game file (JSON or text) or generator spec kind:n[:seed]")
 
     def add_run_flags(p):
-        p.add_argument("--schedule", default="power:0.6666666666666666",
-                       help="power:P | harmonic | constant:C | file:PATH")
+        p.add_argument("--schedule",
+                       help="power:P | harmonic | constant:C | file:PATH "
+                            "(default power:2/3)")
         p.add_argument("--x0", default="uniform", help="uniform | random | csv:p1,p2,...")
         p.add_argument("--steps", type=int, default=None)
         p.add_argument("--emit-every", type=int, default=1000)

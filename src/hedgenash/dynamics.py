@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,136 +37,94 @@ class ScheduleError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PowerSchedule:
-    """alpha_k = (k+1)^(-p)."""
-
-    p: float
-
-    @property
-    def label(self) -> str:
-        return f"power:{self.p:g}"
-
-    def rate(self, k: int) -> float:
-        return float((k + 1) ** -self.p)
-
-    def rates(self, count: int) -> np.ndarray:
-        return (np.arange(1, count + 1, dtype=float)) ** -self.p
-
-
-@dataclass(frozen=True)
-class HarmonicSchedule:
-    """alpha_0 = 1, alpha_k = 1/k for k >= 1."""
-
-    @property
-    def label(self) -> str:
-        return "harmonic"
-
-    def rate(self, k: int) -> float:
-        return 1.0 if k == 0 else 1.0 / k
-
-    def rates(self, count: int) -> np.ndarray:
-        out = np.empty(count)
-        out[0] = 1.0
-        if count > 1:
-            out[1:] = 1.0 / np.arange(1, count, dtype=float)
-        return out
-
-
-@dataclass(frozen=True)
-class ConstantSchedule:
-    value: float
-
-    @property
-    def label(self) -> str:
-        return f"constant:{self.value:g}"
-
-    def rate(self, k: int) -> float:
-        return self.value
-
-    def rates(self, count: int) -> np.ndarray:
-        return np.full(count, self.value)
-
-
-@dataclass(frozen=True)
-class CustomSchedule:
-    """Explicit list of rates, e.g. loaded from a file."""
-
-    values: tuple[float, ...]
-
-    @property
-    def label(self) -> str:
-        return f"custom[{len(self.values)}]"
-
-    def rate(self, k: int) -> float:
-        return self.values[k]
-
-    def rates(self, count: int) -> np.ndarray:
-        if count > len(self.values):
-            raise ScheduleError(
-                f"custom schedule has {len(self.values)} rates, {count} needed")
-        return np.asarray(self.values[:count], dtype=float)
-
-
-@dataclass(frozen=True)
 class ScheduleValidation:
     valid: bool
     reason: str | None = None
     flags: tuple[str, ...] = ()
 
 
-def validate_schedule(schedule) -> ScheduleValidation:
-    """Check the three conditions a diminishing schedule must satisfy:
-    alpha_k -> 0, sum alpha_k diverges, sum alpha_k*(exp(alpha_k)-1) converges.
+@dataclass(frozen=True)
+class Schedule:
+    """A learning-rate schedule: its label, ``rates(count)`` giving
+    alpha_0..alpha_{count-1}, and its check against the convergence
+    hypotheses. Built by ``parse_schedule``."""
 
-    For power schedules these hold exactly when 1/2 < p <= 1 (the tail term
-    behaves like alpha_k^2, a p-series with exponent 2p). Custom lists are
-    only checked for finite positive rates; their asymptotics cannot be
+    label: str
+    rates: Callable[[int], np.ndarray]
+    validation: ScheduleValidation
+
+
+def _power_validation(p: float) -> ScheduleValidation:
+    if not math.isfinite(p):
+        return ScheduleValidation(False, "exponent must be finite")
+    if p <= 0:
+        return ScheduleValidation(False, "alpha_k does not tend to 0")
+    if p <= 0.5:
+        return ScheduleValidation(
+            False, "sum alpha_k*(exp(alpha_k)-1) diverges (needs p > 1/2)")
+    if p > 1:
+        return ScheduleValidation(False, "sum alpha_k converges (needs p <= 1)")
+    return ScheduleValidation(True)
+
+
+def _listed_validation(values: tuple[float, ...]) -> ScheduleValidation:
+    if not values:
+        return ScheduleValidation(False, "empty rate list")
+    if not all(math.isfinite(v) for v in values):
+        return ScheduleValidation(False, "rates must be finite")
+    if min(values) <= 0:
+        return ScheduleValidation(False, "rates must be positive")
+    return ScheduleValidation(True, flags=("unverified-asymptotics",))
+
+
+def _harmonic_rates(count: int) -> np.ndarray:
+    out = np.empty(count)
+    out[0] = 1.0
+    if count > 1:
+        out[1:] = 1.0 / np.arange(1, count, dtype=float)
+    return out
+
+
+def _listed_rates(values: tuple[float, ...], count: int) -> np.ndarray:
+    if count > len(values):
+        raise ScheduleError(f"custom schedule has {len(values)} rates, {count} needed")
+    return np.asarray(values[:count], dtype=float)
+
+
+def parse_schedule(spec: str) -> Schedule:
+    """Parse a schedule spec: power:P | harmonic | constant:C | file:PATH.
+
+    power:P is alpha_k = (k+1)^(-P); harmonic is alpha_0 = 1, alpha_k = 1/k;
+    file:PATH lists the rates, whitespace-separated. The validation checks
+    the three conditions a diminishing schedule must satisfy: alpha_k -> 0,
+    sum alpha_k diverges, sum alpha_k*(exp(alpha_k)-1) converges. For power
+    schedules these hold exactly when 1/2 < p <= 1 (the tail term behaves
+    like alpha_k^2, a p-series with exponent 2p). Listed rates are only
+    checked for finite positive values; their asymptotics cannot be
     verified.
     """
-    if isinstance(schedule, PowerSchedule):
-        p = schedule.p
-        if not math.isfinite(p):
-            return ScheduleValidation(False, "exponent must be finite")
-        if p <= 0:
-            return ScheduleValidation(False, "alpha_k does not tend to 0")
-        if p <= 0.5:
-            return ScheduleValidation(
-                False, "sum alpha_k*(exp(alpha_k)-1) diverges (needs p > 1/2)")
-        if p > 1:
-            return ScheduleValidation(False, "sum alpha_k converges (needs p <= 1)")
-        return ScheduleValidation(True)
-    if isinstance(schedule, HarmonicSchedule):
-        return ScheduleValidation(True)
-    if isinstance(schedule, ConstantSchedule):
-        if schedule.value <= 0:
-            return ScheduleValidation(False, "rates must be positive")
-        return ScheduleValidation(False, "alpha_k does not tend to 0")
-    if isinstance(schedule, CustomSchedule):
-        if not schedule.values:
-            return ScheduleValidation(False, "empty rate list")
-        if not all(math.isfinite(v) for v in schedule.values):
-            return ScheduleValidation(False, "rates must be finite")
-        if min(schedule.values) <= 0:
-            return ScheduleValidation(False, "rates must be positive")
-        return ScheduleValidation(True, flags=("unverified-asymptotics",))
-    return ScheduleValidation(False, f"unknown schedule type {type(schedule).__name__}")
-
-
-def parse_schedule(spec: str):
-    """Parse a CLI schedule spec: power:P | harmonic | constant:C | file:PATH."""
+    arg = spec.partition(":")[2]
     if spec == "harmonic":
-        return HarmonicSchedule()
+        return Schedule("harmonic", _harmonic_rates, ScheduleValidation(True))
     if spec.startswith("power:"):
-        return PowerSchedule(p=float(spec.split(":", 1)[1]))
+        p = float(arg)
+        return Schedule(f"power:{p:g}",
+                        lambda count: np.arange(1, count + 1, dtype=float) ** -p,
+                        _power_validation(p))
     if spec.startswith("constant:"):
-        return ConstantSchedule(value=float(spec.split(":", 1)[1]))
+        value = float(arg)
+        reason = "rates must be positive" if value <= 0 else "alpha_k does not tend to 0"
+        return Schedule(f"constant:{value:g}", lambda count: np.full(count, value),
+                        ScheduleValidation(False, reason))
     if spec.startswith("file:"):
-        values = tuple(float(tok) for tok in Path(spec[5:]).read_text().split())
-        return CustomSchedule(values=values)
+        values = tuple(float(tok) for tok in Path(arg).read_text().split())
+        return Schedule(f"custom[{len(values)}]",
+                        lambda count: _listed_rates(values, count),
+                        _listed_validation(values))
     raise ScheduleError(f"cannot parse schedule spec {spec!r}")
 
 
-DEFAULT_SCHEDULE = PowerSchedule(p=2.0 / 3.0)
+DEFAULT_SCHEDULE = parse_schedule("power:0.6666666666666666")
 
 
 # ---------------------------------------------------------------------------
@@ -278,38 +237,61 @@ class Trace:
     @classmethod
     def from_file(cls, path) -> "Trace":
         """Load an emitted trace (CSV or JSON-lines). Fields not present in
-        the wire format (logits, running self-play payoff) come back None."""
+        the wire format (logits, running self-play payoff) come back None.
+        A line that does not parse as a record, or whose X or Xbar is not n
+        finite numbers, is a GameError naming the file and the line."""
         path = Path(path)
-        text = path.read_text().strip()
-        records: list[TraceRecord] = []
-        if text.startswith("{"):
-            for line in text.splitlines():
-                row = json.loads(line)
-                records.append(TraceRecord(
-                    step=int(row["K"]), alpha=row["alpha"], weight_sum=row["A_K"],
-                    gap_avg=row["gap_avg"], gap_iter=row["gap_iter"],
-                    avg_step_norm=row["avg_step_norm"],
-                    x=np.array(row["X"]), xbar=np.array(row["Xbar"])))
+        lines = path.read_text().strip().splitlines()
+        jsonl = bool(lines) and lines[0].startswith("{")
+        if jsonl:
+            n, first = None, 1      # n is the width of the first record
         else:
-            lines = text.splitlines()
-            header = lines[0].split(",")
+            header = lines[0].split(",") if lines else []
             n = sum(1 for name in header if name.startswith("X_"))
-            for line in lines[1:]:
-                vals = line.split(",")
-                records.append(TraceRecord(
-                    step=int(vals[0]), alpha=float(vals[1]), weight_sum=float(vals[2]),
-                    gap_avg=float(vals[3]), gap_iter=float(vals[4]),
-                    avg_step_norm=float(vals[5]),
-                    x=np.array([float(v) for v in vals[6:6 + n]]),
-                    xbar=np.array([float(v) for v in vals[6 + n:6 + 2 * n]])))
+            lines, first = lines[1:], 2
+        records: list[TraceRecord] = []
+        for lineno, line in enumerate(lines, start=first):
+            try:
+                record = _jsonl_record(line) if jsonl else _csv_record(line, n)
+            except (ValueError, TypeError, KeyError, IndexError) as exc:
+                raise GameError(f"{path}:{lineno}: unreadable trace record "
+                                f"({exc})") from None
+            n = record.x.size if n is None else n
+            if record.x.size != n or record.xbar.size != n:
+                raise GameError(f"{path}:{lineno}: record has {record.x.size} X and "
+                                f"{record.xbar.size} Xbar entries, expected {n}")
+            records.append(record)
         if not records:
             raise GameError(f"trace file {path} contains no records")
-        n = records[0].x.size
+        finite = (np.isfinite([r.x for r in records]).all(axis=1)
+                  & np.isfinite([r.xbar for r in records]).all(axis=1))
+        if not finite.all():
+            raise GameError(f"{path}:{first + int(np.argmin(finite))}: record has "
+                            "a non-finite X or Xbar entry")
         return cls(n=n, x0=records[0].x, schedule_label="file",
                    emit_every=0, records=records)
 
 
-def run_trajectory(game: SymmetricGame, x0, schedule, k_max: int,
+def _jsonl_record(line: str) -> TraceRecord:
+    row = json.loads(line)
+    return TraceRecord(
+        step=int(row["K"]), alpha=row["alpha"], weight_sum=row["A_K"],
+        gap_avg=row["gap_avg"], gap_iter=row["gap_iter"],
+        avg_step_norm=row["avg_step_norm"],
+        x=np.array(row["X"], dtype=float), xbar=np.array(row["Xbar"], dtype=float))
+
+
+def _csv_record(line: str, n: int) -> TraceRecord:
+    vals = line.split(",")
+    return TraceRecord(
+        step=int(vals[0]), alpha=float(vals[1]), weight_sum=float(vals[2]),
+        gap_avg=float(vals[3]), gap_iter=float(vals[4]),
+        avg_step_norm=float(vals[5]),
+        x=np.array([float(v) for v in vals[6:6 + n]]),
+        xbar=np.array([float(v) for v in vals[6 + n:]]))
+
+
+def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
                    emit_every: int = 1000, force: bool = False) -> Trace:
     """Run Hedge self-play for steps k = 0..k_max and record emitted snapshots.
 
@@ -327,7 +309,7 @@ def run_trajectory(game: SymmetricGame, x0, schedule, k_max: int,
         raise GameError("k_max must be >= 1")
     if emit_every < 1:
         raise GameError("emit_every must be >= 1")
-    validation = validate_schedule(schedule)
+    validation = schedule.validation
     if not validation.valid and not force:
         raise ScheduleError(validation.reason or "invalid schedule")
 
@@ -335,6 +317,10 @@ def run_trajectory(game: SymmetricGame, x0, schedule, k_max: int,
     alphas = schedule.rates(k_max + 1)
     if not np.all(np.isfinite(alphas)):
         raise ScheduleError(f"schedule {schedule.label} yields a non-finite rate")
+    # every average divides by A_K = alpha_0 + ... + alpha_K
+    if not alphas[0] > 0 or alphas.min() < 0:
+        raise ScheduleError(f"schedule {schedule.label} needs alpha_0 > 0 and "
+                            "no negative rate")
     logits = np.log(x0)
     x = x0.copy()
     accum = np.zeros_like(x0)

@@ -1,8 +1,8 @@
 """Dense linear programming in standard form.
 
 Standard form here means: decision variables y >= 0, equality constraints
-A y = b, objective d.y minimized, maximized, or absent (pure feasibility).
-Callers convert inequalities by adding slack variables.
+A y = b, objective d.y minimized. Callers convert inequalities by adding
+slack variables, and maximize d.y by minimizing -d.y.
 
 The solver is a two-phase tableau simplex with Bland's anti-cycling rule;
 each pivot is one rank-1 update of the dense tableau. The programs it serves
@@ -22,8 +22,6 @@ import numpy as np
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 
-SENSES = ("minimize", "maximize", "feasibility")
-
 
 class LPError(ValueError):
     """Malformed LP instance, or a solve that broke down numerically."""
@@ -33,15 +31,12 @@ class LPError(ValueError):
 class StandardFormLP:
     a: np.ndarray          # (r, c) constraint matrix
     b: np.ndarray          # (r,) right-hand side
-    objective: np.ndarray  # (c,) ignored for feasibility sense
-    sense: str = "minimize"
+    objective: np.ndarray  # (c,)
 
     def validated(self) -> "StandardFormLP":
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         b = np.asarray(self.b, dtype=float).ravel()
         d = np.asarray(self.objective, dtype=float).ravel()
-        if self.sense not in SENSES:
-            raise LPError(f"unknown sense {self.sense!r}")
         if a.shape[0] != b.size:
             raise LPError(f"A has {a.shape[0]} rows but b has {b.size} entries")
         if a.shape[1] != d.size:
@@ -50,7 +45,7 @@ class StandardFormLP:
             raise LPError("LP needs at least one constraint and one variable")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(d))):
             raise LPError("LP data contains non-finite entries")
-        return StandardFormLP(a=a, b=b, objective=d, sense=self.sense)
+        return StandardFormLP(a=a, b=b, objective=d)
 
 
 @dataclass(frozen=True)
@@ -146,18 +141,15 @@ def solve_lp(lp: StandardFormLP) -> LPResult:
 
     # Phase 2 over original columns only.
     tableau = np.hstack([tableau[:, :c], tableau[:, -1:]])
-    sign = -1.0 if lp.sense == "maximize" else 1.0
-    cost = np.zeros(c) if lp.sense == "feasibility" else sign * d
-    reduced = cost.copy()
+    reduced = d.copy()
     for i, var in enumerate(basis):
-        if abs(cost[var]) > 0.0:
-            reduced -= cost[var] * tableau[i, :-1]
+        if abs(d[var]) > 0.0:
+            reduced -= d[var] * tableau[i, :-1]
     reduced[basis] = 0.0
 
-    if lp.sense != "feasibility":
-        status = _run_simplex(tableau, basis, reduced, c)
-        if status == "unbounded":
-            return LPResult(status="unbounded")
+    status = _run_simplex(tableau, basis, reduced, c)
+    if status == "unbounded":
+        return LPResult(status="unbounded")
 
     y = np.zeros(c)
     y[basis] = tableau[:, -1]
@@ -173,24 +165,3 @@ def _verify_optimal(lp: StandardFormLP, y: np.ndarray) -> None:
         raise LPError(f"LP solution violates A y = b by {residual:g}")
     if float(y.min()) < -1e-10:
         raise LPError(f"LP solution has negative entry {y.min():g}")
-
-
-def assemble_equalizer_lp(payoff: np.ndarray) -> StandardFormLP:
-    """Feasibility LP whose feasible points are the payoff-equalizing strategies.
-
-    Variables are [X; c] with CX = c*1, sum(X) = 1, X >= 0, c >= 0. Requires
-    a strictly positive matrix; entries <= 0 are lifted by a constant shift,
-    which leaves the equalizer set unchanged (CX + s*1 equalizes iff CX does).
-    """
-    c = np.asarray(payoff, dtype=float)
-    n = c.shape[0]
-    lo = c.min()
-    if lo <= 0.0:
-        c = c + (1.0 - lo)
-    a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = c
-    a[:n, n] = -1.0
-    a[n, :n] = 1.0
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    return StandardFormLP(a=a, b=b, objective=np.zeros(n + 1), sense="feasibility")

@@ -16,7 +16,7 @@ import hedgenash as hn
 from hedgenash.analysis import _equalizing_solution
 from hedgenash.cli import main as cli_main
 
-POWER_23 = hn.PowerSchedule(p=2.0 / 3.0)
+POWER_23 = hn.DEFAULT_SCHEDULE
 
 RPS_NORMALIZED = hn.validate_game([[0.5, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 1.0, 0.5]])
 IDENTITY2 = hn.validate_game(np.eye(2))

@@ -127,6 +127,9 @@ class TestEqualizers:
         cert = find_equalizer(g)
         _, spread = min_equalizer_gap(g)
         assert (cert is not None) == (spread <= 1e-8)
+        if cert is not None:
+            cx = g.payoff @ cert.strategy
+            assert cx.max() - cx.min() <= 1e-8
 
 
 class TestSubequalizer:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hedgenash.analysis as analysis
+import hedgenash.cli as cli
 from hedgenash import LPError, load_game, save_game, validate_game
 from hedgenash.cli import main
 
@@ -33,6 +34,7 @@ class TestRun:
         assert out.exists()
         summary = json.loads((tmp_path / "trace.csv.summary.json").read_text())
         assert summary["schedule_valid"] is True
+        assert summary["schedule"] == "power:0.666667"
         assert summary["final_gap_avg"] <= 1e-12  # uniform fixed point on RPS
         assert summary["final_step"] == 500
         header = out.read_text().splitlines()[0]
@@ -73,6 +75,31 @@ class TestRun:
         assert rc == 2 and not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("rates", ["constant:0", "file"])
+    def test_non_positive_weight_is_config_error_even_forced(self, rps_file, tmp_path,
+                                                              capsys, rates):
+        if rates == "file":
+            path = tmp_path / "rates.txt"
+            path.write_text("1 -1 0.5 0.5 0.5")
+            rates = f"file:{path}"
+        out = tmp_path / "t.csv"
+        rc = main(["run", "--game", rps_file, "--steps", "3", "--emit-every", "1",
+                   "--schedule", rates, "--force", "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_underflowing_forced_schedule_runs(self, tmp_path):
+        # (k+1)^-1000 underflows to 0 from k = 2 on, so A_K stays at 1
+        out = tmp_path / "t.csv"
+        rc = main(["run", "--game", "random_uniform:3:0", "--steps", "20",
+                   "--emit-every", "1", "--schedule", "power:1000", "--force",
+                   "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert all(float(row[2]) == 1.0 for row in rows)
+        summary = json.loads((tmp_path / "t.csv.summary.json").read_text())
+        assert np.isfinite(summary["final_gap_avg"])
+
     def test_force_flags_summary(self, rps_file, tmp_path):
         out = tmp_path / "t.csv"
         rc = main(["run", "--game", rps_file, "--steps", "100",
@@ -108,6 +135,39 @@ class TestRun:
         rc = main(["run", "--config", str(cfg), "--jobs", "2"])
         assert rc == 0
         assert (tmp_path / "r1.csv").exists() and (tmp_path / "r2.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, rps_file, tmp_path, capsys, jobs):
+        cfg = tmp_path / "batch.json"
+        cfg.write_text(json.dumps([{"game": rps_file, "steps": 10,
+                                    "out": str(tmp_path / "r.csv")}]))
+        rc = main(["run", "--config", str(cfg), "--jobs", jobs])
+        assert rc == 2 and not (tmp_path / "r.csv").exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_pool_capped_at_config_count(self, rps_file, tmp_path, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(item) for item in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        configs = [{"game": rps_file, "steps": 10, "out": str(tmp_path / f"r{i}.csv")}
+                   for i in range(3)]
+        cfg = tmp_path / "batch.json"
+        cfg.write_text(json.dumps(configs))
+        assert main(["run", "--config", str(cfg), "--jobs", "64"]) == 0
+        assert started == [3]
 
 
 class TestVerify:

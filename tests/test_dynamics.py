@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgenash import (
-    ConstantSchedule,
-    CustomSchedule,
+    DEFAULT_SCHEDULE,
     GameError,
-    HarmonicSchedule,
-    PowerSchedule,
     ScheduleError,
     Trace,
     diagnose_entropy_bounds,
@@ -22,10 +21,9 @@ from hedgenash import (
     run_trajectory,
     uniform_strategy,
     validate_game,
-    validate_schedule,
 )
 
-POWER_23 = PowerSchedule(p=2.0 / 3.0)
+POWER_23 = DEFAULT_SCHEDULE
 
 
 def direct_update(game, x, alpha):
@@ -120,70 +118,96 @@ class TestHedgeStep:
                                  - hedge_step(g, x, a))) <= 1e-12
 
 
+def schedule_of(tmp_path, spec, rates=None):
+    """parse_schedule(spec); the spec "file" first writes ``rates`` to a
+    rate file and parses file:PATH."""
+    if spec != "file":
+        return parse_schedule(spec)
+    path = tmp_path / "rates.txt"
+    path.write_text(rates)
+    return parse_schedule(f"file:{path}")
+
+
 class TestSchedules:
     def test_power_two_thirds_valid(self):
-        assert validate_schedule(PowerSchedule(2 / 3)).valid
+        assert parse_schedule("power:0.6666666666666666").validation.valid
+        assert DEFAULT_SCHEDULE.label == "power:0.666667"
 
     def test_power_too_flat_invalid(self):
-        v = validate_schedule(PowerSchedule(0.4))
+        v = parse_schedule("power:0.4").validation
         assert not v.valid and "diverges" in v.reason
 
     def test_power_too_steep_invalid(self):
-        assert not validate_schedule(PowerSchedule(1.5)).valid
+        assert not parse_schedule("power:1.5").validation.valid
 
     def test_constant_invalid(self):
-        v = validate_schedule(ConstantSchedule(0.1))
+        v = parse_schedule("constant:0.1").validation
         assert not v.valid
         assert v.reason == "alpha_k does not tend to 0"
 
     def test_harmonic_valid(self):
-        v = validate_schedule(HarmonicSchedule())
-        assert v.valid
-        s = HarmonicSchedule()
-        assert s.rate(0) == 1.0 and s.rate(3) == pytest.approx(1 / 3)
+        s = parse_schedule("harmonic")
+        assert s.validation.valid
+        rates = s.rates(4)
+        assert rates[0] == 1.0 and rates[3] == pytest.approx(1 / 3)
 
-    def test_custom_flagged(self):
-        v = validate_schedule(CustomSchedule(values=(0.5, 0.25, 0.125)))
+    def test_custom_flagged(self, tmp_path):
+        v = schedule_of(tmp_path, "file", "0.5 0.25 0.125").validation
         assert v.valid and "unverified-asymptotics" in v.flags
 
-    def test_custom_nonpositive_invalid(self):
-        assert not validate_schedule(CustomSchedule(values=(0.5, 0.0))).valid
-        assert not validate_schedule(CustomSchedule(values=())).valid
-
-    def test_rates_match_rate(self):
-        for sched in (PowerSchedule(0.7), HarmonicSchedule(), ConstantSchedule(0.3)):
-            rates = sched.rates(10)
-            assert np.allclose(rates, [sched.rate(k) for k in range(10)])
+    def test_custom_nonpositive_invalid(self, tmp_path):
+        assert not schedule_of(tmp_path, "file", "0.5 0.0").validation.valid
+        assert not schedule_of(tmp_path, "file", "").validation.valid
 
     def test_parse_schedule(self, tmp_path):
-        assert parse_schedule("power:0.6667") == PowerSchedule(0.6667)
-        assert parse_schedule("harmonic") == HarmonicSchedule()
-        assert parse_schedule("constant:0.1") == ConstantSchedule(0.1)
-        path = tmp_path / "rates.txt"
-        path.write_text("1.0 0.5\n0.25\n")
-        assert parse_schedule(f"file:{path}") == CustomSchedule((1.0, 0.5, 0.25))
+        power = parse_schedule("power:0.6667")
+        assert power.label == "power:0.6667"
+        assert np.array_equal(power.rates(3), np.arange(1.0, 4.0) ** -0.6667)
+        assert parse_schedule("harmonic").label == "harmonic"
+        constant = parse_schedule("constant:0.1")
+        assert constant.label == "constant:0.1"
+        assert np.array_equal(constant.rates(3), [0.1, 0.1, 0.1])
+        listed = schedule_of(tmp_path, "file", "1.0 0.5\n0.25\n")
+        assert listed.label == "custom[3]"
+        assert np.array_equal(listed.rates(3), [1.0, 0.5, 0.25])
         with pytest.raises(ScheduleError):
             parse_schedule("exponential:2")
 
     @pytest.mark.parametrize("schedule", [
-        PowerSchedule(math.nan), CustomSchedule(values=(0.5, math.nan)),
-        CustomSchedule(values=(0.5, math.inf))], ids=["power-nan", "custom-nan",
-                                                    "custom-inf"])
-    def test_non_finite_invalid(self, schedule):
-        assert not validate_schedule(schedule).valid
+        ("power:nan",), ("file", "0.5 nan"), ("file", "0.5 inf")],
+        ids=["power-nan", "custom-nan", "custom-inf"])
+    def test_non_finite_invalid(self, tmp_path, schedule):
+        assert not schedule_of(tmp_path, *schedule).validation.valid
 
     @pytest.mark.parametrize("schedule", [
-        PowerSchedule(math.nan), ConstantSchedule(math.nan),
-        ConstantSchedule(math.inf), PowerSchedule(-1e3),
-        CustomSchedule(values=(0.5, math.nan) * 10)])
+        ("power:nan",), ("constant:nan",), ("constant:inf",), ("power:-1e3",),
+        ("file", "0.5 nan " * 10)])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_non_finite_rates_rejected_even_forced(self, identity2, schedule):
+    def test_non_finite_rates_rejected_even_forced(self, identity2, tmp_path, schedule):
         with pytest.raises(ScheduleError, match="non-finite"):
-            run_trajectory(identity2, uniform_strategy(2), schedule, 10, force=True)
+            run_trajectory(identity2, uniform_strategy(2),
+                           schedule_of(tmp_path, *schedule), 10, force=True)
 
-    def test_custom_exhaustion(self):
+    @pytest.mark.parametrize("schedule", [
+        ("constant:0",), ("constant:-0.5",), ("file", "1 -1 0.5 0.5 0.5"),
+        ("file", "0 1 1 1 1")], ids=["zero", "negative", "file-negative", "file-zero"])
+    def test_non_positive_weight_rejected_even_forced(self, identity2, tmp_path,
+                                                      schedule):
+        with pytest.raises(ScheduleError, match="alpha_0 > 0"):
+            run_trajectory(identity2, uniform_strategy(2),
+                           schedule_of(tmp_path, *schedule), 3, force=True)
+
+    def test_underflowing_rates_still_run_forced(self, hawk_dove_norm):
+        # (k+1)^-1000 is 0.0 from k = 2 on; A_K stays positive
+        tr = run_trajectory(hawk_dove_norm, uniform_strategy(2),
+                            parse_schedule("power:1000"), 50, emit_every=1, force=True)
+        assert tr.forced
+        assert all(r.weight_sum >= 1.0 and np.all(np.isfinite(r.xbar))
+                   for r in tr.records)
+
+    def test_custom_exhaustion(self, tmp_path):
         with pytest.raises(ScheduleError):
-            CustomSchedule(values=(1.0, 0.5)).rates(5)
+            schedule_of(tmp_path, "file", "1.0 0.5").rates(5)
 
 
 class TestRelativeEntropy:
@@ -229,9 +253,9 @@ class TestRunTrajectory:
 
     def test_invalid_schedule_requires_force(self, identity2):
         with pytest.raises(ScheduleError):
-            run_trajectory(identity2, uniform_strategy(2), PowerSchedule(0.4), 10)
-        tr = run_trajectory(identity2, uniform_strategy(2), PowerSchedule(0.4), 10,
-                            force=True)
+            run_trajectory(identity2, uniform_strategy(2), parse_schedule("power:0.4"), 10)
+        tr = run_trajectory(identity2, uniform_strategy(2), parse_schedule("power:0.4"),
+                            10, force=True)
         assert tr.forced
 
     def test_valid_run_not_flagged(self, identity2):
@@ -254,8 +278,8 @@ class TestRunTrajectory:
                             k_max, emit_every=100)
         x = np.array([0.7, 0.3])
         by_step = {0: x.copy()}
-        for k in range(k_max + 1):
-            x = direct_update(hawk_dove_norm, x, POWER_23.rate(k))
+        for k, alpha in enumerate(POWER_23.rates(k_max + 1)):
+            x = direct_update(hawk_dove_norm, x, alpha)
             by_step[k + 1] = x.copy()
         for r in tr.records:
             assert np.max(np.abs(r.x - by_step[r.step])) <= 1e-9
@@ -309,6 +333,31 @@ class TestTraceIO:
         path.write_text("K,alpha\n")
         with pytest.raises(GameError):
             Trace.from_file(path)
+        path.write_text("")
+        with pytest.raises(GameError, match="no records"):
+            Trace.from_file(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_malformed_records_name_file_and_line(self, tmp_path, rps_norm, fmt):
+        tr = run_trajectory(rps_norm, np.array([0.5, 0.3, 0.2]), POWER_23, 3,
+                            emit_every=1)
+        path = tmp_path / f"trace.{fmt}"
+        getattr(tr, f"to_{fmt}")(path)
+        lines = path.read_text().splitlines()
+        last = len(lines)
+        if fmt == "csv":
+            cases = {"truncated": lines[-1].rsplit(",", 1)[0],
+                     "unparsable": lines[-1].replace(",", ",x", 1),
+                     "short": "3,0.5",
+                     "nan": lines[-1].rsplit(",", 1)[0] + ",nan"}
+        else:
+            record = json.loads(lines[-1])
+            cases = {"truncated": lines[-1][:-10], "blank": "",
+                     "narrow": json.dumps({**record, "Xbar": record["Xbar"][:2]})}
+        for bad in cases.values():
+            path.write_text("\n".join(lines[:-1] + [bad, lines[-1]]) + "\n")
+            with pytest.raises(GameError, match=re.escape(f"{path}:{last}: ")):
+                Trace.from_file(path)
 
 
 class TestDiagnostics:

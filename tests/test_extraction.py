@@ -4,9 +4,9 @@ import pytest
 import hedgenash.analysis as analysis
 import hedgenash.extraction as extraction
 from hedgenash import (
+    DEFAULT_SCHEDULE,
     GameError,
     LPError,
-    PowerSchedule,
     Trace,
     TraceRecord,
     approx_best_response_set,
@@ -21,7 +21,7 @@ from hedgenash import (
     validate_game,
 )
 
-POWER_23 = PowerSchedule(p=2.0 / 3.0)
+POWER_23 = DEFAULT_SCHEDULE
 
 
 def trace_with(xbar, x=None, uniform=True):

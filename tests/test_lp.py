@@ -4,71 +4,68 @@ import pytest
 from hedgenash import (
     LPError,
     StandardFormLP,
-    assemble_equalizer_lp,
     solve_lp,
     validate_game,
 )
+from hedgenash.analysis import _spread_lp
 from hedgenash.lp import _pivot, _verify_optimal
 
 
-def solve(a, b, d, sense):
+def solve(a, b, d):
     return solve_lp(StandardFormLP(a=np.array(a, dtype=float),
                                    b=np.array(b, dtype=float),
-                                   objective=np.array(d, dtype=float),
-                                   sense=sense))
+                                   objective=np.array(d, dtype=float)))
 
 
 class TestSolveLP:
     def test_maximize_on_segment(self):
-        res = solve([[1, 1]], [1], [1, 0], "maximize")
+        # maximize y0 as minimize -y0
+        res = solve([[1, 1]], [1], [-1, 0])
         assert res.status == "optimal"
         assert np.allclose(res.solution, [1, 0], atol=1e-12)
-        assert res.objective_value == pytest.approx(1.0)
+        assert res.objective_value == pytest.approx(-1.0)
 
     def test_infeasible_negative_rhs(self):
-        res = solve([[1]], [-1], [0], "feasibility")
+        res = solve([[1]], [-1], [0])
         assert res.status == "infeasible"
 
     def test_unbounded_ray(self):
-        res = solve([[1, -1]], [0], [1, 0], "maximize")
+        res = solve([[1, -1]], [0], [-1, 0])
         assert res.status == "unbounded"
 
     def test_minimize_on_segment(self):
-        res = solve([[1, 1]], [1], [3, 2], "minimize")
+        res = solve([[1, 1]], [1], [3, 2])
         assert res.status == "optimal"
         assert np.allclose(res.solution, [0, 1], atol=1e-12)
         assert res.objective_value == pytest.approx(2.0)
 
     def test_feasibility_returns_a_point(self):
-        res = solve([[1, 1, 1]], [1], [0, 0, 0], "feasibility")
+        # a zero objective asks only for a feasible point
+        res = solve([[1, 1, 1]], [1], [0, 0, 0])
         assert res.status == "optimal"
         assert abs(res.solution.sum() - 1.0) <= 1e-8
 
     def test_redundant_rows_handled(self):
-        res = solve([[1, 1], [2, 2]], [1, 2], [1, 0], "minimize")
+        res = solve([[1, 1], [2, 2]], [1, 2], [1, 0])
         assert res.status == "optimal"
         assert res.objective_value == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_instance_terminates(self):
         # multiple basic solutions hit the same vertex; Bland must not cycle
         a = [[1, 1, 1, 0], [1, 0, 0, 1]]
-        res = solve(a, [1, 1], [-1, 0, 0, 0], "minimize")
+        res = solve(a, [1, 1], [-1, 0, 0, 0])
         assert res.status == "optimal"
         assert res.solution[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(LPError):
-            solve([[1, 1]], [1, 2], [1, 0], "minimize")
+            solve([[1, 1]], [1, 2], [1, 0])
         with pytest.raises(LPError):
-            solve([[1, 1]], [1], [1], "minimize")
+            solve([[1, 1]], [1], [1])
 
     def test_non_finite_rejected(self):
         with pytest.raises(LPError):
-            solve([[np.inf, 1]], [1], [1, 0], "minimize")
-
-    def test_unknown_sense_rejected(self):
-        with pytest.raises(LPError):
-            solve([[1, 1]], [1], [1, 0], "saddle")
+            solve([[np.inf, 1]], [1], [1, 0])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_result_invariants_on_random_feasible(self, seed):
@@ -77,7 +74,7 @@ class TestSolveLP:
         y0 = rng.uniform(0.1, 1.0, size=6)
         b = a @ y0
         d = rng.uniform(0.1, 1.0, size=6)  # positive cost keeps it bounded
-        res = solve(a, b, d, "minimize")
+        res = solve(a, b, d)
         assert res.status == "optimal"
         assert np.max(np.abs(a @ res.solution - b)) <= 1e-8
         assert res.solution.min() >= -1e-10
@@ -89,7 +86,7 @@ class TestSolveLP:
         rng = np.random.default_rng(100 + seed)
         n = 5
         d = rng.uniform(-2, 2, size=n)
-        res = solve(np.ones((1, n)), [1], d, "minimize")
+        res = solve(np.ones((1, n)), [1], d)
         assert res.status == "optimal"
         points = rng.dirichlet(np.ones(n), size=10**5)
         sampled_best = float((points @ d).min())
@@ -103,7 +100,7 @@ class TestSolveLP:
         n = 5
         d = rng.uniform(-2, 2, size=n)
         a = np.vstack([np.ones(n), np.eye(n)[0] - np.eye(n)[1]])
-        res = solve(a, [1, 0], d, "minimize")
+        res = solve(a, [1, 0], d)
         assert res.status == "optimal"
         groups = rng.dirichlet(np.ones(n - 1), size=10**5)
         points = np.zeros((10**5, n))
@@ -135,46 +132,56 @@ class TestSolveLP:
 
 
 class TestEqualizerLP:
+    """The equalizer program is the spread program on the full carrier:
+    variables [X (n), u, l, 2n slacks], optimum 0 exactly at equalizers.
+    Payoffs with no negative entry are used unshifted."""
+
     def test_rps_feasible_at_uniform(self, rps_nonneg):
-        res = solve_lp(assemble_equalizer_lp(rps_nonneg.payoff))
+        res = solve_lp(_spread_lp(rps_nonneg.payoff, [0, 1, 2]))
         assert res.status == "optimal"
+        assert res.objective_value == pytest.approx(0.0, abs=1e-9)
         x = res.solution[:3]
         assert np.max(np.abs(x - 1 / 3)) <= 1e-9
-        # entries shifted by +1 before assembly, so the common level is 1+1
-        assert res.solution[3] == pytest.approx(2.0, abs=1e-9)
+        level = float(rps_nonneg.payoff[0] @ x)
+        assert res.solution[3] == pytest.approx(level, abs=1e-9)  # u
+        assert res.solution[4] == pytest.approx(level, abs=1e-9)  # l
 
     def test_identity_shifted(self, identity2):
-        res = solve_lp(assemble_equalizer_lp(identity2.payoff))
+        res = solve_lp(_spread_lp(identity2.payoff - 2.0, [0, 1]))
         assert res.status == "optimal"
         x = res.solution[:2]
         assert np.max(np.abs(x - 0.5)) <= 1e-9
-        assert res.solution[2] == pytest.approx(1.5, abs=1e-9)  # shifted payoff level
+        # shifted by +2 back to the identity: the common level is 0.5
+        assert res.solution[2] == pytest.approx(0.5, abs=1e-9)
 
     def test_dominated_row_infeasible(self):
-        res = solve_lp(assemble_equalizer_lp(np.array([[1.0, 1.0], [0.0, 0.0]])))
-        assert res.status == "infeasible"
+        # no equalizer: the least spread is 1, so find_equalizer gives None
+        res = solve_lp(_spread_lp(np.array([[1.0, 1.0], [0.0, 0.0]]), [0, 1]))
+        assert res.status == "optimal"
+        assert res.objective_value == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_feasible_solutions_equalize(self, seed):
         g = validate_game(np.random.default_rng(seed).uniform(0, 1, size=(4, 4)))
-        res = solve_lp(assemble_equalizer_lp(g.payoff))
-        if res.status != "optimal":
-            return
+        res = solve_lp(_spread_lp(g.payoff, [0, 1, 2, 3]))
+        assert res.status == "optimal"
         x = res.solution[:4]
         cx = g.payoff @ (x / x.sum())
-        assert cx.max() - cx.min() <= 1e-8
+        assert cx.max() - cx.min() <= res.objective_value + 1e-12
+        if res.objective_value <= 1e-8:  # an equalizer exists
+            assert cx.max() - cx.min() <= 1e-8
 
     def test_affine_hull_of_equalizers(self):
         # all rows equal: every simplex point is an equalizer; pull two
         # distinct ones by optimizing opposite objectives over the same LP
-        lp = assemble_equalizer_lp(np.array([[1.0, 2.0, 3.0]] * 3))
-        d = np.zeros(4)
+        c = np.array([[1.0, 2.0, 3.0]] * 3)
+        lp = _spread_lp(c, [0, 1, 2])
+        d = np.zeros(lp.objective.size)
         d[0] = 1.0
-        lo = solve_lp(StandardFormLP(a=lp.a, b=lp.b, objective=d, sense="minimize"))
-        hi = solve_lp(StandardFormLP(a=lp.a, b=lp.b, objective=d, sense="maximize"))
+        lo = solve_lp(StandardFormLP(a=lp.a, b=lp.b, objective=d))
+        hi = solve_lp(StandardFormLP(a=lp.a, b=lp.b, objective=-d))
         x1, x2 = lo.solution[:3], hi.solution[:3]
         assert np.max(np.abs(x1 - x2)) > 0.5
-        c = np.array([[1.0, 2.0, 3.0]] * 3)
         rng = np.random.default_rng(0)
         for t in rng.uniform(0, 1, size=20):
             x = t * x1 + (1 - t) * x2
