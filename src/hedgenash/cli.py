@@ -131,6 +131,26 @@ def _run_one(config: dict) -> dict:
     return summary
 
 
+# The keys of a --config entry and the JSON types they take; any may be
+# null except "game" and "steps", which have no default.
+_CONFIG_TYPES = {"game": str, "steps": int, "schedule": str, "x0": str,
+                 "seed": int, "emit_every": int, "force": bool, "out": str,
+                 "format": str}
+
+
+def _check_config(index: int, config) -> None:
+    if not isinstance(config, dict):
+        raise GameError(f"--config entry {index} is not a JSON object")
+    for key in ("game", "steps"):
+        if config.get(key) is None:
+            raise GameError(f"--config entry {index} has no {key!r}")
+    for key, kind in _CONFIG_TYPES.items():
+        value = config.get(key)
+        if value is not None and type(value) is not kind:   # JSON true is no int
+            raise GameError(f"--config entry {index}: {key!r} must be "
+                            f"{kind.__name__}, got {value!r}")
+
+
 def cmd_run(args) -> int:
     if args.jobs < 1:
         raise GameError(f"--jobs must be >= 1, got {args.jobs}")
@@ -138,6 +158,8 @@ def cmd_run(args) -> int:
         configs = json.loads(Path(args.config).read_text())
         if not isinstance(configs, list):
             raise GameError("--config must hold a JSON list of run configs")
+        for index, config in enumerate(configs):
+            _check_config(index, config)
         workers = min(args.jobs, len(configs))
         if workers > 1:
             with multiprocessing.Pool(workers) as pool:

@@ -10,6 +10,7 @@ the boundary even when probability masses decay exponentially.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Callable
@@ -188,6 +189,14 @@ class TraceRecord:
     avg_self_play: float | None = None   # (1/A_K) sum alpha_k X^k.CX^k
 
 
+# The wire schema: K, these scalar columns in this order, then X and Xbar.
+# CSV names each column in its header; JSON lines use them as keys.
+_WIRE_SCALARS = ("alpha", "A_K", "gap_avg", "gap_iter", "avg_step_norm")
+
+# What a malformed record raises while its columns are parsed.
+_UNREADABLE = (ValueError, TypeError, KeyError, OverflowError)
+
+
 @dataclass
 class Trace:
     n: int
@@ -208,87 +217,136 @@ class Trace:
     def csv_header(self) -> str:
         xs = ",".join(f"X_{i + 1}" for i in range(self.n))
         xbars = ",".join(f"Xbar_{i + 1}" for i in range(self.n))
-        return f"K,alpha,A_K,gap_avg,gap_iter,avg_step_norm,{xs},{xbars}"
+        return f"K,{','.join(_WIRE_SCALARS)},{xs},{xbars}"
+
+    def _columns(self) -> tuple[list, np.ndarray]:
+        """The records as wire columns: the steps, and one row per record
+        holding the scalars, then X, then Xbar."""
+        count = len(self.records)
+        scalars = np.array([(r.alpha, r.weight_sum, r.gap_avg, r.gap_iter,
+                             r.avg_step_norm) for r in self.records], dtype=float)
+        xs = np.array([r.x for r in self.records], dtype=float)
+        xbars = np.array([r.xbar for r in self.records], dtype=float)
+        table = np.hstack([scalars.reshape(count, len(_WIRE_SCALARS)),
+                           xs.reshape(count, self.n), xbars.reshape(count, self.n)])
+        return [r.step for r in self.records], table
 
     def to_csv(self, path) -> None:
-        lines = [self.csv_header()]
-        for r in self.records:
-            fields = [str(r.step)] + [
-                f"{v:.17g}" for v in (r.alpha, r.weight_sum, r.gap_avg,
-                                      r.gap_iter, r.avg_step_norm)
-            ] + [f"{v:.17g}" for v in r.x] + [f"{v:.17g}" for v in r.xbar]
-            lines.append(",".join(fields))
-        Path(path).write_text("\n".join(lines) + "\n")
+        steps, table = self._columns()
+        row = "%d" + ",%.17g" * table.shape[1] + "\n"
+        with open(path, "w") as fh:
+            fh.write(self.csv_header() + "\n")
+            fh.writelines(row % (k, *values.tolist()) for k, values in zip(steps, table))
 
     def to_jsonl(self, path) -> None:
+        steps, table = self._columns()
+        lo, hi = len(_WIRE_SCALARS), len(_WIRE_SCALARS) + self.n
         with open(path, "w") as fh:
-            for r in self.records:
-                fh.write(json.dumps({
-                    "K": r.step,
-                    "alpha": r.alpha,
-                    "A_K": r.weight_sum,
-                    "gap_avg": r.gap_avg,
-                    "gap_iter": r.gap_iter,
-                    "avg_step_norm": r.avg_step_norm,
-                    "X": [float(v) for v in r.x],
-                    "Xbar": [float(v) for v in r.xbar],
-                }) + "\n")
+            fh.writelines(json.dumps({"K": k, **dict(zip(_WIRE_SCALARS, values)),
+                                      "X": values[lo:hi], "Xbar": values[hi:]}) + "\n"
+                          for k, values in zip(steps, map(np.ndarray.tolist, table)))
 
     @classmethod
     def from_file(cls, path) -> "Trace":
         """Load an emitted trace (CSV or JSON-lines). Fields not present in
         the wire format (logits, running self-play payoff) come back None.
-        A line that does not parse as a record, or whose X or Xbar is not n
-        finite numbers, is a GameError naming the file and the line."""
+        A line that does not parse as a record (K not an integer, a field
+        missing or extra, X or Xbar not n numbers), or whose X or Xbar holds
+        a non-finite entry, is a GameError naming the file and the line."""
         path = Path(path)
         lines = path.read_text().strip().splitlines()
-        jsonl = bool(lines) and lines[0].startswith("{")
-        if jsonl:
-            n, first = None, 1      # n is the width of the first record
+        if lines and lines[0].startswith("{"):
+            body, first, parse = lines, 1, _jsonl_columns
         else:
             header = lines[0].split(",") if lines else []
             n = sum(1 for name in header if name.startswith("X_"))
-            lines, first = lines[1:], 2
-        records: list[TraceRecord] = []
-        for lineno, line in enumerate(lines, start=first):
-            try:
-                record = _jsonl_record(line) if jsonl else _csv_record(line, n)
-            except (ValueError, TypeError, KeyError, IndexError) as exc:
-                raise GameError(f"{path}:{lineno}: unreadable trace record "
-                                f"({exc})") from None
-            n = record.x.size if n is None else n
-            if record.x.size != n or record.xbar.size != n:
-                raise GameError(f"{path}:{lineno}: record has {record.x.size} X and "
-                                f"{record.xbar.size} Xbar entries, expected {n}")
-            records.append(record)
-        if not records:
+            body, first = lines[1:], 2
+            parse = functools.partial(_csv_columns, n=n)
+        if not body:
             raise GameError(f"trace file {path} contains no records")
-        finite = (np.isfinite([r.x for r in records]).all(axis=1)
-                  & np.isfinite([r.xbar for r in records]).all(axis=1))
+        steps, table = _parse_located(parse, body, path, first)
+        lo = len(_WIRE_SCALARS)
+        n = (table.shape[1] - lo) // 2
+        finite = np.isfinite(table[:, lo:]).all(axis=1)
         if not finite.all():
             raise GameError(f"{path}:{first + int(np.argmin(finite))}: record has "
                             "a non-finite X or Xbar entry")
+        records = list(map(TraceRecord, steps, *table[:, :lo].T.tolist(),
+                           table[:, lo:lo + n], table[:, lo + n:]))
         return cls(n=n, x0=records[0].x, schedule_label="file",
                    emit_every=0, records=records)
 
 
-def _jsonl_record(line: str) -> TraceRecord:
-    row = json.loads(line)
-    return TraceRecord(
-        step=int(row["K"]), alpha=row["alpha"], weight_sum=row["A_K"],
-        gap_avg=row["gap_avg"], gap_iter=row["gap_iter"],
-        avg_step_norm=row["avg_step_norm"],
-        x=np.array(row["X"], dtype=float), xbar=np.array(row["Xbar"], dtype=float))
+def _csv_columns(lines: list[str], n: int):
+    """CSV body lines as wire columns: the steps, and the table that
+    Trace._columns writes."""
+    steps = [int(line.partition(",")[0]) for line in lines]
+    table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    width = 1 + len(_WIRE_SCALARS) + 2 * n
+    if table.shape[1] != width:
+        raise ValueError(f"{table.shape[1]} fields, expected {width}")
+    return steps, table[:, 1:]
 
 
-def _csv_record(line: str, n: int) -> TraceRecord:
-    vals = line.split(",")
-    return TraceRecord(
-        step=int(vals[0]), alpha=float(vals[1]), weight_sum=float(vals[2]),
-        gap_avg=float(vals[3]), gap_iter=float(vals[4]),
-        avg_step_norm=float(vals[5]),
-        x=np.array([float(v) for v in vals[6:6 + n]]),
-        xbar=np.array([float(v) for v in vals[6 + n:]]))
+def _jsonl_columns(lines: list[str]):
+    """JSON lines as wire columns, like _csv_columns; n is the width of the
+    first record's X."""
+    rows = json.loads("[" + ",".join(lines) + "]")
+    if len(rows) != len(lines):
+        raise ValueError("a line holds more than one JSON value")
+    steps = [row["K"] for row in rows]
+    if any(type(k) is not int for k in steps):
+        raise ValueError("K is not an integer")
+    scalars = np.array([[row[key] for key in _WIRE_SCALARS] for row in rows],
+                       dtype=float)
+    xs = np.array([row["X"] for row in rows], dtype=float)
+    xbars = np.array([row["Xbar"] for row in rows], dtype=float)
+    if scalars.ndim != 2 or xs.ndim != 2 or xbars.shape != xs.shape:
+        raise ValueError("a scalar field is not a number, or X and Xbar are "
+                         "not lists of n numbers")
+    return steps, np.hstack([scalars, xs, xbars])
+
+
+def _parse_located(parse, lines: list[str], path: Path, first: int):
+    """parse(lines), or a GameError naming the first line that does not
+    parse. Whether a record parses depends on no line after it, so that
+    line ends the shortest failing prefix, which bisection finds."""
+    try:
+        return parse(lines)
+    except _UNREADABLE as exc:
+        error = exc
+    good, bad = 0, len(lines)          # prefix lengths that parse / fail
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            parse(lines[:mid])
+            good = mid
+        except _UNREADABLE as exc:
+            bad, error = mid, exc
+    raise GameError(f"{path}:{first + bad - 1}: unreadable trace record "
+                    f"({error})") from None
+
+
+# Steps per block of run_trajectory: at most _BLOCK_STEPS, and at most
+# _BLOCK_CELLS iterate entries. A block costs a fixed few dozen numpy calls,
+# small per step at 512 steps; 4096-step blocks raised peak memory by 6 MB
+# at n = 16.
+_BLOCK_STEPS = 512
+_BLOCK_CELLS = 1 << 16
+
+
+def _running_sum(total, terms: np.ndarray) -> np.ndarray:
+    """total + terms[0], then + terms[1], ... along axis 0: the same
+    sequence of additions as a loop of ``total += term``."""
+    seeded = np.concatenate([np.asarray(total, dtype=float)[None], terms])
+    return np.add.accumulate(seeded, axis=0)[1:]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] . b[i] for each row, by the same BLAS dot as ``np.dot(a[i], b[i])``
+    and so bit for bit equal to it; ``einsum`` and ``(a * b).sum(axis=1)``
+    add in another order."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
@@ -299,6 +357,12 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     average Xbar^K, both epsilon-gaps, the distance between consecutive
     averages, plus ln X^{K+1} and the running weighted self-play payoff
     (retained for the trajectory-identity diagnostics).
+
+    Only the iterate is a recurrence; it runs step by step and keeps each
+    step's X^k, CX^k and shifted logits. The running sums and the records
+    are then evaluated a block of steps at a time, with the same
+    floating-point operations in the same order as a step-by-step
+    evaluation.
     """
     x0 = as_strategy(x0)
     if not is_interior(x0):
@@ -328,38 +392,52 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     self_play_sum = 0.0
     trace = Trace(n=game.n, x0=x0.copy(), schedule_label=schedule.label,
                   emit_every=emit_every, forced=not validation.valid)
-    dot = np.dot
+    dot, exp, amax, total = np.dot, np.exp, np.maximum.reduce, np.add.reduce
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // game.n))
 
-    for k in range(k_max + 1):
-        alpha = alphas[k]
-        cx = dot(c, x)
-        xcx = dot(x, cx)
-        weight += alpha
-        accum += alpha * x
-        self_play_sum += alpha * xcx
-        logits += alpha * cx
-        shifted = logits - logits.max()
-        w = np.exp(shifted)
-        wsum = w.sum()
+    for start in range(0, k_max + 1, block):
+        rates = alphas[start:start + block]
+        xs, cxs, shifteds, wsums = [], [], [], []
+        for alpha in rates.tolist():
+            cx = dot(c, x)
+            logits += alpha * cx
+            shifted = logits - amax(logits)
+            w = exp(shifted)
+            wsum = total(w)
+            xs.append(x)
+            cxs.append(cx)
+            shifteds.append(shifted)
+            wsums.append(wsum)
+            x = w / wsum
 
-        if k % emit_every == 0 or k == k_max:
-            xbar = accum / weight
-            cxbar = dot(c, xbar)
-            gap_avg = float(cxbar.max() - dot(xbar, cxbar))
-            gap_iter = float(cx.max() - xcx)
-            if k == 0:
-                step_norm = 0.0
-            else:
-                prev_weight = weight - alpha
-                xbar_prev = (accum - alpha * x) / prev_weight
-                step_norm = float(np.linalg.norm(xbar - xbar_prev))
-            log_next = shifted - math.log(wsum)
-            trace.records.append(TraceRecord(
-                step=k, alpha=float(alpha), weight_sum=weight,
-                gap_avg=gap_avg, gap_iter=gap_iter, avg_step_norm=step_norm,
-                x=x.copy(), xbar=xbar, log_next=log_next,
-                avg_self_play=self_play_sum / weight))
-        x = w / wsum
+        xs, cxs = np.array(xs), np.array(cxs)
+        steps = np.arange(start, start + len(rates))
+        terms = rates[:, None] * xs
+        accums = _running_sum(accum, terms)
+        weights = _running_sum(weight, rates)
+        xcx = _row_dots(xs, cxs)
+        self_plays = _running_sum(self_play_sum, rates * xcx)
+        accum, weight, self_play_sum = accums[-1], weights[-1], self_plays[-1]
+
+        e = np.flatnonzero((steps % emit_every == 0) | (steps == k_max))
+        xbar = accums[e] / weights[e, None]
+        cxbar = np.matmul(c, xbar[:, :, None])[:, :, 0]   # gemv per row, as np.dot
+        gap_avg = cxbar.max(axis=1) - _row_dots(xbar, cxbar)
+        gap_iter = cxs[e].max(axis=1) - xcx[e]
+        # ||Xbar^K - Xbar^{K-1}||, Xbar^{K-1} recovered from step K's sums;
+        # K = 0 has no predecessor and reads 0
+        moved = steps[e] > 0
+        rows = e[moved]
+        diff = xbar[moved] - ((accums[rows] - terms[rows])
+                              / (weights[rows] - rates[rows])[:, None])
+        step_norm = np.zeros(len(e))
+        step_norm[moved] = np.sqrt(_row_dots(diff, diff))
+        log_wsum = np.array([math.log(wsums[i]) for i in e.tolist()])
+        log_next = np.array([shifteds[i] for i in e.tolist()]) - log_wsum[:, None]
+        trace.records += map(
+            TraceRecord, steps[e].tolist(), rates[e].tolist(), weights[e].tolist(),
+            gap_avg.tolist(), gap_iter.tolist(), step_norm.tolist(), xs[e], xbar,
+            log_next, (self_plays[e] / weights[e]).tolist())
     return trace
 
 

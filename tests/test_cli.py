@@ -169,6 +169,28 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--jobs", "64"]) == 0
         assert started == [3]
 
+    @pytest.mark.parametrize("entry, named", [
+        (1, "entry 0 is not a JSON object"),
+        ([], "entry 0 is not a JSON object"),
+        ({"steps": 10}, "has no 'game'"),
+        ({"game": None, "steps": 10}, "has no 'game'"),
+        ({"game": "GAME"}, "has no 'steps'"),
+        ({"game": "GAME", "steps": "10"}, "'steps' must be int"),
+        ({"game": "GAME", "steps": True}, "'steps' must be int"),
+        ({"game": "GAME", "steps": 10, "x0": 3}, "'x0' must be str"),
+        ({"game": 7, "steps": 10}, "'game' must be str"),
+        ({"game": "GAME", "steps": 10, "force": "false"}, "'force' must be bool"),
+    ])
+    def test_malformed_config_entry_is_config_error(self, rps_file, tmp_path, capsys,
+                                                    entry, named):
+        if isinstance(entry, dict) and entry.get("game") == "GAME":
+            entry = {**entry, "game": rps_file}
+        cfg = tmp_path / "batch.json"
+        cfg.write_text(json.dumps([entry]))
+        rc = main(["run", "--config", str(cfg)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(err) == 1 and named in err[0]
+
 
 class TestVerify:
     def test_uniform_on_rps_passes(self, rps_file, capsys):

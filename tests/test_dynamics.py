@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,14 @@ class TestRunTrajectory:
         for r in tr.records[1:]:
             assert r.avg_step_norm <= (r.alpha / r.weight_sum) * math.sqrt(2) + 1e-15
 
+    def test_runs_without_warnings(self, rps_norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = run_trajectory(rps_norm, np.array([0.5, 0.3, 0.2]), POWER_23, 50,
+                                emit_every=1)
+        assert tr.records[0].avg_step_norm == 0.0
+        assert all(r.avg_step_norm > 0.0 for r in tr.records[1:])
+
     def test_determinism(self, hawk_dove_norm):
         a = run_trajectory(hawk_dove_norm, np.array([0.7, 0.3]), POWER_23, 500)
         b = run_trajectory(hawk_dove_norm, np.array([0.7, 0.3]), POWER_23, 500)
@@ -330,12 +339,14 @@ class TestTraceIO:
 
     def test_empty_trace_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("K,alpha\n")
-        with pytest.raises(GameError):
-            Trace.from_file(path)
-        path.write_text("")
-        with pytest.raises(GameError, match="no records"):
-            Trace.from_file(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no numpy "no data" warning
+            path.write_text("K,alpha\n")
+            with pytest.raises(GameError):
+                Trace.from_file(path)
+            path.write_text("")
+            with pytest.raises(GameError, match="no records"):
+                Trace.from_file(path)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_malformed_records_name_file_and_line(self, tmp_path, rps_norm, fmt):
@@ -346,14 +357,24 @@ class TestTraceIO:
         lines = path.read_text().splitlines()
         last = len(lines)
         if fmt == "csv":
+            fields = lines[-1].split(",")
             cases = {"truncated": lines[-1].rsplit(",", 1)[0],
                      "unparsable": lines[-1].replace(",", ",x", 1),
                      "short": "3,0.5",
-                     "nan": lines[-1].rsplit(",", 1)[0] + ",nan"}
+                     "long": lines[-1] + ",0.25",
+                     "K 3.5": ",".join(["3.5"] + fields[1:]),
+                     "K 1e3": ",".join(["1e3"] + fields[1:]),
+                     "nan": lines[-1].rsplit(",", 1)[0] + ",nan",
+                     "inf X": ",".join(fields[:7] + ["inf"] + fields[8:])}
         else:
             record = json.loads(lines[-1])
             cases = {"truncated": lines[-1][:-10], "blank": "",
-                     "narrow": json.dumps({**record, "Xbar": record["Xbar"][:2]})}
+                     "narrow": json.dumps({**record, "Xbar": record["Xbar"][:2]}),
+                     "wide X": json.dumps({**record, "X": record["X"] + [0.0]}),
+                     "K 3.5": json.dumps({**record, "K": 3.5}),
+                     "K 1e3": json.dumps(record).replace('{"K": 3', '{"K": 1e3'),
+                     "nan": json.dumps({**record, "Xbar": [math.nan] * 3}),
+                     "huge": json.dumps({**record, "X": [10 ** 400] + record["X"][1:]})}
         for bad in cases.values():
             path.write_text("\n".join(lines[:-1] + [bad, lines[-1]]) + "\n")
             with pytest.raises(GameError, match=re.escape(f"{path}:{last}: ")):
