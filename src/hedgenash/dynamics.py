@@ -288,23 +288,34 @@ def _csv_columns(lines: list[str], n: int):
     return steps, table[:, 1:]
 
 
+# JSON lines parsed per json.loads call: the parsed dicts and lists take
+# several times the bytes of the table they fill, so they are built and
+# dropped a chunk at a time.
+_JSONL_CHUNK = 256
+
+
 def _jsonl_columns(lines: list[str]):
     """JSON lines as wire columns, like _csv_columns; n is the width of the
     first record's X."""
-    rows = json.loads("[" + ",".join(lines) + "]")
-    if len(rows) != len(lines):
-        raise ValueError("a line holds more than one JSON value")
-    steps = [row["K"] for row in rows]
-    if any(type(k) is not int for k in steps):
-        raise ValueError("K is not an integer")
-    scalars = np.array([[row[key] for key in _WIRE_SCALARS] for row in rows],
-                       dtype=float)
-    xs = np.array([row["X"] for row in rows], dtype=float)
-    xbars = np.array([row["Xbar"] for row in rows], dtype=float)
-    if scalars.ndim != 2 or xs.ndim != 2 or xbars.shape != xs.shape:
-        raise ValueError("a scalar field is not a number, or X and Xbar are "
-                         "not lists of n numbers")
-    return steps, np.hstack([scalars, xs, xbars])
+    steps, tables = [], []
+    for start in range(0, len(lines), _JSONL_CHUNK):
+        chunk = lines[start:start + _JSONL_CHUNK]
+        rows = json.loads("[" + ",".join(chunk) + "]")
+        if len(rows) != len(chunk):
+            raise ValueError("a line holds more than one JSON value")
+        ks = [row["K"] for row in rows]
+        if any(type(k) is not int for k in ks):
+            raise ValueError("K is not an integer")
+        scalars = np.array([[row[key] for key in _WIRE_SCALARS] for row in rows],
+                           dtype=float)
+        xs = np.array([row["X"] for row in rows], dtype=float)
+        xbars = np.array([row["Xbar"] for row in rows], dtype=float)
+        if scalars.ndim != 2 or xs.ndim != 2 or xbars.shape != xs.shape:
+            raise ValueError("a scalar field is not a number, or X and Xbar are "
+                             "not lists of n numbers")
+        steps += ks
+        tables.append(np.hstack([scalars, xs, xbars]))
+    return steps, np.vstack(tables)     # a ValueError if chunk widths differ
 
 
 def _parse_located(parse, lines: list[str], path: Path, first: int):
@@ -358,11 +369,22 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     averages, plus ln X^{K+1} and the running weighted self-play payoff
     (retained for the trajectory-identity diagnostics).
 
-    Only the iterate is a recurrence; it runs step by step and keeps each
-    step's X^k, CX^k and shifted logits. The running sums and the records
-    are then evaluated a block of steps at a time, with the same
-    floating-point operations in the same order as a step-by-step
-    evaluation.
+    Only the iterate is a recurrence. Its step allocates nothing: seven
+    numpy calls write CX^k, the shifted logits, the sum of their
+    exponentials and X^{k+1} into arrays allocated once per run, and the
+    rate and the sum enter as 0-d array cells, which skips a scalar
+    conversion per call. Each call is the one an allocating expression
+    would make (the same elementwise loop, pairwise sum or BLAS gemv) on the
+    same operands, so the bits are the same. The max-shift subtracts
+    ``logits[logits.argmax()]``: an element of the logits, so the same float
+    a max reduction returns, and a NaN logit is the first maximum for both.
+    The running sums and the records are then evaluated a block of steps at
+    a time, with the same floating-point operations in the same order as a
+    step-by-step evaluation; records copy their rows out (fancy indexing)
+    before the next block overwrites them.
+
+    A forced schedule whose running weight A_K or logits overflow raises
+    ``ScheduleError`` naming the first such step instead of emitting NaN.
     """
     x0 = as_strategy(x0)
     if not is_interior(x0):
@@ -385,36 +407,54 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     if not alphas[0] > 0 or alphas.min() < 0:
         raise ScheduleError(f"schedule {schedule.label} needs alpha_0 > 0 and "
                             "no negative rate")
-    logits = np.log(x0)
-    x = x0.copy()
     accum = np.zeros_like(x0)
     weight = 0.0
     self_play_sum = 0.0
     trace = Trace(n=game.n, x0=x0.copy(), schedule_label=schedule.label,
                   emit_every=emit_every, forced=not validation.valid)
-    dot, exp, amax, total = np.dot, np.exp, np.maximum.reduce, np.add.reduce
     block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // game.n))
+    # row k of a block holds alpha_k, X^k, CX^k, the shifted logits and
+    # their exp-sum; step k writes X^{k+1} to row k + 1, and the last row
+    # starts the next block
+    x_block = np.empty((block + 1, game.n))
+    cx_block, shifted_block = np.empty((block, game.n)), np.empty((block, game.n))
+    rate_block, wsum_block = np.empty(block), np.empty(block)
+    x_block[0] = x0
+    x_rows, cx_rows, shifted_rows = list(x_block), list(cx_block), list(shifted_block)
+    next_rows = x_rows[1:]
+    rate_cells = [rate_block[i, ...] for i in range(block)]
+    wsum_cells = [wsum_block[i, ...] for i in range(block)]
+    logits, tmp, w = np.log(x0), np.empty(game.n), np.empty(game.n)
+    argmax, item = logits.argmax, logits.item
+    dot, multiply, add, subtract = np.dot, np.multiply, np.add, np.subtract
+    exp, divide, total = np.exp, np.divide, np.add.reduce
 
     for start in range(0, k_max + 1, block):
         rates = alphas[start:start + block]
-        xs, cxs, shifteds, wsums = [], [], [], []
-        for alpha in rates.tolist():
-            cx = dot(c, x)
-            logits += alpha * cx
-            shifted = logits - amax(logits)
-            w = exp(shifted)
-            wsum = total(w)
-            xs.append(x)
-            cxs.append(cx)
-            shifteds.append(shifted)
-            wsums.append(wsum)
-            x = w / wsum
+        size = len(rates)
+        rate_block[:size] = rates
+        with np.errstate(over="ignore", invalid="ignore"):
+            for alpha, x, cx, shifted, wsum, x_next in zip(
+                    rate_cells[:size], x_rows, cx_rows, shifted_rows, wsum_cells,
+                    next_rows):
+                dot(c, x, cx)
+                multiply(alpha, cx, tmp)
+                add(logits, tmp, logits)
+                subtract(logits, item(argmax()), shifted)
+                exp(shifted, w)
+                total(w, 0, None, wsum)
+                divide(w, wsum, x_next)
+            weights = _running_sum(weight, rates)
+        xs, cxs, shifteds = x_block[:size], cx_block[:size], shifted_block[:size]
+        finite = np.isfinite(shifteds).all(axis=1) & np.isfinite(weights)
+        if not finite.all():
+            raise ScheduleError(f"schedule {schedule.label} overflows at step "
+                                f"{start + int(np.argmin(finite))}: A_K or the "
+                                "logits are no longer finite")
 
-        xs, cxs = np.array(xs), np.array(cxs)
-        steps = np.arange(start, start + len(rates))
+        steps = np.arange(start, start + size)
         terms = rates[:, None] * xs
         accums = _running_sum(accum, terms)
-        weights = _running_sum(weight, rates)
         xcx = _row_dots(xs, cxs)
         self_plays = _running_sum(self_play_sum, rates * xcx)
         accum, weight, self_play_sum = accums[-1], weights[-1], self_plays[-1]
@@ -432,12 +472,13 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
                               / (weights[rows] - rates[rows])[:, None])
         step_norm = np.zeros(len(e))
         step_norm[moved] = np.sqrt(_row_dots(diff, diff))
-        log_wsum = np.array([math.log(wsums[i]) for i in e.tolist()])
-        log_next = np.array([shifteds[i] for i in e.tolist()]) - log_wsum[:, None]
+        log_wsum = np.array([math.log(v) for v in wsum_block[e].tolist()])
+        log_next = shifteds[e] - log_wsum[:, None]
         trace.records += map(
             TraceRecord, steps[e].tolist(), rates[e].tolist(), weights[e].tolist(),
             gap_avg.tolist(), gap_iter.tolist(), step_norm.tolist(), xs[e], xbar,
             log_next, (self_plays[e] / weights[e]).tolist())
+        x_block[0] = x_block[size]
     return trace
 
 

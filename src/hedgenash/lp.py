@@ -9,8 +9,9 @@ each pivot is one rank-1 update of the dense tableau. The programs it serves
 are the payoff-spread programs of ``analysis``: n + m + 1 rows for an n x n
 game and a carrier of m strategies (2n + 1 on the full carrier), so each
 pivot is O(n^2) work. Degeneracy (most right-hand sides are 0) is handled by
-Bland's rule alone. Numerical breakdown is reported as an ``LPError``, never
-as an unchecked result.
+Bland's rule alone. Numerical breakdown, and a phase that cycles until it
+reaches ``PIVOT_CAP``, are reported as an ``LPError``, never as an unchecked
+result or a hang.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ import numpy as np
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
+# Pivots allowed per phase, per row plus column of the program. Solves in
+# the test suite need at most 7.3 and in the benchmark 2.4; a phase that
+# reaches the cap is cycling on round-off ties.
+PIVOT_CAP = 50
 
 
 class LPError(ValueError):
@@ -86,18 +91,21 @@ def _bland_leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | No
 
 
 def _run_simplex(tableau: np.ndarray, basis: np.ndarray, reduced: np.ndarray,
-                 n_cols: int) -> str:
-    """Minimize with Bland's rule. Mutates tableau/basis/reduced in place."""
-    while True:
-        col = _bland_entering(reduced, n_cols)
-        if col is None:
-            return "optimal"
+                 n_cols: int, limit: int) -> str:
+    """Minimize with Bland's rule, in at most ``limit`` pivots. Mutates
+    tableau/basis/reduced in place."""
+    pivots = 0
+    while (col := _bland_entering(reduced, n_cols)) is not None:
         row = _bland_leaving(tableau, basis, col)
         if row is None:
             return "unbounded"
+        if pivots == limit:
+            raise LPError(f"iteration limit: {limit} pivots")
         _pivot(tableau, basis, row, col)
         reduced -= reduced[col] * tableau[row, :-1]
         reduced[col] = 0.0
+        pivots += 1
+    return "optimal"
 
 
 def solve_lp(lp: StandardFormLP) -> LPResult:
@@ -105,6 +113,7 @@ def solve_lp(lp: StandardFormLP) -> LPResult:
     lp = lp.validated()
     a, b, d = lp.a.copy(), lp.b.copy(), lp.objective.copy()
     r, c = a.shape
+    limit = PIVOT_CAP * (r + c)
 
     flip = b < 0
     a[flip] *= -1.0
@@ -115,7 +124,7 @@ def solve_lp(lp: StandardFormLP) -> LPResult:
     basis = np.arange(c, c + r)
     reduced = np.zeros(c + r)
     reduced[:c] = -a.sum(axis=0)
-    status = _run_simplex(tableau, basis, reduced, c + r)
+    status = _run_simplex(tableau, basis, reduced, c + r, limit)
     if status != "optimal":  # phase 1 is bounded below by 0: only round-off gets here
         raise LPError(f"phase 1 reported {status} (numerical breakdown)")
     residual = sum(tableau[i, -1] for i in range(r) if basis[i] >= c)
@@ -147,7 +156,7 @@ def solve_lp(lp: StandardFormLP) -> LPResult:
             reduced -= d[var] * tableau[i, :-1]
     reduced[basis] = 0.0
 
-    status = _run_simplex(tableau, basis, reduced, c)
+    status = _run_simplex(tableau, basis, reduced, c, limit)
     if status == "unbounded":
         return LPResult(status="unbounded")
 

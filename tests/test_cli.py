@@ -100,6 +100,19 @@ class TestRun:
         summary = json.loads((tmp_path / "t.csv.summary.json").read_text())
         assert np.isfinite(summary["final_gap_avg"])
 
+    def test_overflowing_forced_schedule_is_config_error(self, tmp_path, capsys):
+        # A_K overflows at K = 17; no trace, no summary with NaN in it
+        out = tmp_path / "t.csv"
+        rc = main(["run", "--game", "random_uniform:3:0", "--steps", "40",
+                   "--emit-every", "1", "--schedule", "constant:1e307", "--force",
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert not (tmp_path / "t.csv.summary.json").exists()
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: schedule constant:1e+307 overflows at step 17: "
+            "A_K or the logits are no longer finite"]
+
     def test_force_flags_summary(self, rps_file, tmp_path):
         out = tmp_path / "t.csv"
         rc = main(["run", "--game", rps_file, "--steps", "100",
@@ -248,6 +261,12 @@ class TestVerify:
         assert main(["verify", "--game", rps_file, "--x", "uniform"]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: LP solution violates A y = b by 0.1"]
+
+    def test_cycling_simplex_is_config_error(self, capsys):
+        # phase 2 of this spread program revisits a basis with period 12
+        assert main(["verify", "--game", "random_uniform:40:5", "--x", "uniform"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: iteration limit: 10150 pivots"]
 
     def test_mid_size_equalizer_spread_solves(self):
         # the pairwise spread program broke down on this game

@@ -206,6 +206,17 @@ class TestSchedules:
         assert all(r.weight_sum >= 1.0 and np.all(np.isfinite(r.xbar))
                    for r in tr.records)
 
+    @pytest.mark.parametrize("payoff, step", [
+        ([[1.0, 0.0], [0.0, 1.0]], 17),       # A_17 = 18e307 overflows first
+        ([[-1.0, -2.0], [-2.0, -1.0]], 11)],  # logits reach -1.8e308 at K = 11
+        ids=["weight", "logits"])
+    def test_overflowing_forced_schedule_rejected(self, payoff, step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScheduleError, match=f"overflows at step {step}:"):
+                run_trajectory(validate_game(payoff), uniform_strategy(2),
+                               parse_schedule("constant:1e307"), 100, force=True)
+
     def test_custom_exhaustion(self, tmp_path):
         with pytest.raises(ScheduleError):
             schedule_of(tmp_path, "file", "1.0 0.5").rates(5)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import hedgenash.lp as lp_module
 from hedgenash import (
     LPError,
     StandardFormLP,
+    generate_game,
+    min_equalizer_gap,
     solve_lp,
     validate_game,
 )
@@ -108,6 +111,19 @@ class TestSolveLP:
         points[:, 2:] = groups[:, 1:]
         sampled_best = float((points @ d).min())
         assert res.objective_value <= sampled_best + 1e-7
+
+    def test_pivot_cap_raises_lperror(self, monkeypatch):
+        # with no pivot allowed, phase 1 cannot bring y0 into the basis
+        monkeypatch.setattr(lp_module, "PIVOT_CAP", 0)
+        with pytest.raises(LPError, match="iteration limit: 0 pivots"):
+            solve([[1, 1]], [1], [-1, 0])
+
+    def test_cycling_spread_program_stops_at_cap(self):
+        # random_uniform:40:5 cycles under Bland's rule with tolerance ties;
+        # 81 rows + 122 columns gives a cap of 50 * 203 pivots per phase
+        game = generate_game("random_uniform", 40, 5)
+        with pytest.raises(LPError, match="iteration limit: 10150 pivots"):
+            min_equalizer_gap(game)
 
     def test_residual_violation_raises_lperror(self):
         lp = StandardFormLP(a=np.array([[1.0, 1.0]]), b=np.array([1.0]),

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 import hedgenash.dynamics as dynamics
-from hedgenash import GAME_KINDS, GameError, generate_game, uniform_strategy
+from hedgenash import (
+    GAME_KINDS,
+    GameError,
+    generate_game,
+    uniform_strategy,
+    validate_game,
+)
 from hedgenash.dynamics import (
     DEFAULT_SCHEDULE,
     Trace,
@@ -227,3 +233,76 @@ def test_malformed_line_matches_reference(tmp_path, fmt):
                     Trace.from_file(path)
             else:       # a blank first or last line is stripped by both
                 assert_same_records(Trace.from_file(path).records, want, FIELDS[:8])
+
+
+@pytest.mark.parametrize("n", [130, 300])
+def test_matches_reference_with_cell_limited_blocks(tmp_path, n):
+    # _BLOCK_CELLS // n steps per block: 504 at n = 130, 218 at n = 300
+    block = dynamics._BLOCK_CELLS // n
+    assert block < dynamics._BLOCK_STEPS
+    game = generate_game("random_uniform", n, 1)
+    x0 = np.random.default_rng(n).dirichlet(np.ones(n)) * 0.9 + 0.1 / n
+    reference = reference_records(game, x0, DEFAULT_SCHEDULE, 2 * block + 1)
+    trace = run_trajectory(game, x0, DEFAULT_SCHEDULE, 2 * block + 1, emit_every=1)
+    assert_same_records(trace.records, reference)
+    trace = run_trajectory(game, x0, DEFAULT_SCHEDULE, 2 * block + 1, emit_every=9)
+    assert_matches_reference(trace, emitted(reference, 9), tmp_path)
+
+
+def test_matches_reference_on_tied_logits(tmp_path, monkeypatch):
+    # strategies 0 and 1 are copies and the best replies, so from a uniform
+    # start the two largest logits are equal at every step
+    monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 64)
+    payoff = np.random.default_rng(4).uniform(0.0, 0.5, size=(5, 5))
+    payoff[1], payoff[:, 1] = payoff[0], payoff[:, 0]
+    payoff[:2] += 0.5
+    game = validate_game(payoff)
+    reference = reference_records(game, uniform_strategy(5), DEFAULT_SCHEDULE, 150)
+    assert all(r.x[0] == r.x[1] == r.x.max() for r in reference)
+    trace = run_trajectory(game, uniform_strategy(5), DEFAULT_SCHEDULE, 150,
+                           emit_every=1)
+    assert_matches_reference(trace, reference, tmp_path)
+
+
+@pytest.mark.parametrize("spec", ["constant:0.5", "power:1000"])
+def test_matches_reference_forced(tmp_path, monkeypatch, spec):
+    # power:1000 underflows to alpha_k = 0 from k = 2 on
+    monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 64)
+    game = generate_game("zero_sum_symmetric", 6, 2)
+    schedule = parse_schedule(spec)
+    reference = reference_records(game, uniform_strategy(6), schedule, 200)
+    trace = run_trajectory(game, uniform_strategy(6), schedule, 200, emit_every=1,
+                           force=True)
+    assert trace.forced
+    assert_matches_reference(trace, reference, tmp_path)
+
+
+def test_early_records_survive_later_blocks(tmp_path, monkeypatch):
+    # 5-step blocks: the step buffers are rewritten 20 times after the first
+    # block's records are taken, and every record must still hold its own step
+    monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 5)
+    game = generate_game("doubly_symmetric", 4, 3)
+    reference = reference_records(game, uniform_strategy(4), DEFAULT_SCHEDULE, 103)
+    for emit_every in (1, 4):
+        trace = run_trajectory(game, uniform_strategy(4), DEFAULT_SCHEDULE, 103,
+                               emit_every=emit_every)
+        assert_matches_reference(trace, emitted(reference, emit_every), tmp_path)
+
+
+@pytest.mark.parametrize("chunk", [1, 4])
+def test_malformed_jsonl_line_matches_reference_across_chunks(tmp_path, monkeypatch,
+                                                             chunk):
+    # JSON lines are parsed a chunk at a time: a bad line past the first
+    # chunk, or a width that differs only from an earlier chunk's, must
+    # still fail at the reference's line
+    monkeypatch.setattr(dynamics, "_JSONL_CHUNK", chunk)
+    test_malformed_line_matches_reference(tmp_path, "jsonl")
+    path = tmp_path / "trace.jsonl"
+    run_trajectory(generate_game("random_uniform", 4, 0), uniform_strategy(4),
+                   DEFAULT_SCHEDULE, 30, emit_every=1).to_jsonl(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[6])
+    lines[6] = json.dumps({**record, "X": record["X"][1:], "Xbar": record["Xbar"][1:]})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GameError, match=re.escape(f"{path}:7: ")):
+        Trace.from_file(path)
