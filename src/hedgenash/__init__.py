@@ -1,19 +1,20 @@
 """Symmetric Nash equilibria via Hedge self-play with weighted averaging,
-runtime inequality diagnostics, and LP-based exact certificate extraction."""
+runtime inequality diagnostics, and LP-based exact certificate extraction.
+
+The package root exports the pipeline: games, schedules and trajectories,
+certificate extraction and checks, the diagnostics and the seeded generator.
+The LP solver and the lower-level certificate helpers live in
+``hedgenash.lp`` and ``hedgenash.analysis``.
+"""
 
 from .analysis import (
-    DEFAULT_CERT_TOL,
     EquilibriumCertificate,
-    best_subequalizer,
     certificate_tolerance,
     enumerate_symmetric_equilibria,
     epsilon_gap,
     find_equalizer,
-    is_well_supported,
-    make_certificate,
     min_equalizer_gap,
     verify_support,
-    well_supported_eps,
 )
 from .dynamics import (
     DEFAULT_SCHEDULE,
@@ -25,65 +26,41 @@ from .dynamics import (
     diagnose_trajectory_identities,
     hedge_step,
     parse_schedule,
-    relative_entropy,
     run_trajectory,
 )
-from .extraction import (
-    ExtractionOutcome,
-    Ranking,
-    approx_best_response_set,
-    check_polytope_property,
-    extract_certificate,
-    rank_by_average_mass,
-    rank_by_average_payoff,
-    rank_by_iterate_mass,
-)
+from .extraction import ExtractionOutcome, extract_certificate
 from .game import (
     GAME_KINDS,
     GameError,
     SymmetricGame,
-    as_strategy,
     decompose,
-    denormalize_gap,
     generate_game,
-    is_interior,
     load_game,
     normalize_payoffs,
-    payoff_vector,
     save_game,
-    support,
     uniform_strategy,
     validate_game,
 )
-from .lp import LPError, LPResult, StandardFormLP, solve_lp
+from .lp import LPError
 from .rng import Xoshiro256StarStar
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_CERT_TOL",
     "DEFAULT_SCHEDULE",
     "GAME_KINDS",
     "EquilibriumCertificate",
     "ExtractionOutcome",
     "GameError",
     "LPError",
-    "LPResult",
-    "Ranking",
     "Schedule",
     "ScheduleError",
-    "StandardFormLP",
     "SymmetricGame",
     "Trace",
     "TraceRecord",
     "Xoshiro256StarStar",
-    "approx_best_response_set",
-    "as_strategy",
-    "best_subequalizer",
     "certificate_tolerance",
-    "check_polytope_property",
     "decompose",
-    "denormalize_gap",
     "diagnose_entropy_bounds",
     "diagnose_trajectory_identities",
     "enumerate_symmetric_equilibria",
@@ -92,24 +69,13 @@ __all__ = [
     "find_equalizer",
     "generate_game",
     "hedge_step",
-    "is_interior",
-    "is_well_supported",
     "load_game",
-    "make_certificate",
     "min_equalizer_gap",
     "normalize_payoffs",
     "parse_schedule",
-    "payoff_vector",
-    "rank_by_average_mass",
-    "rank_by_average_payoff",
-    "rank_by_iterate_mass",
-    "relative_entropy",
     "run_trajectory",
     "save_game",
-    "solve_lp",
-    "support",
     "uniform_strategy",
     "validate_game",
     "verify_support",
-    "well_supported_eps",
 ]

@@ -80,13 +80,6 @@ def well_supported_eps(game: SymmetricGame, x,
     return float(cx.max() - cx[supported].min())
 
 
-def is_well_supported(game: SymmetricGame, x, eps: float,
-                      tol: float = DEFAULT_SUPPORT_TOL) -> bool:
-    if eps < 0:
-        raise GameError("eps must be >= 0")
-    return well_supported_eps(game, x, tol) <= eps
-
-
 def make_certificate(game: SymmetricGame, x, method: str) -> EquilibriumCertificate:
     x = np.clip(np.asarray(x, dtype=float), 0.0, None)
     x = as_strategy(x / x.sum())

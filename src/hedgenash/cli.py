@@ -152,6 +152,8 @@ def _check_config(index: int, config) -> None:
 
 
 def cmd_run(args) -> int:
+    if not args.config and not args.game:
+        raise GameError("--game is required without --config")
     if args.jobs < 1:
         raise GameError(f"--jobs must be >= 1, got {args.jobs}")
     if args.config:
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON list of run configs (batch mode)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel processes for --config batches")
-    p.set_defaults(func=cmd_run, needs_game_check=True)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("extract", help="extract an equilibrium certificate")
     add_game(p)
@@ -377,8 +379,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if getattr(args, "needs_game_check", False) and not args.config and not args.game:
-            raise GameError("--game is required without --config")
         return args.func(args)
     except (GameError, ScheduleError, LPError, OSError,
             ValueError, KeyError) as exc:

@@ -19,13 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .game import (
-    GameError,
-    SymmetricGame,
-    as_strategy,
-    is_interior,
-    uniform_strategy,
-)
+from .game import GameError, SymmetricGame, as_strategy, is_interior
 from .rng import Xoshiro256StarStar
 
 

@@ -145,26 +145,6 @@ def support(x, tol: float = DEFAULT_SUPPORT_TOL) -> tuple[int, ...]:
     return tuple(int(i) for i in np.flatnonzero(v > tol))
 
 
-@dataclass(frozen=True)
-class PayoffProfile:
-    """CX together with the summary values used everywhere downstream."""
-
-    values: np.ndarray
-    max: float
-    min: float
-    self_play: float
-
-
-def payoff_vector(game: SymmetricGame, x) -> PayoffProfile:
-    """Exact matrix-vector product CX plus (CX)_max, (CX)_min and X.CX."""
-    v = np.asarray(x, dtype=float)
-    if v.shape != (game.n,):
-        raise GameError(f"strategy has length {v.shape}, game has n={game.n}")
-    cx = game.payoff @ v
-    return PayoffProfile(values=cx, max=float(cx.max()), min=float(cx.min()),
-                         self_play=float(v @ cx))
-
-
 def generate_game(kind: str, n: int, seed: int) -> SymmetricGame:
     """Deterministically generate a test game of the requested kind."""
     if n < 2:

@@ -4,21 +4,18 @@ import pytest
 import hedgenash.analysis as analysis
 from hedgenash import (
     GameError,
-    best_subequalizer,
     certificate_tolerance,
     enumerate_symmetric_equilibria,
     epsilon_gap,
     find_equalizer,
     generate_game,
-    is_well_supported,
-    make_certificate,
     min_equalizer_gap,
     normalize_payoffs,
     uniform_strategy,
     validate_game,
     verify_support,
-    well_supported_eps,
 )
+from hedgenash.analysis import best_subequalizer, make_certificate, well_supported_eps
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -56,17 +53,13 @@ class TestEpsilonGap:
 
 class TestWellSupported:
     def test_uniform_rps_at_zero(self, rps_nonneg):
-        assert is_well_supported(rps_nonneg, uniform_strategy(3), 0.0)
+        assert well_supported_eps(rps_nonneg, uniform_strategy(3)) <= 0.0
 
     def test_half_half_zero_not_well_supported(self, rps_nonneg):
         # C(0.5,0.5,0) = (0.5,1.5,1.0): supported strategy 1 is 1.0 short
         x = np.array([0.5, 0.5, 0.0])
-        assert not is_well_supported(rps_nonneg, x, 0.2)
+        assert not well_supported_eps(rps_nonneg, x) <= 0.2
         assert well_supported_eps(rps_nonneg, x) == pytest.approx(1.0)
-
-    def test_negative_eps_rejected(self, rps_nonneg):
-        with pytest.raises(GameError):
-            is_well_supported(rps_nonneg, uniform_strategy(3), -0.1)
 
 
 class TestCertificates:

@@ -61,6 +61,13 @@ class TestRun:
                    "--schedule", "power:0.4", "--out", str(tmp_path / "t.csv")])
         assert rc == 2
 
+    def test_game_required_without_config(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--steps", "5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --game is required without --config"]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "forced"])
     @pytest.mark.parametrize("rates", ["power:nan", "file"])
     def test_non_finite_schedule_is_config_error(self, rps_file, tmp_path, capsys,
@@ -354,6 +361,13 @@ class TestExtract:
 
     def test_missing_trace_and_steps(self, rps_file):
         assert main(["extract", "--game", rps_file]) == 2
+
+    def test_unknown_criterion_is_config_error(self, capsys):
+        rc = main(["extract", "--game", "coordination:3", "--steps", "200",
+                   "--criteria", "average_payoff,bogus"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == ["error: unknown ranking criterion 'bogus'"]
 
 
 class TestUsage:

@@ -18,11 +18,11 @@ from hedgenash import (
     hedge_step,
     normalize_payoffs,
     parse_schedule,
-    relative_entropy,
     run_trajectory,
     uniform_strategy,
     validate_game,
 )
+from hedgenash.dynamics import relative_entropy
 
 POWER_23 = DEFAULT_SCHEDULE
 

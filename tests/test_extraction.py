@@ -9,95 +9,75 @@ from hedgenash import (
     LPError,
     Trace,
     TraceRecord,
-    approx_best_response_set,
-    check_polytope_property,
     extract_certificate,
-    make_certificate,
-    rank_by_average_mass,
-    rank_by_average_payoff,
-    rank_by_iterate_mass,
     run_trajectory,
     uniform_strategy,
     validate_game,
 )
+from hedgenash.extraction import _scores
 
 POWER_23 = DEFAULT_SCHEDULE
 
 
-def trace_with(xbar, x=None, uniform=True):
+def trace_with(xbar, x=None):
     """Hand-built single-snapshot trace for ranking unit tests."""
     xbar = np.asarray(xbar, dtype=float)
     n = xbar.size
     x = xbar if x is None else np.asarray(x, dtype=float)
-    x0 = np.full(n, 1.0 / n) if uniform else np.linspace(1, n, n) / np.linspace(1, n, n).sum()
     record = TraceRecord(step=5, alpha=0.5, weight_sum=2.0, gap_avg=0.0,
                          gap_iter=0.0, avg_step_norm=0.0, x=x, xbar=xbar,
                          log_next=np.log(x), avg_self_play=0.0)
-    return Trace(n=n, x0=x0, schedule_label="power:0.6667", emit_every=1,
-                 records=[record])
+    return Trace(n=n, x0=np.full(n, 1.0 / n), schedule_label="power:0.6667",
+                 emit_every=1, records=[record])
+
+
+def order(game, record, criterion):
+    """A criterion's order at a record: descending score, ties by index."""
+    s = _scores(game, record)[criterion]
+    return tuple(sorted(range(s.size), key=lambda i: (-s[i], i)))
 
 
 class TestRankings:
-    def test_average_mass_descending(self):
-        r = rank_by_average_mass(trace_with([0.5, 0.3, 0.2]))
-        assert r.order == (0, 1, 2) and r.criterion == "average_mass"
-        assert r.step == 5
+    def test_average_mass_descending(self, rps_nonneg):
+        tr = trace_with([0.5, 0.3, 0.2])
+        assert order(rps_nonneg, tr.final, "average_mass") == (0, 1, 2)
 
-    def test_average_mass_tie_break(self):
-        assert rank_by_average_mass(trace_with([1 / 3] * 3)).order == (0, 1, 2)
+    def test_average_mass_tie_break(self, rps_nonneg):
+        ties = trace_with([1 / 3] * 3).final
+        assert order(rps_nonneg, ties, "average_mass") == (0, 1, 2)
 
-    def test_average_mass_reversed(self):
-        assert rank_by_average_mass(trace_with([0.2, 0.3, 0.5])).order == (2, 1, 0)
+    def test_average_mass_reversed(self, rps_nonneg):
+        tr = trace_with([0.2, 0.3, 0.5])
+        assert order(rps_nonneg, tr.final, "average_mass") == (2, 1, 0)
 
     def test_average_payoff_identity(self, identity2):
-        r = rank_by_average_payoff(identity2, trace_with([0.7, 0.3]))
-        assert r.order == (0, 1)
-        assert np.allclose(r.scores, [0.7, 0.3])
+        tr = trace_with([0.7, 0.3])
+        assert order(identity2, tr.final, "average_payoff") == (0, 1)
+        assert np.allclose(_scores(identity2, tr.final)["average_payoff"], [0.7, 0.3])
 
     def test_average_payoff_rps_ties(self, rps_nonneg):
-        r = rank_by_average_payoff(rps_nonneg, trace_with([1 / 3] * 3))
-        assert r.order == (0, 1, 2)
+        ties = trace_with([1 / 3] * 3).final
+        assert order(rps_nonneg, ties, "average_payoff") == (0, 1, 2)
 
     def test_average_payoff_rps_mixed(self, rps_nonneg):
-        r = rank_by_average_payoff(rps_nonneg, trace_with([0.5, 0.25, 0.25]))
-        assert np.allclose(r.scores, [1.0, 1.25, 0.75])
-        assert r.order == (1, 0, 2)
+        tr = trace_with([0.5, 0.25, 0.25])
+        assert np.allclose(_scores(rps_nonneg, tr.final)["average_payoff"],
+                           [1.0, 1.25, 0.75])
+        assert order(rps_nonneg, tr.final, "average_payoff") == (1, 0, 2)
 
-    def test_iterate_mass_needs_uniform_start(self):
-        with pytest.raises(GameError):
-            rank_by_iterate_mass(trace_with([0.5, 0.3, 0.2], uniform=False))
-
-    def test_iterate_mass_uses_next_iterate(self):
+    def test_iterate_mass_uses_next_iterate(self, rps_nonneg):
         tr = trace_with([1 / 3] * 3, x=[0.2, 0.5, 0.3])
-        assert rank_by_iterate_mass(tr).order == (1, 2, 0)
+        assert order(rps_nonneg, tr.final, "iterate_mass") == (1, 2, 0)
 
     def test_iterate_order_matches_payoff_order(self, hawk_dove_norm):
         tr = run_trajectory(hawk_dove_norm, uniform_strategy(2), POWER_23,
                             1000, emit_every=100)
         for record in tr.records:
-            by_payoff = rank_by_average_payoff(hawk_dove_norm, tr, record)
-            by_iterate = rank_by_iterate_mass(tr, record)
-            gaps = np.abs(np.diff(np.sort(by_payoff.scores)))
+            payoffs = _scores(hawk_dove_norm, record)["average_payoff"]
+            gaps = np.abs(np.diff(np.sort(payoffs)))
             if gaps.size and gaps.min() > 1e-8:
-                assert by_payoff.order == by_iterate.order
-
-
-class TestApproxBestResponse:
-    def test_rps_uniform_everything(self, rps_nonneg):
-        assert approx_best_response_set(rps_nonneg, trace_with([1 / 3] * 3),
-                                        0.01) == (0, 1, 2)
-
-    def test_identity_tight_eps(self, identity2):
-        assert approx_best_response_set(identity2, trace_with([0.7, 0.3]),
-                                        0.1) == (0,)
-
-    def test_huge_eps_includes_all(self, identity2):
-        assert approx_best_response_set(identity2, trace_with([0.7, 0.3]),
-                                        10.0) == (0, 1)
-
-    def test_nonpositive_eps_rejected(self, identity2):
-        with pytest.raises(GameError):
-            approx_best_response_set(identity2, trace_with([0.7, 0.3]), 0.0)
+                assert (order(hawk_dove_norm, record, "average_payoff")
+                        == order(hawk_dove_norm, record, "iterate_mass"))
 
 
 class TestExtractCertificate:
@@ -138,6 +118,22 @@ class TestExtractCertificate:
         tr = run_trajectory(identity2, uniform_strategy(2), POWER_23, 10)
         with pytest.raises(GameError):
             extract_certificate(identity2, tr, criteria=("entropy",))
+
+    def test_every_criterion_checked_before_any_lp(self, identity2, monkeypatch):
+        calls = []
+        original = extraction.verify_support
+
+        def counting(game, candidate):
+            calls.append(tuple(candidate))
+            return original(game, candidate)
+
+        monkeypatch.setattr(extraction, "verify_support", counting)
+        tr = run_trajectory(identity2, uniform_strategy(2), POWER_23, 200)
+        with pytest.raises(GameError, match="'bogus'"):
+            extract_certificate(identity2, tr, criteria=("average_payoff", "bogus"))
+        assert calls == []
+        extract_certificate(identity2, tr, criteria=("average_payoff",))
+        assert calls  # the wrapper does see the sweep's LPs
 
     def test_shared_prefixes_verified_once(self, monkeypatch):
         # strategy 2 dominates: average mass and iterate mass both rank
@@ -207,40 +203,3 @@ class TestExtractCertificate:
         cert = out.certificate
         cx = hawk_dove_norm.payoff @ cert.strategy
         assert float(cx.max() - cert.strategy @ cx) <= 1e-8
-
-
-class TestPolytopeProperty:
-    def test_identity_pures_not_mutual(self, identity2):
-        certs = [make_certificate(identity2, [1.0, 0.0], "manual"),
-                 make_certificate(identity2, [0.0, 1.0], "manual")]
-        report = check_polytope_property(identity2, certs)
-        assert not report.all_mutual
-        assert report.pairs[0].max_segment_gap is None
-        assert not report.all_passed
-
-    def test_constant_game_segment_passes(self):
-        g = validate_game(np.ones((2, 2)))
-        certs = [make_certificate(g, [1.0, 0.0], "manual"),
-                 make_certificate(g, [0.0, 1.0], "manual")]
-        report = check_polytope_property(g, certs, samples=25)
-        assert report.all_passed
-        assert report.pairs[0].max_segment_gap <= 1e-12
-
-    def test_single_certificate_trivially_passes(self, rps_nonneg):
-        report = check_polytope_property(
-            rps_nonneg, [make_certificate(rps_nonneg, uniform_strategy(3), "manual")])
-        assert report.all_passed and report.pairs == []
-
-    def test_digest_mismatch_rejected(self, identity2, rps_nonneg):
-        certs = [make_certificate(identity2, [0.5, 0.5], "manual"),
-                 make_certificate(rps_nonneg, uniform_strategy(3), "manual")]
-        with pytest.raises(GameError):
-            check_polytope_property(identity2, certs)
-
-    def test_report_serializes(self):
-        g = validate_game(np.ones((2, 2)))
-        certs = [make_certificate(g, [1.0, 0.0], "manual"),
-                 make_certificate(g, [0.0, 1.0], "manual")]
-        payload = check_polytope_property(g, certs).to_dict()
-        assert payload["all_passed"] is True
-        assert payload["pairs"][0]["mutual_best_response"] is True

@@ -5,18 +5,15 @@ from hypothesis import strategies as st
 
 from hedgenash import (
     GameError,
-    as_strategy,
     decompose,
     generate_game,
-    is_interior,
     load_game,
     normalize_payoffs,
-    payoff_vector,
     save_game,
-    support,
     uniform_strategy,
     validate_game,
 )
+from hedgenash.game import as_strategy, is_interior, support
 
 
 def random_matrix(seed, n):
@@ -121,33 +118,6 @@ class TestDecompose:
         assert np.array_equal(sym, sym.T)
         assert np.array_equal(skew, -skew.T)
         assert np.max(np.abs(sym + skew - g.payoff)) <= 1e-14
-
-
-class TestPayoffVector:
-    def test_uniform_on_rps(self, rps_norm):
-        prof = payoff_vector(rps_norm, uniform_strategy(3))
-        assert np.allclose(prof.values, 0.5, atol=1e-15)
-        assert prof.max == prof.min == pytest.approx(0.5)
-        assert prof.self_play == pytest.approx(0.5)
-
-    def test_pure_strategy_is_column(self, rps_nonneg):
-        prof = payoff_vector(rps_nonneg, np.array([1.0, 0.0, 0.0]))
-        assert np.array_equal(prof.values, [1, 2, 0])
-
-    def test_identity_action(self, identity2):
-        prof = payoff_vector(identity2, np.array([0.75, 0.25]))
-        assert np.array_equal(prof.values, [0.75, 0.25])
-
-    def test_dimension_mismatch(self, identity2):
-        with pytest.raises(GameError):
-            payoff_vector(identity2, np.array([0.5, 0.25, 0.25]))
-
-    @pytest.mark.parametrize("i", range(4))
-    def test_pure_strategies_extract_columns_exactly(self, i):
-        g = generate_game("random_uniform", 4, seed=9)
-        e = np.zeros(4)
-        e[i] = 1.0
-        assert np.array_equal(payoff_vector(g, e).values, g.payoff[:, i])
 
 
 class TestStrategies:

@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 import hedgenash.lp as lp_module
-from hedgenash import (
-    LPError,
-    StandardFormLP,
-    generate_game,
-    min_equalizer_gap,
-    solve_lp,
-    validate_game,
-)
+from hedgenash import LPError, generate_game, min_equalizer_gap, validate_game
 from hedgenash.analysis import _spread_lp
-from hedgenash.lp import _pivot, _verify_optimal
+from hedgenash.lp import StandardFormLP, _pivot, _verify_optimal, solve_lp
 
 
 def solve(a, b, d):

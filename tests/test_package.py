@@ -1,3 +1,5 @@
+import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -6,8 +8,66 @@ import hedgenash
 
 tomllib = pytest.importorskip("tomllib")
 
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC = {
+    "GameError", "ScheduleError", "LPError",
+    "SymmetricGame", "Schedule", "Trace", "TraceRecord", "EquilibriumCertificate",
+    "ExtractionOutcome",
+    "GAME_KINDS", "DEFAULT_SCHEDULE",
+    "validate_game", "load_game", "save_game", "generate_game", "normalize_payoffs",
+    "decompose", "uniform_strategy",
+    "parse_schedule", "run_trajectory", "hedge_step",
+    "extract_certificate", "verify_support", "find_equalizer", "min_equalizer_gap",
+    "epsilon_gap", "certificate_tolerance",
+    "enumerate_symmetric_equilibria", "diagnose_entropy_bounds",
+    "diagnose_trajectory_identities",
+    "Xoshiro256StarStar",
+}
+
 
 def test_version_matches_pyproject():
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as fh:
+    with (ROOT / "pyproject.toml").open("rb") as fh:
         assert hedgenash.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_public_surface():
+    assert len(hedgenash.__all__) == len(PUBLIC) == 31
+    assert set(hedgenash.__all__) == PUBLIC
+    for name in hedgenash.__all__:
+        assert getattr(hedgenash, name) is not None
+
+
+def test_benchmark_imports_are_public():
+    needed = {"certificate_tolerance", "DEFAULT_SCHEDULE", "generate_game",
+              "save_game", "uniform_strategy"}
+    assert needed <= set(hedgenash.__all__)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert "extract:" in capsys.readouterr().out
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in (ROOT / "src" / "hedgenash").glob("*.py") if p.name != "__init__.py"))
+def test_no_unused_imports(module):
+    assert _unused_imports(ROOT / "src" / "hedgenash" / module) == []

@@ -6,13 +6,8 @@ scipy is a test-only dependency: the module is skipped without it.
 import numpy as np
 import pytest
 
-from hedgenash import (
-    LPError,
-    best_subequalizer,
-    generate_game,
-    min_equalizer_gap,
-    validate_game,
-)
+from hedgenash import LPError, generate_game, min_equalizer_gap, validate_game
+from hedgenash.analysis import best_subequalizer
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
