@@ -187,6 +187,9 @@ def cmd_extract(args) -> int:
     game = _load_game_spec(args.game)
     if args.trace:
         trace = Trace.from_file(args.trace)
+        if trace.x0 is None:
+            raise GameError(f"{args.trace}: the first record has K = {trace.steps[0]}, "
+                            "not 0, so the start X^0 is unknown")
         if trace.n != game.n:
             raise GameError(f"trace has n={trace.n}, game has n={game.n}")
     else:

@@ -14,7 +14,7 @@ import functools
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -190,63 +190,102 @@ _WIRE_SCALARS = ("alpha", "A_K", "gap_avg", "gap_iter", "avg_step_norm")
 # What a malformed record raises while its columns are parsed.
 _UNREADABLE = (ValueError, TypeError, KeyError, OverflowError)
 
+# Rows formatted per tolist() call by the writers: the Python floats of a
+# chunk take several times the bytes of its rows.
+_WRITE_CHUNK = 512
+
+# How far from 1 the sum of a file trace's X or Xbar row may be.
+_SIMPLEX_TOL = 1e-6
+
 
 @dataclass
 class Trace:
+    """The emitted snapshots of a run, as columns: ``steps`` holds K per
+    record and ``table`` one wire row per record (the _WIRE_SCALARS, then
+    X^K, then Xbar^K). ``log_next`` (ln X^{K+1}, one row per record) and
+    ``avg_self_play`` are kept for traces run in memory and are None for a
+    trace loaded from a file. ``records`` is the same data as a list of
+    TraceRecord, built on first access; its arrays are views of the
+    columns. ``x0`` is None for a file trace without a K = 0 record."""
+
     n: int
-    x0: np.ndarray
+    x0: np.ndarray | None
     schedule_label: str
     emit_every: int
-    records: list[TraceRecord] = field(default_factory=list)
+    steps: np.ndarray
+    table: np.ndarray
+    log_next: np.ndarray | None = None
+    avg_self_play: np.ndarray | None = None
     forced: bool = False
 
     @property
     def uniform_start(self) -> bool:
-        return bool(np.allclose(self.x0, 1.0 / self.n, atol=1e-12))
+        return self.x0 is not None and bool(np.allclose(self.x0, 1.0 / self.n,
+                                                        atol=1e-12))
+
+    @functools.cached_property
+    def records(self) -> list[TraceRecord]:
+        return self._records(slice(None))
 
     @property
     def final(self) -> TraceRecord:
-        return self.records[-1]
+        return self._records(slice(-1, None))[0]
+
+    def _records(self, rows: slice) -> list[TraceRecord]:
+        lo, n = len(_WIRE_SCALARS), self.n
+        table = self.table[rows]
+        extras = (() if self.log_next is None
+                  else (self.log_next[rows], self.avg_self_play[rows].tolist()))
+        return list(map(TraceRecord, self.steps[rows].tolist(), *table[:, :lo].T.tolist(),
+                        table[:, lo:lo + n], table[:, lo + n:], *extras))
 
     def csv_header(self) -> str:
         xs = ",".join(f"X_{i + 1}" for i in range(self.n))
         xbars = ",".join(f"Xbar_{i + 1}" for i in range(self.n))
         return f"K,{','.join(_WIRE_SCALARS)},{xs},{xbars}"
 
-    def _columns(self) -> tuple[list, np.ndarray]:
-        """The records as wire columns: the steps, and one row per record
-        holding the scalars, then X, then Xbar."""
-        count = len(self.records)
-        scalars = np.array([(r.alpha, r.weight_sum, r.gap_avg, r.gap_iter,
-                             r.avg_step_norm) for r in self.records], dtype=float)
-        xs = np.array([r.x for r in self.records], dtype=float)
-        xbars = np.array([r.xbar for r in self.records], dtype=float)
-        table = np.hstack([scalars.reshape(count, len(_WIRE_SCALARS)),
-                           xs.reshape(count, self.n), xbars.reshape(count, self.n)])
-        return [r.step for r in self.records], table
+    def _chunks(self):
+        """The records a chunk at a time: K and the wire rows as Python ints
+        and floats, and the rows as an array."""
+        for start in range(0, len(self.steps), _WRITE_CHUNK):
+            rows = self.table[start:start + _WRITE_CHUNK]
+            yield self.steps[start:start + _WRITE_CHUNK].tolist(), rows.tolist(), rows
 
     def to_csv(self, path) -> None:
-        steps, table = self._columns()
-        row = "%d" + ",%.17g" * table.shape[1] + "\n"
+        line = "%d" + ",%.17g" * self.table.shape[1] + "\n"
         with open(path, "w") as fh:
             fh.write(self.csv_header() + "\n")
-            fh.writelines(row % (k, *values.tolist()) for k, values in zip(steps, table))
+            for steps, rows, _ in self._chunks():
+                fh.writelines(line % (k, *row) for k, row in zip(steps, rows))
 
     def to_jsonl(self, path) -> None:
-        steps, table = self._columns()
-        lo, hi = len(_WIRE_SCALARS), len(_WIRE_SCALARS) + self.n
+        """One JSON object per record, formatted by one template: json
+        writes a finite float as its repr, which %r gives too. A row with a
+        non-finite value (only a loaded file's scalars can hold one) is
+        written by json itself, as NaN, Infinity or -Infinity."""
+        lo, n = len(_WIRE_SCALARS), self.n
+        scalars = ", ".join(f'"{name}": %r' for name in _WIRE_SCALARS)
+        vector = ", ".join(["%r"] * n)
+        line = f'{{"K": %d, {scalars}, "X": [{vector}], "Xbar": [{vector}]}}\n'
         with open(path, "w") as fh:
-            fh.writelines(json.dumps({"K": k, **dict(zip(_WIRE_SCALARS, values)),
-                                      "X": values[lo:hi], "Xbar": values[hi:]}) + "\n"
-                          for k, values in zip(steps, map(np.ndarray.tolist, table)))
+            for steps, rows, table in self._chunks():
+                lines = [line % (k, *row) for k, row in zip(steps, rows)]
+                for i in np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist():
+                    row = rows[i]
+                    lines[i] = json.dumps({"K": steps[i], **dict(zip(_WIRE_SCALARS, row)),
+                                           "X": row[lo:lo + n], "Xbar": row[lo + n:]}) + "\n"
+                fh.writelines(lines)
 
     @classmethod
     def from_file(cls, path) -> "Trace":
-        """Load an emitted trace (CSV or JSON-lines). Fields not present in
-        the wire format (logits, running self-play payoff) come back None.
-        A line that does not parse as a record (K not an integer, a field
-        missing or extra, X or Xbar not n numbers), or whose X or Xbar holds
-        a non-finite entry, is a GameError naming the file and the line."""
+        """Load an emitted trace (CSV or JSON-lines) as columns; the fields
+        not in the wire format (logits, running self-play payoff) are None.
+        A GameError names the file and the first bad line: one that does
+        not parse as a record (K not an integer, a field missing or extra,
+        X or Xbar not n numbers), whose K is not above the K before it, or
+        whose X or Xbar is not a probability vector (a non-finite or
+        negative entry, or a sum off 1 by more than _SIMPLEX_TOL). A trace
+        whose first K is not 0 loads with x0 None: its start is unknown."""
         path = Path(path)
         lines = path.read_text().strip().splitlines()
         if lines and lines[0].startswith("{"):
@@ -261,20 +300,41 @@ class Trace:
         steps, table = _parse_located(parse, body, path, first)
         lo = len(_WIRE_SCALARS)
         n = (table.shape[1] - lo) // 2
-        finite = np.isfinite(table[:, lo:]).all(axis=1)
-        if not finite.all():
-            raise GameError(f"{path}:{first + int(np.argmin(finite))}: record has "
-                            "a non-finite X or Xbar entry")
-        records = list(map(TraceRecord, steps, *table[:, :lo].T.tolist(),
-                           table[:, lo:lo + n], table[:, lo + n:]))
-        return cls(n=n, x0=records[0].x, schedule_label="file",
-                   emit_every=0, records=records)
+        _check_records(steps, table, n, path, first)
+        return cls(n=n, x0=table[0, lo:lo + n] if steps[0] == 0 else None,
+                   schedule_label="file", emit_every=0, steps=steps, table=table)
+
+
+def _check_records(steps: np.ndarray, table: np.ndarray, n: int, path: Path,
+                   first: int) -> None:
+    """Raise a GameError naming the first record that is out of order or
+    whose X or Xbar is not a probability vector; the first record is on
+    line ``first``."""
+    vectors = table[:, len(_WIRE_SCALARS):].reshape(len(table), 2, n)
+    finite = np.isfinite(vectors).all(axis=(1, 2))
+    simplex = ((vectors >= 0.0).all(axis=2)
+               & (np.abs(vectors.sum(axis=2) - 1.0) <= _SIMPLEX_TOL))
+    ordered = np.r_[True, steps[1:] > steps[:-1]]
+    good = finite & ordered & simplex.all(axis=1)
+    if good.all():
+        return
+    row = int(np.argmin(good))
+    where = f"{path}:{first + row}: "
+    if not finite[row]:
+        raise GameError(where + "record has a non-finite X or Xbar entry")
+    if not ordered[row]:
+        raise GameError(where + f"K = {steps[row]} after K = {steps[row - 1]}; "
+                        "K must strictly increase")
+    side = int(np.argmin(simplex[row]))
+    vector = vectors[row, side]
+    raise GameError(where + f"{('X', 'Xbar')[side]} is not a probability vector "
+                    f"(min {vector.min():.17g}, sum {vector.sum():.17g})")
 
 
 def _csv_columns(lines: list[str], n: int):
     """CSV body lines as wire columns: the steps, and the table that
-    Trace._columns writes."""
-    steps = [int(line.partition(",")[0]) for line in lines]
+    Trace.to_csv writes after K."""
+    steps = np.array([int(line.partition(",")[0]) for line in lines], dtype=np.int64)
     table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     width = 1 + len(_WIRE_SCALARS) + 2 * n
     if table.shape[1] != width:
@@ -309,7 +369,8 @@ def _jsonl_columns(lines: list[str]):
                              "not lists of n numbers")
         steps += ks
         tables.append(np.hstack([scalars, xs, xbars]))
-    return steps, np.vstack(tables)     # a ValueError if chunk widths differ
+    # np.vstack raises a ValueError if chunk widths differ
+    return np.array(steps, dtype=np.int64), np.vstack(tables)
 
 
 def _parse_located(parse, lines: list[str], path: Path, first: int):
@@ -374,8 +435,9 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     a max reduction returns, and a NaN logit is the first maximum for both.
     The running sums and the records are then evaluated a block of steps at
     a time, with the same floating-point operations in the same order as a
-    step-by-step evaluation; records copy their rows out (fancy indexing)
-    before the next block overwrites them.
+    step-by-step evaluation, and written into the trace's columns,
+    allocated once for every emitted step, before the next block
+    overwrites the step buffers.
 
     A forced schedule whose running weight A_K or logits overflow raises
     ``ScheduleError`` naming the first such step instead of emitting NaN.
@@ -404,8 +466,13 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     accum = np.zeros_like(x0)
     weight = 0.0
     self_play_sum = 0.0
-    trace = Trace(n=game.n, x0=x0.copy(), schedule_label=schedule.label,
-                  emit_every=emit_every, forced=not validation.valid)
+    count = k_max // emit_every + 1 + (k_max % emit_every != 0)
+    lo, n = len(_WIRE_SCALARS), game.n
+    trace = Trace(n=n, x0=x0.copy(), schedule_label=schedule.label,
+                  emit_every=emit_every, steps=np.empty(count, dtype=np.int64),
+                  table=np.empty((count, lo + 2 * n)), log_next=np.empty((count, n)),
+                  avg_self_play=np.empty(count), forced=not validation.valid)
+    emitted = 0
     block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // game.n))
     # row k of a block holds alpha_k, X^k, CX^k, the shifted logits and
     # their exp-sum; step k writes X^{k+1} to row k + 1, and the last row
@@ -454,24 +521,28 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
         accum, weight, self_play_sum = accums[-1], weights[-1], self_plays[-1]
 
         e = np.flatnonzero((steps % emit_every == 0) | (steps == k_max))
-        xbar = accums[e] / weights[e, None]
+        rows = slice(emitted, emitted + len(e))
+        emitted += len(e)
+        table = trace.table[rows]
+        trace.steps[rows] = steps[e]
+        table[:, 0], table[:, 1] = rates[e], weights[e]
+        table[:, lo:lo + n] = xs[e]
+        xbar = table[:, lo + n:]
+        np.divide(accums[e], weights[e, None], out=xbar)
         cxbar = np.matmul(c, xbar[:, :, None])[:, :, 0]   # gemv per row, as np.dot
-        gap_avg = cxbar.max(axis=1) - _row_dots(xbar, cxbar)
-        gap_iter = cxs[e].max(axis=1) - xcx[e]
+        table[:, 2] = cxbar.max(axis=1) - _row_dots(xbar, cxbar)
+        table[:, 3] = cxs[e].max(axis=1) - xcx[e]
         # ||Xbar^K - Xbar^{K-1}||, Xbar^{K-1} recovered from step K's sums;
         # K = 0 has no predecessor and reads 0
         moved = steps[e] > 0
-        rows = e[moved]
-        diff = xbar[moved] - ((accums[rows] - terms[rows])
-                              / (weights[rows] - rates[rows])[:, None])
-        step_norm = np.zeros(len(e))
-        step_norm[moved] = np.sqrt(_row_dots(diff, diff))
+        prev = e[moved]
+        diff = xbar[moved] - ((accums[prev] - terms[prev])
+                              / (weights[prev] - rates[prev])[:, None])
+        table[:, 4] = 0.0
+        table[moved, 4] = np.sqrt(_row_dots(diff, diff))
         log_wsum = np.array([math.log(v) for v in wsum_block[e].tolist()])
-        log_next = shifteds[e] - log_wsum[:, None]
-        trace.records += map(
-            TraceRecord, steps[e].tolist(), rates[e].tolist(), weights[e].tolist(),
-            gap_avg.tolist(), gap_iter.tolist(), step_norm.tolist(), xs[e], xbar,
-            log_next, (self_plays[e] / weights[e]).tolist())
+        np.subtract(shifteds[e], log_wsum[:, None], out=trace.log_next[rows])
+        np.divide(self_plays[e], weights[e], out=trace.avg_self_play[rows])
         x_block[0] = x_block[size]
     return trace
 
@@ -628,34 +699,34 @@ def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace,
       * payoff floor: (C Xbar^K)_i - (C Xbar^K)_max is bounded below by
         (ln c + ln X^{K+1}(i))/A_K with c = X^0_min / X^0_max;
       * best-response bound: X^{K+1}.C Xbar^K >= running avg self-play.
+
+    Each check is evaluated over all snapshots at once, from the trace's
+    columns.
     """
+    unknown = [name for name in checks if name not in TRAJECTORY_CHECKS]
+    if unknown:
+        raise GameError(f"unknown trajectory check {unknown[0]!r}")
     if "log_ratio_identity" in checks and not trace.uniform_start:
         raise GameError("the log-ratio identity requires a uniform start")
-    snapshots = [r for r in trace.records if r.log_next is not None]
-    if not snapshots:
+    if trace.log_next is None:
         raise GameError("trace was recorded without logits; re-run in memory")
-    c = game.payoff
-    log_c0 = math.log(trace.x0.min() / trace.x0.max())
-    viol = dict.fromkeys(checks, 0.0)
-    for r in snapshots:
-        cxbar = c @ r.xbar
-        a_k = r.weight_sum
-        if "log_ratio_identity" in checks:
-            d = r.log_next / a_k - cxbar
-            viol["log_ratio_identity"] = max(viol["log_ratio_identity"],
-                                             float(d.max() - d.min()))
-        if "payoff_floor_bound" in checks:
-            floor = (log_c0 + r.log_next) / a_k
-            gap_to_max = cxbar - cxbar.max()
-            viol["payoff_floor_bound"] = max(viol["payoff_floor_bound"],
-                                             float(np.max(floor - gap_to_max)))
-        if "self_play_bound" in checks:
-            x_next = np.exp(r.log_next)
-            viol["self_play_bound"] = max(
-                viol["self_play_bound"],
-                r.avg_self_play - float(x_next @ cxbar))
-    n_snap = len(snapshots)
+    lo, n = len(_WIRE_SCALARS), trace.n
+    log_next, a_k = trace.log_next, trace.table[:, 1, None]
+    cxbar = np.matmul(game.payoff, trace.table[:, lo + n:, None])[:, :, 0]  # gemv, as c @ xbar
+    per_snapshot = {}
+    if "log_ratio_identity" in checks:
+        d = log_next / a_k - cxbar
+        per_snapshot["log_ratio_identity"] = d.max(axis=1) - d.min(axis=1)
+    if "payoff_floor_bound" in checks:
+        floor = (math.log(trace.x0.min() / trace.x0.max()) + log_next) / a_k
+        gap_to_max = cxbar - cxbar.max(axis=1, keepdims=True)
+        per_snapshot["payoff_floor_bound"] = (floor - gap_to_max).max(axis=1)
+    if "self_play_bound" in checks:
+        per_snapshot["self_play_bound"] = trace.avg_self_play - _row_dots(np.exp(log_next), cxbar)
+    # the largest violation over the snapshots, at least 0; fmax skips a
+    # NaN snapshot, as the per-snapshot max(worst, value) did
     return DiagnosticsReport(checks=[
-        DiagnosticCheck(name, n_snap, viol[name], ACCUMULATED_TOL)
+        DiagnosticCheck(name, len(a_k), max(0.0, float(np.fmax.reduce(per_snapshot[name]))),
+                        ACCUMULATED_TOL)
         for name in checks
     ])

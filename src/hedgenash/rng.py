@@ -23,12 +23,12 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return z ^ (z >> 31), state
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256StarStar:
-    """xoshiro256** generator, seeded via splitmix64."""
+    """xoshiro256** generator, seeded via splitmix64.
+
+    Each step is written out on local integers (the two rotations inline),
+    and bulk draws step the state in one loop; the stream is the published
+    algorithm's, value for value."""
 
     def __init__(self, seed: int):
         sm = seed & _MASK64
@@ -40,17 +40,32 @@ class Xoshiro256StarStar:
             state[0] = 1
         self._s = state
 
+    def _draw(self, count: int) -> list[int]:
+        """The next count outputs."""
+        s0, s1, s2, s3 = self._s
+        out = []
+        append = out.append
+        for _ in range(count):
+            r = s1 * 5 & _MASK64
+            append(((r << 7 | r >> 57) & _MASK64) * 9 & _MASK64)
+            t = s1 << 17 & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = (s3 << 45 | s3 >> 19) & _MASK64
+        self._s = [s0, s1, s2, s3]
+        return out
+
     def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        s0, s1, s2, s3 = self._s
+        r = s1 * 5 & _MASK64
+        t = s1 << 17 & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        self._s = [s0 ^ s3, s1 ^ s2, s2 ^ t, (s3 << 45 | s3 >> 19) & _MASK64]
+        return ((r << 7 | r >> 57) & _MASK64) * 9 & _MASK64
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 bits of precision."""
@@ -70,19 +85,19 @@ class Xoshiro256StarStar:
                 return v % n
 
     def doubles(self, count: int) -> np.ndarray:
-        return np.array([self.random() for _ in range(count)])
+        return np.array([(v >> 11) * 2.0**-53 for v in self._draw(count)])
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.doubles(rows * cols).reshape(rows, cols)
 
     def interior_point(self, n: int) -> np.ndarray:
         """Random point in the interior of the n-simplex (Dirichlet(1))."""
-        u = np.empty(n)
-        for i in range(n):
-            v = self.random()
-            while v <= 0.0:
-                v = self.random()
-            u[i] = -math.log(v)
+        # the first n nonzero draws of the stream, as a draw-by-draw
+        # rejection of zeros takes them
+        draws = []
+        while len(draws) < n:
+            draws += [v >> 11 for v in self._draw(n - len(draws)) if v >> 11]
+        u = np.array([-math.log(v * 2.0**-53) for v in draws])
         return u / u.sum()
 
     def simplex_point(self, n: int, support_size: int | None = None) -> np.ndarray:

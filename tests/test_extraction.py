@@ -8,7 +8,6 @@ from hedgenash import (
     GameError,
     LPError,
     Trace,
-    TraceRecord,
     extract_certificate,
     run_trajectory,
     uniform_strategy,
@@ -24,11 +23,11 @@ def trace_with(xbar, x=None):
     xbar = np.asarray(xbar, dtype=float)
     n = xbar.size
     x = xbar if x is None else np.asarray(x, dtype=float)
-    record = TraceRecord(step=5, alpha=0.5, weight_sum=2.0, gap_avg=0.0,
-                         gap_iter=0.0, avg_step_norm=0.0, x=x, xbar=xbar,
-                         log_next=np.log(x), avg_self_play=0.0)
+    # K = 5; alpha, A_K, gap_avg, gap_iter, avg_step_norm; X; Xbar
+    row = np.concatenate([[0.5, 2.0, 0.0, 0.0, 0.0], x, xbar])
     return Trace(n=n, x0=np.full(n, 1.0 / n), schedule_label="power:0.6667",
-                 emit_every=1, records=[record])
+                 emit_every=1, steps=np.array([5]), table=row[None],
+                 log_next=np.log(x)[None], avg_self_play=np.array([0.0]))
 
 
 def order(game, record, criterion):

@@ -1,0 +1,306 @@
+"""The columnar Trace: the template JSONL encoder against json.dumps, the
+checks a file trace must pass, the derived records, the vectorised
+trajectory identities against their per-record loop, and extract --trace
+on mutated trace files."""
+
+import contextlib
+import io
+import json
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hedgenash import (
+    DEFAULT_SCHEDULE,
+    GAME_KINDS,
+    GameError,
+    Trace,
+    TraceRecord,
+    diagnose_trajectory_identities,
+    generate_game,
+    run_trajectory,
+    uniform_strategy,
+)
+from hedgenash.cli import main
+from hedgenash.dynamics import ACCUMULATED_TOL, TRAJECTORY_CHECKS
+from hedgenash.rng import Xoshiro256StarStar
+
+GAME = "random_uniform:4:1"
+
+
+def json_reference(trace) -> str:
+    """The per-record json.dumps writer the template replaced."""
+    return "".join(json.dumps({
+        "K": r.step, "alpha": r.alpha, "A_K": r.weight_sum, "gap_avg": r.gap_avg,
+        "gap_iter": r.gap_iter, "avg_step_norm": r.avg_step_norm,
+        "X": r.x.tolist(), "Xbar": r.xbar.tolist()}) + "\n" for r in trace.records)
+
+
+def write(trace, tmp_path, fmt):
+    path = tmp_path / f"trace.{fmt}"
+    getattr(trace, f"to_{fmt}")(path)
+    return path
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+def test_jsonl_template_matches_json_dumps(tmp_path, n):
+    for kind in GAME_KINDS:
+        trace = run_trajectory(generate_game(kind, n, 2), uniform_strategy(n),
+                               DEFAULT_SCHEDULE, 600, emit_every=7)
+        assert write(trace, tmp_path, "jsonl").read_text() == json_reference(trace)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_non_finite_scalars_written_as_json_writes_them(tmp_path, fmt):
+    # only a loaded file can hold a non-finite scalar; json writes it as
+    # NaN, Infinity or -Infinity, where %r would write nan, inf or -inf
+    trace = run_trajectory(generate_game("random_uniform", 3, 0), uniform_strategy(3),
+                           DEFAULT_SCHEDULE, 40, emit_every=4)
+    trace.table[2, 0] = math.nan
+    trace.table[3, 2] = math.inf
+    trace.table[3, 4] = -math.inf
+    trace.table[5, 1:3] = [-math.inf, math.nan]
+    loaded = Trace.from_file(write(trace, tmp_path, fmt))
+    assert np.isnan(loaded.table[2, 0]) and loaded.table[3, 4] == -math.inf
+    text = write(loaded, tmp_path, "jsonl").read_text()
+    assert text == json_reference(loaded)
+    assert "NaN" in text and "-Infinity" in text and "nan" not in text
+    assert write(trace, tmp_path, "jsonl").read_text() == text
+
+
+def test_records_are_derived_views(tmp_path):
+    trace = run_trajectory(generate_game("zero_sum_symmetric", 5, 0), uniform_strategy(5),
+                           DEFAULT_SCHEDULE, 300, emit_every=10)
+    records = trace.records
+    assert trace.records is records and len(records) == len(trace.steps) == 31
+    assert all(type(r) is TraceRecord for r in records)
+    assert [r.step for r in records] == list(range(0, 301, 10))
+    assert all(r.x.base is not None for r in records)          # views, not copies
+    assert np.shares_memory(records[-1].xbar, trace.table)
+    assert np.shares_memory(records[-1].log_next, trace.log_next)
+    final = trace.final
+    for name in ("step", "alpha", "weight_sum", "gap_avg", "gap_iter",
+                 "avg_step_norm", "avg_self_play"):
+        assert getattr(final, name) == getattr(records[-1], name)
+        assert type(getattr(final, name)) is type(getattr(records[-1], name))
+    for name in ("x", "xbar", "log_next"):
+        assert np.array_equal(getattr(final, name), getattr(records[-1], name))
+    back = Trace.from_file(write(trace, tmp_path, "csv"))
+    assert back.records[0].log_next is None and back.final.avg_self_play is None
+
+
+# ---------------------------------------------------------------------------
+# File trace checks
+# ---------------------------------------------------------------------------
+
+def rewrite(path, fmt, edit):
+    """Apply edit to the record lines of a trace file, keeping a CSV header."""
+    lines = path.read_text().splitlines()
+    head, body = (lines[:1], lines[1:]) if fmt == "csv" else ([], lines)
+    path.write_text("\n".join(head + edit(body)) + "\n")
+    return len(head) + 1        # the line number of the first record
+
+
+def scaled_x(fmt, line, factor, side=0):
+    """line with its X (side 0) or Xbar (side 1) scaled by factor."""
+    if fmt == "jsonl":
+        record = json.loads(line)
+        key = ("X", "Xbar")[side]
+        return json.dumps({**record, key: [v * factor for v in record[key]]})
+    fields = line.split(",")
+    n = (len(fields) - 6) // 2
+    lo = 6 + side * n
+    fields[lo:lo + n] = [repr(float(v) * factor) for v in fields[lo:lo + n]]
+    return ",".join(fields)
+
+
+def negated_first(fmt, line):
+    if fmt == "jsonl":
+        record = json.loads(line)
+        record["Xbar"][0] *= -1
+        record["Xbar"][1] -= 2 * record["Xbar"][0]     # the sum stays 1
+        return json.dumps(record)
+    fields = line.split(",")
+    n = (len(fields) - 6) // 2
+    a, b = float(fields[6 + n]), float(fields[7 + n])
+    fields[6 + n], fields[7 + n] = repr(-a), repr(b + 2 * a)
+    return ",".join(fields)
+
+
+@pytest.fixture(params=["csv", "jsonl"])
+def trace_file(request, tmp_path):
+    trace = run_trajectory(generate_game("random_uniform", 4, 1), uniform_strategy(4),
+                           DEFAULT_SCHEDULE, 60, emit_every=3)
+    return request.param, write(trace, tmp_path, request.param)
+
+
+@pytest.mark.parametrize("case, edit, offset, message", [
+    ("reversed", lambda b, f: b[::-1], 1, "K = 57 after K = 60"),
+    ("duplicate", lambda b, f: b[:5] + b[4:], 5, "K = 12 after K = 12"),
+    ("swapped", lambda b, f: b[:3] + [b[4], b[3]] + b[5:], 4, "K = 9 after K = 12"),
+    ("X off 1", lambda b, f: b[:6] + [scaled_x(f, b[6], 1.00001)] + b[7:], 6,
+     "X is not a probability vector"),
+    ("Xbar off 1", lambda b, f: b[:6] + [scaled_x(f, b[6], 0.99999, 1)] + b[7:], 6,
+     "Xbar is not a probability vector"),
+    ("negative", lambda b, f: b[:9] + [negated_first(f, b[9])] + b[10:], 9,
+     "Xbar is not a probability vector (min -"),
+])
+def test_bad_file_trace_names_first_offending_line(trace_file, capsys, case, edit,
+                                                   offset, message):
+    fmt, path = trace_file
+    first = rewrite(path, fmt, lambda body: edit(body, fmt))
+    with pytest.raises(GameError, match=re.escape(f"{path}:{first + offset}: {message}")):
+        Trace.from_file(path)
+    assert main(["extract", "--game", GAME, "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}:{first + offset}: ")
+
+
+def test_sum_within_tolerance_is_accepted(trace_file):
+    fmt, path = trace_file
+    rewrite(path, fmt, lambda body: body[:6] + [scaled_x(fmt, body[6], 1 + 5e-7)] + body[7:])
+    assert len(Trace.from_file(path).steps) == 21
+
+
+def test_trace_without_step_zero_has_no_start(trace_file, capsys):
+    fmt, path = trace_file
+    rewrite(path, fmt, lambda body: body[1:])
+    trace = Trace.from_file(path)
+    assert trace.x0 is None and trace.steps[0] == 3 and not trace.uniform_start
+    assert main(["extract", "--game", GAME, "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: the first record has K = 3, not 0, so the start X^0 is unknown\n"
+
+
+# ---------------------------------------------------------------------------
+# Trajectory identities against the per-record loop
+# ---------------------------------------------------------------------------
+
+def identities_loop(game, trace, checks):
+    """The per-record evaluation the vectorised one replaced."""
+    c = game.payoff
+    log_c0 = math.log(trace.x0.min() / trace.x0.max())
+    viol = dict.fromkeys(checks, 0.0)
+    for r in trace.records:
+        cxbar = c @ r.xbar
+        a_k = r.weight_sum
+        if "log_ratio_identity" in checks:
+            d = r.log_next / a_k - cxbar
+            viol["log_ratio_identity"] = max(viol["log_ratio_identity"],
+                                             float(d.max() - d.min()))
+        if "payoff_floor_bound" in checks:
+            floor = (log_c0 + r.log_next) / a_k
+            gap_to_max = cxbar - cxbar.max()
+            viol["payoff_floor_bound"] = max(viol["payoff_floor_bound"],
+                                             float(np.max(floor - gap_to_max)))
+        if "self_play_bound" in checks:
+            x_next = np.exp(r.log_next)
+            viol["self_play_bound"] = max(viol["self_play_bound"],
+                                          r.avg_self_play - float(x_next @ cxbar))
+    return [(name, len(trace.records), viol[name], ACCUMULATED_TOL) for name in checks]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+@pytest.mark.parametrize("kind", GAME_KINDS)
+def test_identities_match_per_record_loop(kind, n):
+    game = generate_game(kind, n, 3)
+    starts = {"uniform": (uniform_strategy(n), TRAJECTORY_CHECKS),
+              "random": (Xoshiro256StarStar(n).interior_point(n), TRAJECTORY_CHECKS[1:])}
+    for x0, checks in starts.values():
+        for emit_every in (1, 7, 1000):
+            trace = run_trajectory(game, x0, DEFAULT_SCHEDULE, 1500, emit_every=emit_every)
+            report = diagnose_trajectory_identities(game, trace, checks)
+            got = [(c.name, c.samples, c.max_violation, c.tolerance) for c in report.checks]
+            assert got == identities_loop(game, trace, checks)
+            assert all(type(c.max_violation) is float for c in report.checks)
+
+
+def test_unknown_identity_check_rejected():
+    game = generate_game("random_uniform", 3, 0)
+    trace = run_trajectory(game, uniform_strategy(3), DEFAULT_SCHEDULE, 20)
+    with pytest.raises(GameError, match="unknown trajectory check 'bogus'"):
+        diagnose_trajectory_identities(game, trace, ("self_play_bound", "bogus"))
+
+
+# ---------------------------------------------------------------------------
+# extract --trace on mutated files
+# ---------------------------------------------------------------------------
+
+TOKENS = ["", "x", "nan", "inf", "-inf", "-1", "0", "2", "-0.0", "1e308", "1e-320",
+          "3.5", "1e3", "null", "true", "[]", '"s"', "99999999999999999999999"]
+
+
+@pytest.fixture(scope="module")
+def base_traces(tmp_path_factory):
+    trace = run_trajectory(generate_game("random_uniform", 4, 1), uniform_strategy(4),
+                           DEFAULT_SCHEDULE, 60, emit_every=3)
+    root = tmp_path_factory.mktemp("fuzz")
+    return root, {fmt: write(trace, root, fmt).read_text() for fmt in ("csv", "jsonl")}
+
+
+def corrupt_field(fmt, line, pick, token):
+    """line with one field replaced by token: a CSV field, or a JSON number."""
+    if fmt == "csv":
+        fields = line.split(",")
+        fields[pick % len(fields)] = token
+        return ",".join(fields)
+    spans = [m.span() for m in re.finditer(r"-?\d[\d.eE+-]*", line)]
+    lo, hi = spans[pick % len(spans)]
+    return line[:lo] + token + line[hi:]
+
+
+mutations = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 30)),
+    st.tuples(st.just("duplicate"), st.integers(0, 30)),
+    st.tuples(st.just("swap"), st.integers(0, 30), st.integers(0, 30)),
+    st.tuples(st.just("field"), st.integers(0, 30), st.integers(0, 40),
+              st.sampled_from(TOKENS)),
+    st.tuples(st.just("truncate"), st.integers(0, 4000)))
+
+
+def mutate(text, mutation):
+    lines = text.splitlines()
+    kind, *args = mutation
+    if kind == "truncate":
+        return text[:args[0] % (len(text) + 1)]
+    i = args[0] % len(lines)
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = args[1] % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(fmt=st.sampled_from(["csv", "jsonl"]), mutation=mutations)
+def test_extract_on_mutated_trace_exits_cleanly(base_traces, fmt, mutation):
+    root, texts = base_traces
+    text = texts[fmt]
+    if mutation[0] == "field":
+        _, line, pick, token = mutation
+        lines = text.splitlines()
+        i = line % len(lines)
+        lines[i] = corrupt_field(fmt, lines[i], pick, token)
+        text = "\n".join(lines) + "\n"
+    else:
+        text = mutate(text, mutation)
+    path = root / f"mutated.{fmt}"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["extract", "--game", GAME, "--trace", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+    else:
+        assert err.getvalue() == "" and "certificate" in json.loads(out.getvalue())
