@@ -7,6 +7,7 @@ Exit codes: 0 success/verified, 1 verification failed, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import sys
@@ -232,9 +233,11 @@ def cmd_verify(args) -> int:
     x = _parse_x0(args.x, game.n, args.seed)
     if x.size != game.n:
         raise GameError(f"strategy has length {x.size}, game has n={game.n}")
-    if x.min() < -1e-6 or abs(x.sum() - 1.0) > 1e-6:
+    with np.errstate(over="ignore"):           # a sum past the float range is inf
+        total = x.sum()
+    if x.min() < -1e-6 or abs(total - 1.0) > 1e-6:
         raise GameError(
-            f"vector is off the simplex beyond 1e-6 (sum {x.sum():.17g}, "
+            f"vector is off the simplex beyond 1e-6 (sum {total:.17g}, "
             f"min {x.min():.17g}); refusing to renormalize silently")
     x = np.clip(x, 0.0, None)
     x = x / x.sum()
@@ -299,7 +302,11 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each parse_args call
+    fills a fresh namespace from the declared defaults, so nothing one
+    call parses is seen by the next."""
     parser = argparse.ArgumentParser(
         prog="hedge-nash",
         description="Symmetric Nash equilibria via Hedge self-play with "
@@ -383,8 +390,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    # a MemoryError is an argument (a step count) whose arrays cannot be allocated
     except (GameError, ScheduleError, LPError, OSError,
-            ValueError, KeyError) as exc:
+            ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -287,13 +287,17 @@ class Trace:
         negative entry, or a sum off 1 by more than _SIMPLEX_TOL). A trace
         whose first K is not 0 loads with x0 None: its start is unknown."""
         path = Path(path)
-        lines = path.read_text().strip().splitlines()
+        text = path.read_text()
+        lines = text.strip().splitlines()
+        # the file line of lines[0]: one past the line breaks stripped before it
+        leading = text[:len(text) - len(text.lstrip())]
+        first = len((leading + ".").splitlines())
         if lines and lines[0].startswith("{"):
-            body, first, parse = lines, 1, _jsonl_columns
+            body, parse = lines, _jsonl_columns
         else:
             header = lines[0].split(",") if lines else []
             n = sum(1 for name in header if name.startswith("X_"))
-            body, first = lines[1:], 2
+            body, first = lines[1:], first + 1
             parse = functools.partial(_csv_columns, n=n)
         if not body:
             raise GameError(f"trace file {path} contains no records")
@@ -375,8 +379,11 @@ def _jsonl_columns(lines: list[str]):
 
 def _parse_located(parse, lines: list[str], path: Path, first: int):
     """parse(lines), or a GameError naming the first line that does not
-    parse. Whether a record parses depends on no line after it, so that
-    line ends the shortest failing prefix, which bisection finds."""
+    parse; lines[0] is line ``first`` of the file. Whether a record parses
+    depends on no line after it, so that line ends the shortest failing
+    prefix, which bisection finds. The error quoted is the line's own when
+    it fails alone, so its positions are within the line; otherwise (a
+    width that differs from earlier records) it is the prefix's."""
     try:
         return parse(lines)
     except _UNREADABLE as exc:
@@ -389,6 +396,10 @@ def _parse_located(parse, lines: list[str], path: Path, first: int):
             good = mid
         except _UNREADABLE as exc:
             bad, error = mid, exc
+    try:
+        parse(lines[bad - 1:bad])
+    except _UNREADABLE as exc:
+        error = exc
     raise GameError(f"{path}:{first + bad - 1}: unreadable trace record "
                     f"({error})") from None
 
@@ -424,15 +435,17 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     averages, plus ln X^{K+1} and the running weighted self-play payoff
     (retained for the trajectory-identity diagnostics).
 
-    Only the iterate is a recurrence. Its step allocates nothing: seven
-    numpy calls write CX^k, the shifted logits, the sum of their
-    exponentials and X^{k+1} into arrays allocated once per run, and the
-    rate and the sum enter as 0-d array cells, which skips a scalar
-    conversion per call. Each call is the one an allocating expression
-    would make (the same elementwise loop, pairwise sum or BLAS gemv) on the
-    same operands, so the bits are the same. The max-shift subtracts
-    ``logits[logits.argmax()]``: an element of the logits, so the same float
-    a max reduction returns, and a NaN logit is the first maximum for both.
+    Only the iterate is a recurrence. Its step allocates nothing and makes
+    one C call per operation: seven calls write CX^k, the shifted logits,
+    the sum of their exponentials and X^{k+1} into arrays allocated once per
+    run, and the rate, the sum and the max-shift enter as 0-d array views,
+    which skips a scalar conversion per call. Each call is the one an
+    allocating expression would make (the same elementwise loop, pairwise
+    sum or BLAS gemv; ``c.dot`` is the matrix product behind ``np.dot``
+    without its dispatcher) on the same operands, so the bits are the same.
+    The max-shift subtracts the view of ``logits[logits.argmax()]``: an
+    element of the logits, so the same float a max reduction returns, and a
+    NaN logit is the first maximum for both.
     The running sums and the records are then evaluated a block of steps at
     a time, with the same floating-point operations in the same order as a
     step-by-step evaluation, and written into the trace's columns,
@@ -456,7 +469,8 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
         raise ScheduleError(validation.reason or "invalid schedule")
 
     c = game.payoff
-    alphas = schedule.rates(k_max + 1)
+    with np.errstate(over="ignore"):           # an overflowing rate is refused below
+        alphas = schedule.rates(k_max + 1)
     if not np.all(np.isfinite(alphas)):
         raise ScheduleError(f"schedule {schedule.label} yields a non-finite rate")
     # every average divides by A_K = alpha_0 + ... + alpha_K
@@ -466,7 +480,10 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     accum = np.zeros_like(x0)
     weight = 0.0
     self_play_sum = 0.0
-    count = k_max // emit_every + 1 + (k_max % emit_every != 0)
+    # past k_max, an emission interval emits K = 0 and k_max alone, as
+    # k_max + 1 does, whose multiples fit an index
+    every = min(emit_every, k_max + 1)
+    count = k_max // every + 1 + (k_max % every != 0)
     lo, n = len(_WIRE_SCALARS), game.n
     trace = Trace(n=n, x0=x0.copy(), schedule_label=schedule.label,
                   emit_every=emit_every, steps=np.empty(count, dtype=np.int64),
@@ -486,8 +503,9 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     rate_cells = [rate_block[i, ...] for i in range(block)]
     wsum_cells = [wsum_block[i, ...] for i in range(block)]
     logits, tmp, w = np.log(x0), np.empty(game.n), np.empty(game.n)
-    argmax, item = logits.argmax, logits.item
-    dot, multiply, add, subtract = np.dot, np.multiply, np.add, np.subtract
+    peaks = [logits[i, ...] for i in range(game.n)]
+    argmax, dot = logits.argmax, c.dot
+    multiply, add, subtract = np.multiply, np.add, np.subtract
     exp, divide, total = np.exp, np.divide, np.add.reduce
 
     for start in range(0, k_max + 1, block):
@@ -498,33 +516,35 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
             for alpha, x, cx, shifted, wsum, x_next in zip(
                     rate_cells[:size], x_rows, cx_rows, shifted_rows, wsum_cells,
                     next_rows):
-                dot(c, x, cx)
+                dot(x, cx)
                 multiply(alpha, cx, tmp)
                 add(logits, tmp, logits)
-                subtract(logits, item(argmax()), shifted)
+                subtract(logits, peaks[argmax()], shifted)
                 exp(shifted, w)
-                total(w, 0, None, wsum)
+                total(w, None, None, wsum)
                 divide(w, wsum, x_next)
             weights = _running_sum(weight, rates)
         xs, cxs, shifteds = x_block[:size], cx_block[:size], shifted_block[:size]
-        finite = np.isfinite(shifteds).all(axis=1) & np.isfinite(weights)
-        if not finite.all():
+        if not (np.isfinite(shifteds).all() and np.isfinite(weights).all()):
+            finite = np.isfinite(shifteds).all(axis=1) & np.isfinite(weights)
             raise ScheduleError(f"schedule {schedule.label} overflows at step "
                                 f"{start + int(np.argmin(finite))}: A_K or the "
                                 "logits are no longer finite")
 
-        steps = np.arange(start, start + size)
         terms = rates[:, None] * xs
         accums = _running_sum(accum, terms)
         xcx = _row_dots(xs, cxs)
         self_plays = _running_sum(self_play_sum, rates * xcx)
         accum, weight, self_play_sum = accums[-1], weights[-1], self_plays[-1]
 
-        e = np.flatnonzero((steps % emit_every == 0) | (steps == k_max))
+        # the emitted rows: every multiple of emit_every, and k_max
+        e = np.arange(-start % every, size, every)
+        if start + size > k_max and k_max % every:
+            e = np.append(e, size - 1)
         rows = slice(emitted, emitted + len(e))
         emitted += len(e)
         table = trace.table[rows]
-        trace.steps[rows] = steps[e]
+        trace.steps[rows] = start + e
         table[:, 0], table[:, 1] = rates[e], weights[e]
         table[:, lo:lo + n] = xs[e]
         xbar = table[:, lo + n:]
@@ -534,7 +554,7 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
         table[:, 3] = cxs[e].max(axis=1) - xcx[e]
         # ||Xbar^K - Xbar^{K-1}||, Xbar^{K-1} recovered from step K's sums;
         # K = 0 has no predecessor and reads 0
-        moved = steps[e] > 0
+        moved = start + e > 0
         prev = e[moved]
         diff = xbar[moved] - ((accums[prev] - terms[prev])
                               / (weights[prev] - rates[prev])[:, None])

@@ -124,8 +124,10 @@ def as_strategy(x, tol: float = SIMPLEX_TOL) -> np.ndarray:
         raise GameError("strategy contains non-finite entries")
     if v.min() < -tol:
         raise GameError(f"strategy has negative entry {v.min():g}")
-    if abs(v.sum() - 1.0) > max(tol, 1e-12 * v.size):
-        raise GameError(f"strategy entries sum to {v.sum():.17g}, not 1")
+    with np.errstate(over="ignore"):           # a sum past the float range is inf
+        total = v.sum()
+    if abs(total - 1.0) > max(tol, 1e-12 * v.size):
+        raise GameError(f"strategy entries sum to {total:.17g}, not 1")
     return v
 
 

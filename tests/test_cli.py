@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +380,21 @@ class TestUsage:
 
     def test_help_exits_cleanly(self):
         assert main(["--help"]) == 0
+
+    def test_parser_built_once_keeps_no_values_between_calls(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        game, steps = ["--game", "random_uniform:3:0"], ["--steps", "20"]
+        first = tmp_path / "first.jsonl"
+        assert main(["run", *game, *steps, "--schedule", "constant:0.5", "--force",
+                     "--format", "jsonl", "--out", str(first)]) == 0
+        assert main(["extract", *game, *steps, "--criteria", "bogus"]) == 2
+        # no --force, --format, --out or --criteria is carried into a later call
+        second = tmp_path / "second.csv"
+        assert main(["run", *game, *steps, "--schedule", "constant:0.5",
+                     "--out", str(second)]) == 2
+        assert main(["run", *game, *steps, "--out", str(second)]) == 0
+        summary = json.loads(Path(f"{second}.summary.json").read_text())
+        assert summary["format"] == "csv" and not summary["forced"]
+        assert second.read_text().startswith("K,alpha,")
+        assert main(["extract", *game, *steps]) in (0, 1)
+        assert json.loads(Path(f"{first}.summary.json").read_text())["forced"]

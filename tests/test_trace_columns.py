@@ -161,6 +161,44 @@ def test_bad_file_trace_names_first_offending_line(trace_file, capsys, case, edi
     assert err.count("\n") == 1 and err.startswith(f"error: {path}:{first + offset}: ")
 
 
+def garbled(fmt, line):
+    """line broken so that it fails alone: cut short, or given a word field."""
+    return line[:-7] if fmt == "jsonl" else line.replace(",", ",x,", 1)
+
+
+def narrowed(fmt, line):
+    """line with X and Xbar one entry short: only a JSON line parses so alone."""
+    if fmt == "csv":
+        return line.rsplit(",", 2)[0]
+    record = json.loads(line)
+    return json.dumps({**record, "X": record["X"][1:], "Xbar": record["Xbar"][1:]})
+
+
+@pytest.mark.parametrize("edit, own_error", [
+    (garbled, {"csv": "could not convert string 'x'",
+               "jsonl": "Expecting ',' delimiter: line 1 column "}),
+    (narrowed, {"csv": "fields, expected 14", "jsonl": "inhomogeneous shape"}),
+])
+def test_error_names_file_line_after_leading_blank_lines(trace_file, edit, own_error):
+    # lines are numbered from the file, not from its stripped text, and a
+    # line that fails alone is quoted with its own error, whose positions
+    # are within that line; a JSON line that is only too narrow for the
+    # records before it keeps the error of the prefix that failed
+    fmt, path = trace_file
+    lines = path.read_text().splitlines()
+    bad = 4 if fmt == "jsonl" else 5               # the record on file line 7 or 8
+    lines[bad] = edit(fmt, lines[bad])
+    path.write_text("\n\n" + "\n".join(lines) + "\n")
+    with pytest.raises(GameError) as info:
+        Trace.from_file(path)
+    assert str(info.value).startswith(f"{path}:{bad + 3}: unreadable trace record (")
+    assert own_error[fmt] in str(info.value)
+    if own_error[fmt].startswith("Expecting"):
+        column = int(re.search(r"column (\d+)", str(info.value))[1])
+        # a position in the line as its chunk brackets it, or just past its end
+        assert column <= len(f"[{lines[bad]}]") + 1
+
+
 def test_sum_within_tolerance_is_accepted(trace_file):
     fmt, path = trace_file
     rewrite(path, fmt, lambda body: body[:6] + [scaled_x(fmt, body[6], 1 + 5e-7)] + body[7:])
