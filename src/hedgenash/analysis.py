@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .game import (
-    DEFAULT_SUPPORT_TOL,
+    SUPPORT_TOL,
     GameError,
     SymmetricGame,
     as_strategy,
@@ -25,6 +26,22 @@ from .game import (
 from .lp import LPError, StandardFormLP, solve_lp
 
 DEFAULT_CERT_TOL = 1e-8
+ORACLE_MAX_N = 6        # the largest n of the oracle, which solves 2^n - 1 supports
+
+# ASCII decimal or scientific notation: no digit separators, other scripts'
+# digits, hexadecimal, inf or nan, all of which float() reads.
+_DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def parse_tolerance(text: str) -> float:
+    """A tolerance written in ASCII decimal or scientific notation, finite
+    and >= 0; anything else is a GameError."""
+    if not _DECIMAL.fullmatch(text):
+        raise GameError(f"tolerance is not a decimal number: {text!r}")
+    tol = float(text)
+    if not 0.0 <= tol < np.inf:
+        raise GameError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def certificate_tolerance() -> float:
@@ -32,12 +49,9 @@ def certificate_tolerance() -> float:
     if not env:
         return DEFAULT_CERT_TOL
     try:
-        tol = float(env)
-    except ValueError:
-        raise GameError(f"HEDGE_NASH_TOL is not a number: {env!r}") from None
-    if not 0.0 <= tol < np.inf:
-        raise GameError(f"HEDGE_NASH_TOL must be finite and >= 0, got {env!r}")
-    return tol
+        return parse_tolerance(env)
+    except GameError as exc:
+        raise GameError(f"HEDGE_NASH_TOL: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -70,13 +84,12 @@ def epsilon_gap(game: SymmetricGame, x) -> float:
     return float(cx.max() - x @ cx)
 
 
-def well_supported_eps(game: SymmetricGame, x,
-                       tol: float = DEFAULT_SUPPORT_TOL) -> float:
+def well_supported_eps(game: SymmetricGame, x) -> float:
     """Smallest eps at which every supported pure strategy is within eps
     of the best payoff against x."""
     x = as_strategy(x)
     cx = game.payoff @ x
-    supported = np.asarray(x) > tol
+    supported = x > SUPPORT_TOL
     return float(cx.max() - cx[supported].min())
 
 
@@ -209,8 +222,7 @@ def _equalizing_solution(c: np.ndarray, carrier: list[int]):
     return sol, null, residual
 
 
-def enumerate_symmetric_equilibria(game: SymmetricGame,
-                                   n_max: int = 6) -> list[EquilibriumCertificate]:
+def enumerate_symmetric_equilibria(game: SymmetricGame) -> list[EquilibriumCertificate]:
     """Brute-force oracle: for every nonempty support solve the indifference
     linear system and keep solutions that are symmetric equilibria.
 
@@ -218,8 +230,8 @@ def enumerate_symmetric_equilibria(game: SymmetricGame,
     the null space. Results are deduplicated at l-inf distance 1e-7.
     """
     n = game.n
-    if n > n_max:
-        raise GameError(f"support enumeration limited to n <= {n_max}, got n={n}")
+    if n > ORACLE_MAX_N:
+        raise GameError(f"support enumeration limited to n <= {ORACLE_MAX_N}, got n={n}")
     tol = certificate_tolerance()
     c = game.payoff
     found: list[np.ndarray] = []

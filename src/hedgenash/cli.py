@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import multiprocessing
 import sys
 import time
 from pathlib import Path
@@ -21,6 +20,7 @@ from .analysis import (
     enumerate_symmetric_equilibria,
     epsilon_gap,
     min_equalizer_gap,
+    parse_tolerance,
     verify_support,
     well_supported_eps,
 )
@@ -75,6 +75,14 @@ def _parse_x0(spec: str, n: int, seed: int) -> np.ndarray:
         return np.array([float(tok) for tok in spec[4:].split(",")])
     raise GameError(f"cannot parse start spec {spec!r}; "
                     "expected uniform | random | csv:p1,p2,...")
+
+
+def _print_json(payload, out: str | None = None) -> None:
+    """Print ``payload`` as indented JSON, and write it to ``out`` first if given."""
+    text = json.dumps(payload, indent=2)
+    if out:
+        Path(out).write_text(text + "\n")
+    print(text)
 
 
 def _parse_schedule_arg(spec: str | None):
@@ -155,21 +163,13 @@ def _check_config(index: int, config) -> None:
 def cmd_run(args) -> int:
     if not args.config and not args.game:
         raise GameError("--game is required without --config")
-    if args.jobs < 1:
-        raise GameError(f"--jobs must be >= 1, got {args.jobs}")
     if args.config:
         configs = json.loads(Path(args.config).read_text())
         if not isinstance(configs, list):
             raise GameError("--config must hold a JSON list of run configs")
         for index, config in enumerate(configs):
             _check_config(index, config)
-        workers = min(args.jobs, len(configs))
-        if workers > 1:
-            with multiprocessing.Pool(workers) as pool:
-                summaries = pool.map(_run_one, configs)
-        else:
-            summaries = [_run_one(cfg) for cfg in configs]
-        print(json.dumps(summaries, indent=2))
+        _print_json([_run_one(config) for config in configs])
         return EXIT_OK
     if args.steps is None:
         raise GameError("--steps is required without --config")
@@ -179,8 +179,7 @@ def cmd_run(args) -> int:
         "force": args.force, "out": args.out or "hedge_trace.csv",
         "format": args.format,
     }
-    summary = _run_one(config)
-    print(json.dumps(summary, indent=2))
+    _print_json(_run_one(config))
     return EXIT_OK
 
 
@@ -202,19 +201,13 @@ def cmd_extract(args) -> int:
                                emit_every=args.emit_every, force=args.force)
     criteria = tuple(args.criteria.split(",")) if args.criteria else CRITERIA
     outcome = extract_certificate(game, trace, criteria=criteria)
-    payload = outcome.to_dict()
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _print_json(outcome.to_dict(), args.out)
     return EXIT_OK if outcome.certificate is not None else EXIT_FAILED
 
 
 def cmd_verify(args) -> int:
     game = _load_game_spec(args.game)
     tol = args.tol if args.tol is not None else certificate_tolerance()
-    if not 0.0 <= tol < np.inf:
-        raise GameError(f"--tol must be finite and >= 0, got {tol!r}")
     if (args.x is None) == (args.support is None):
         raise GameError("exactly one of --x or --support is required")
 
@@ -255,12 +248,8 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     game = _load_game_spec(args.game)
     certs = enumerate_symmetric_equilibria(game)
-    payload = {"game_digest": game.digest(),
-               "equilibria": [c.to_dict() for c in certs]}
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _print_json({"game_digest": game.digest(),
+                 "equilibria": [c.to_dict() for c in certs]}, args.out)
     return EXIT_OK
 
 
@@ -274,32 +263,38 @@ def cmd_generate(args) -> int:
 def cmd_decompose(args) -> int:
     game = _load_game_spec(args.game)
     sym, skew = decompose(game)
-    payload = {
+    _print_json({
         "doubly_symmetric": [[float(v) for v in row] for row in sym],
         "zero_sum": [[float(v) for v in row] for row in skew],
-    }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    }, args.out)
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
     game = _load_game_spec(args.game)
     if args.samples == 0:
-        print(json.dumps({"all_passed": True, "vacuous": True, "checks": []},
-                         indent=2))
+        _print_json({"all_passed": True, "vacuous": True, "checks": []}, args.out)
         return EXIT_OK
     if not game.normalized:
         game, _, _ = normalize_payoffs(game)
     report = diagnose_entropy_bounds(game, args.samples, args.seed)
-    payload = report.to_dict()
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _print_json(report.to_dict(), args.out)
     return EXIT_OK if report.all_passed else EXIT_FAILED
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (its subparsers too) whose errors are GameErrors,
+    which main prints as one `error: ...` line, with no usage block."""
+
+    def error(self, message):
+        raise GameError(message)
+
+
+def _tolerance_arg(text: str) -> float:
+    try:
+        return parse_tolerance(text)
+    except GameError as exc:      # argparse names the flag before the message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache
@@ -307,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: each parse_args call
     fills a fresh namespace from the declared defaults, so nothing one
     call parses is seen by the next."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hedge-nash",
         description="Symmetric Nash equilibria via Hedge self-play with "
                     "weighted averaging and LP certificate extraction.")
@@ -333,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_flags(p)
     p.add_argument("--out", help="trace output path (default hedge_trace.csv)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--config", help="JSON list of run configs (batch mode)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel processes for --config batches")
+    p.add_argument("--config", help="JSON list of run configs, run in order")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("extract", help="extract an equilibrium certificate")
@@ -350,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_game(p)
     p.add_argument("--x", help="uniform | random | csv:p1,p2,...")
     p.add_argument("--support", help="comma list of 0-based indices")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance_arg,
+                   help="certificate tolerance (default $HEDGE_NASH_TOL or 1e-8)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
@@ -383,13 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:                       # --help, after printing the help
+        return EXIT_OK
     # a MemoryError is an argument (a step count) whose arrays cannot be allocated
     except (GameError, ScheduleError, LPError, OSError,
             ValueError, KeyError, MemoryError) as exc:

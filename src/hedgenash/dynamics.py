@@ -210,8 +210,6 @@ class Trace:
 
     n: int
     x0: np.ndarray | None
-    schedule_label: str
-    emit_every: int
     steps: np.ndarray
     table: np.ndarray
     log_next: np.ndarray | None = None
@@ -306,7 +304,7 @@ class Trace:
         n = (table.shape[1] - lo) // 2
         _check_records(steps, table, n, path, first)
         return cls(n=n, x0=table[0, lo:lo + n] if steps[0] == 0 else None,
-                   schedule_label="file", emit_every=0, steps=steps, table=table)
+                   steps=steps, table=table)
 
 
 def _check_records(steps: np.ndarray, table: np.ndarray, n: int, path: Path,
@@ -485,8 +483,7 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     every = min(emit_every, k_max + 1)
     count = k_max // every + 1 + (k_max % every != 0)
     lo, n = len(_WIRE_SCALARS), game.n
-    trace = Trace(n=n, x0=x0.copy(), schedule_label=schedule.label,
-                  emit_every=emit_every, steps=np.empty(count, dtype=np.int64),
+    trace = Trace(n=n, x0=x0.copy(), steps=np.empty(count, dtype=np.int64),
                   table=np.empty((count, lo + 2 * n)), log_next=np.empty((count, n)),
                   avg_self_play=np.empty(count), forced=not validation.valid)
     emitted = 0

@@ -18,7 +18,7 @@ import numpy as np
 from .rng import Xoshiro256StarStar
 
 SIMPLEX_TOL = 1e-12
-DEFAULT_SUPPORT_TOL = 1e-9
+SUPPORT_TOL = 1e-9
 
 GAME_KINDS = ("random_uniform", "zero_sum_symmetric", "doubly_symmetric", "coordination")
 
@@ -115,18 +115,18 @@ def decompose(game: SymmetricGame) -> tuple[np.ndarray, np.ndarray]:
     return sym, skew
 
 
-def as_strategy(x, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def as_strategy(x) -> np.ndarray:
     """Validate a mixed strategy: nonnegative entries summing to 1."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise GameError(f"strategy must be a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise GameError("strategy contains non-finite entries")
-    if v.min() < -tol:
+    if v.min() < -SIMPLEX_TOL:
         raise GameError(f"strategy has negative entry {v.min():g}")
     with np.errstate(over="ignore"):           # a sum past the float range is inf
         total = v.sum()
-    if abs(total - 1.0) > max(tol, 1e-12 * v.size):
+    if abs(total - 1.0) > max(SIMPLEX_TOL, 1e-12 * v.size):
         raise GameError(f"strategy entries sum to {total:.17g}, not 1")
     return v
 
@@ -139,12 +139,10 @@ def is_interior(x: np.ndarray) -> bool:
     return bool(np.all(np.asarray(x) > 0.0))
 
 
-def support(x, tol: float = DEFAULT_SUPPORT_TOL) -> tuple[int, ...]:
-    """Indices with mass above ``tol`` (0-based, ascending)."""
-    if tol < 0:
-        raise GameError("support tolerance must be >= 0")
+def support(x) -> tuple[int, ...]:
+    """Indices with mass above SUPPORT_TOL (0-based, ascending)."""
     v = np.asarray(x, dtype=float)
-    return tuple(int(i) for i in np.flatnonzero(v > tol))
+    return tuple(int(i) for i in np.flatnonzero(v > SUPPORT_TOL))
 
 
 def generate_game(kind: str, n: int, seed: int) -> SymmetricGame:

@@ -15,7 +15,12 @@ from hedgenash import (
     validate_game,
     verify_support,
 )
-from hedgenash.analysis import best_subequalizer, make_certificate, well_supported_eps
+from hedgenash.analysis import (
+    best_subequalizer,
+    make_certificate,
+    parse_tolerance,
+    well_supported_eps,
+)
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -85,11 +90,19 @@ class TestCertificates:
         monkeypatch.delenv("HEDGE_NASH_TOL")
         assert certificate_tolerance() == 1e-8
 
-    @pytest.mark.parametrize("value", ["tight", "nan", "-1e-6", "inf"])
+    @pytest.mark.parametrize("value", ["tight", "nan", "-1e-6", "inf", "1_0", "\u0663",
+                                       "0x10", "1e400", " 1e-4"])
     def test_bad_tolerance_env_is_game_error(self, monkeypatch, value):
         monkeypatch.setenv("HEDGE_NASH_TOL", value)
         with pytest.raises(GameError, match="HEDGE_NASH_TOL"):
             certificate_tolerance()
+
+    @pytest.mark.parametrize("value, tol", [("1e-8", 1e-8), ("0", 0.0), ("0.5", 0.5),
+                                            ("2.5E-3", 2.5e-3), (".5", 0.5), ("3.", 3.0)])
+    def test_tolerance_syntax(self, monkeypatch, value, tol):
+        assert parse_tolerance(value) == tol
+        monkeypatch.setenv("HEDGE_NASH_TOL", value)
+        assert certificate_tolerance() == tol
 
 
 class TestEqualizers:

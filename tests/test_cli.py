@@ -146,49 +146,49 @@ class TestRun:
                    "--steps", "10", "--out", str(tmp_path / "t.csv")])
         assert rc == 2
 
-    def test_batch_config_with_jobs(self, rps_file, identity_file, tmp_path):
+    def test_batch_config_matches_single_runs(self, rps_file, identity_file, tmp_path,
+                                              monkeypatch, capsys):
         configs = [
-            {"game": rps_file, "steps": 200, "out": str(tmp_path / "r1.csv")},
-            {"game": identity_file, "steps": 200, "out": str(tmp_path / "r2.csv")},
+            {"game": rps_file, "steps": 200, "emit_every": 10, "out": "r1.csv"},
+            {"game": identity_file, "steps": 150, "x0": "random", "seed": 3,
+             "schedule": "harmonic", "format": "jsonl", "out": "r2.jsonl"},
         ]
-        cfg = tmp_path / "batch.json"
-        cfg.write_text(json.dumps(configs))
-        rc = main(["run", "--config", str(cfg), "--jobs", "2"])
-        assert rc == 0
-        assert (tmp_path / "r1.csv").exists() and (tmp_path / "r2.csv").exists()
+        singles = [
+            ["--game", rps_file, "--steps", "200", "--emit-every", "10", "--out", "r1.csv"],
+            ["--game", identity_file, "--steps", "150", "--x0", "random", "--seed", "3",
+             "--schedule", "harmonic", "--format", "jsonl", "--out", "r2.jsonl"],
+        ]
+        batch_dir, single_dir = tmp_path / "batch", tmp_path / "single"
+        batch_dir.mkdir()
+        single_dir.mkdir()
+        (tmp_path / "batch.json").write_text(json.dumps(configs))
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_config_error(self, rps_file, tmp_path, capsys, jobs):
+        def outputs(directory, name):
+            summary = json.loads((directory / f"{name}.summary.json").read_text())
+            del summary["wall_time_s"]
+            return (directory / name).read_bytes(), summary
+
+        monkeypatch.chdir(batch_dir)
+        assert main(["run", "--config", str(tmp_path / "batch.json")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        monkeypatch.chdir(single_dir)
+        for argv in singles:
+            assert main(["run", *argv]) == 0
+        capsys.readouterr()
+        for config, summary in zip(configs, printed, strict=True):
+            batch = outputs(batch_dir, config["out"])
+            assert batch == outputs(single_dir, config["out"])
+            assert batch[1] == {k: v for k, v in summary.items() if k != "wall_time_s"}
+
+    @pytest.mark.parametrize("jobs", ["2", "0", "-3"])
+    def test_jobs_flag_is_usage_error(self, rps_file, tmp_path, capsys, jobs):
         cfg = tmp_path / "batch.json"
         cfg.write_text(json.dumps([{"game": rps_file, "steps": 10,
                                     "out": str(tmp_path / "r.csv")}]))
         rc = main(["run", "--config", str(cfg), "--jobs", jobs])
         assert rc == 2 and not (tmp_path / "r.csv").exists()
-        assert len(capsys.readouterr().err.splitlines()) == 1
-
-    def test_pool_capped_at_config_count(self, rps_file, tmp_path, monkeypatch):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, items):
-                return [func(item) for item in items]
-
-        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
-        configs = [{"game": rps_file, "steps": 10, "out": str(tmp_path / f"r{i}.csv")}
-                   for i in range(3)]
-        cfg = tmp_path / "batch.json"
-        cfg.write_text(json.dumps(configs))
-        assert main(["run", "--config", str(cfg), "--jobs", "64"]) == 0
-        assert started == [3]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unrecognized arguments: --jobs {jobs}"]
 
     @pytest.mark.parametrize("entry, named", [
         (1, "entry 0 is not a JSON object"),
@@ -248,11 +248,16 @@ class TestVerify:
         assert main(args) == 1
         assert main(args + ["--tol", "1e-4"]) == 0
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    # 1_0, an Arabic-Indic 3, hexadecimal and spaces are floats to Python,
+    # but no tolerance: on normalized payoffs a tolerance of 1 verifies anything
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1_0", "\u0663", "0x10", " 1e-4",
+                                     "1e", ""])
     def test_bad_tol_is_config_error(self, rps_file, capsys, tol):
-        assert main(["verify", "--game", rps_file, "--support", "0",
+        assert main(["verify", "--game", rps_file, "--x", "csv:1,0,0",
                      f"--tol={tol}"]) == 2
-        assert "--tol" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: argument --tol: tolerance ")
 
     def test_non_numeric_env_tolerance_is_config_error(self, rps_file, capsys,
                                                        monkeypatch):
@@ -329,6 +334,13 @@ class TestDiagnose:
         payload = json.loads(capsys.readouterr().out)
         assert payload["vacuous"] is True and payload["checks"] == []
 
+    def test_zero_samples_written_to_out(self, rps_file, tmp_path, capsys):
+        out = tmp_path / "diag.json"
+        assert main(["diagnose", "--game", rps_file, "--samples", "0",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert json.loads(out.read_text())["vacuous"] is True
+
     def test_negative_samples_is_config_error(self, rps_file, capsys):
         assert main(["diagnose", "--game", rps_file, "--samples", "-5"]) == 2
         captured = capsys.readouterr()
@@ -378,8 +390,27 @@ class TestUsage:
     def test_no_command(self):
         assert main([]) == 2
 
-    def test_help_exits_cleanly(self):
+    def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
+        assert main(["run", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: hedge-nash") and captured.err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--game", "random_uniform:3", "--steps", "abc"],
+         "argument --steps: invalid int value: 'abc'"),
+        (["conquer"], "argument command: invalid choice: 'conquer'"),
+        ([], "the following arguments are required: command"),
+        (["generate", "--n", "3", "--out", "g.json"],
+         "the following arguments are required: --kind"),
+        (["run", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    ])
+    def test_argparse_error_is_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {message}")
 
     def test_parser_built_once_keeps_no_values_between_calls(self, tmp_path, capsys):
         assert cli.build_parser() is cli.build_parser()

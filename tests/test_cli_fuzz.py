@@ -1,7 +1,7 @@
 """run, verify and extract driven with malformed game specs, schedules,
-start and strategy vectors, supports and HEDGE_NASH_TOL values: every call
-must end in exit 0 or 1, or exit 2 with one line on stderr, and never in a
-traceback or a stray warning.
+start and strategy vectors, supports, tolerances, and tokens of any kind
+for the integer flags: every call must end in exit 0 or 1, or exit 2 with
+one line on stderr, and never in a traceback or a stray warning.
 
 Generated games stay small: a game of n strategies draws n^2 doubles, so a
 spec such as random_uniform:100000 would run for minutes, not fail."""
@@ -76,8 +76,20 @@ tolerances = mostly(
     st.one_of(st.none(), st.floats(0.0, 1e-3).map(repr)),
     st.one_of(st.sampled_from(NUMBER_TOKENS + ["abc"]), st.floats().map(repr)))
 
-steps = mostly(st.integers(1, 300), st.integers(-2, 0))
-emit_intervals = mostly(st.integers(1, 400), st.sampled_from([-1, 0, 2**63, 10**30]))
+# tokens for argparse's int(): numbers of every syntax, and words
+untyped = st.one_of(st.sampled_from(NUMBER_TOKENS + ["abc", "1.0", "--", "-x"]),
+                    st.text(max_size=6))
+
+
+def int_flag(valid, malformed):
+    """An integer flag's token: an integer, valid three times in four; else a
+    malformed integer, or one time in sixteen a token that is no integer."""
+    return mostly(valid.map(str), mostly(malformed.map(str), untyped))
+
+
+steps = int_flag(st.integers(1, 300), st.integers(-2, 0))
+emit_intervals = int_flag(st.integers(1, 400), st.sampled_from([-1, 0, 2**63, 10**30]))
+seeds = int_flag(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70))
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +126,8 @@ def assert_clean_exit(argv, tol):
         assert err.getvalue() == ""
 
 
-def run_flags(schedule_dir, schedule, x0, k, emit_every, force):
-    flags = ["--steps", str(k), "--emit-every", str(emit_every), f"--x0={x0}"]
+def run_flags(schedule_dir, schedule, x0, k, emit_every, seed, force):
+    flags = [f"--steps={k}", f"--emit-every={emit_every}", f"--seed={seed}", f"--x0={x0}"]
     if schedule is not None:
         flags.append("--schedule=" + schedule.replace("{dir}", str(schedule_dir)))
     return flags + ["--force"] * force
@@ -127,28 +139,31 @@ FUZZ = settings(max_examples=120, deadline=None,
 
 @FUZZ
 @given(game=game_specs, schedule=schedules, x0=vectors, k=steps,
-       emit_every=emit_intervals, force=st.booleans(), tol=tolerances)
-# rates that overflow, start entries whose sum overflows, an interval past int64
-@example(game="random_uniform:3:0", schedule="power:-1e308", x0="uniform", k=5,
-         emit_every=1, force=True, tol=None)
-@example(game="random_uniform:3:0", schedule=None, x0="csv:1e308,1e308,1e308", k=5,
-         emit_every=1, force=False, tol=None)
-@example(game="random_uniform:3:0", schedule=None, x0="uniform", k=600,
-         emit_every=2**63, force=False, tol=None)
+       emit_every=emit_intervals, seed=seeds, force=st.booleans(), tol=tolerances)
+# rates that overflow, start entries whose sum overflows, an interval past int64,
+# and argparse type errors
+@example(game="random_uniform:3:0", schedule="power:-1e308", x0="uniform", k="5",
+         emit_every="1", seed="0", force=True, tol=None)
+@example(game="random_uniform:3:0", schedule=None, x0="csv:1e308,1e308,1e308", k="5",
+         emit_every="1", seed="0", force=False, tol=None)
+@example(game="random_uniform:3:0", schedule=None, x0="uniform", k="600",
+         emit_every=str(2**63), seed="0", force=False, tol=None)
+@example(game="random_uniform:3:0", schedule=None, x0="uniform", k="abc",
+         emit_every="1.5", seed="x", force=False, tol=None)
 def test_run_exits_cleanly(schedule_dir, tmp_path, game, schedule, x0, k, emit_every,
-                           force, tol):
+                           seed, force, tol):
     argv = ["run", f"--game={game}", f"--out={tmp_path / 'trace.csv'}",
-            *run_flags(schedule_dir, schedule, x0, k, emit_every, force)]
+            *run_flags(schedule_dir, schedule, x0, k, emit_every, seed, force)]
     assert_clean_exit(argv, tol)
 
 
 @FUZZ
 @given(game=game_specs, schedule=schedules, x0=vectors, k=steps,
-       emit_every=emit_intervals, force=st.booleans(), tol=tolerances)
-def test_extract_exits_cleanly(schedule_dir, game, schedule, x0, k, emit_every, force,
-                               tol):
+       emit_every=emit_intervals, seed=seeds, force=st.booleans(), tol=tolerances)
+def test_extract_exits_cleanly(schedule_dir, game, schedule, x0, k, emit_every, seed,
+                               force, tol):
     argv = ["extract", f"--game={game}",
-            *run_flags(schedule_dir, schedule, x0, k, emit_every, force)]
+            *run_flags(schedule_dir, schedule, x0, k, emit_every, seed, force)]
     assert_clean_exit(argv, tol)
 
 
@@ -160,12 +175,16 @@ verify_inputs = mostly(
 
 
 @FUZZ
-@given(game=game_specs, inputs=verify_inputs, seed=st.integers(-2**70, 2**70),
-       tol=tolerances)
-@example(game="random_uniform:3:0", inputs=["--x=csv:1e308,1e308,1e308"], seed=0,
-         tol=None)
-def test_verify_exits_cleanly(game, inputs, seed, tol):
-    assert_clean_exit(["verify", f"--game={game}", "--seed", str(seed), *inputs], tol)
+@given(game=game_specs, inputs=verify_inputs, seed=seeds, tol=tolerances,
+       tol_flag=mostly(st.none(), tolerances))
+@example(game="random_uniform:3:0", inputs=["--x=csv:1e308,1e308,1e308"], seed="0",
+         tol=None, tol_flag=None)
+@example(game="random_uniform:3:0", inputs=["--x=uniform"], seed="0", tol="1_0",
+         tol_flag="\u0663")
+def test_verify_exits_cleanly(game, inputs, seed, tol, tol_flag):
+    flags = [] if tol_flag is None else [f"--tol={tol_flag}"]
+    assert_clean_exit(["verify", f"--game={game}", f"--seed={seed}", *inputs, *flags],
+                      tol)
 
 
 def test_step_count_past_memory_is_config_error(tmp_path, capsys):

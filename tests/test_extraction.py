@@ -25,8 +25,7 @@ def trace_with(xbar, x=None):
     x = xbar if x is None else np.asarray(x, dtype=float)
     # K = 5; alpha, A_K, gap_avg, gap_iter, avg_step_norm; X; Xbar
     row = np.concatenate([[0.5, 2.0, 0.0, 0.0, 0.0], x, xbar])
-    return Trace(n=n, x0=np.full(n, 1.0 / n), schedule_label="power:0.6667",
-                 emit_every=1, steps=np.array([5]), table=row[None],
+    return Trace(n=n, x0=np.full(n, 1.0 / n), steps=np.array([5]), table=row[None],
                  log_next=np.log(x)[None], avg_self_play=np.array([0.0]))
 
 

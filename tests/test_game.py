@@ -13,7 +13,7 @@ from hedgenash import (
     uniform_strategy,
     validate_game,
 )
-from hedgenash.game import as_strategy, is_interior, support
+from hedgenash.game import SUPPORT_TOL, as_strategy, is_interior, support
 
 
 def random_matrix(seed, n):
@@ -122,16 +122,14 @@ class TestDecompose:
 
 class TestStrategies:
     def test_support_examples(self):
-        assert support([0.5, 0.5, 0.0], tol=1e-9) == (0, 1)
-        assert support(uniform_strategy(3), tol=1e-9) == (0, 1, 2)
-        assert support([1 - 2e-12, 1e-12, 1e-12], tol=1e-9) == (0,)
+        assert support([0.5, 0.5, 0.0]) == (0, 1)
+        assert support(uniform_strategy(3)) == (0, 1, 2)
+        assert support([1 - 2e-12, 1e-12, 1e-12]) == (0,)
 
-    def test_support_zero_tol_of_interior_is_everything(self):
-        assert support(uniform_strategy(5), tol=0.0) == tuple(range(5))
-
-    def test_support_negative_tol_rejected(self):
-        with pytest.raises(GameError):
-            support([1.0, 0.0], tol=-1.0)
+    def test_support_threshold_is_support_tol(self):
+        # mass above SUPPORT_TOL is supported, mass at it is not
+        above = np.nextafter(SUPPORT_TOL, 1.0)
+        assert support([1 - SUPPORT_TOL - above, SUPPORT_TOL, above]) == (0, 2)
 
     def test_as_strategy_rejects_bad_vectors(self):
         with pytest.raises(GameError):

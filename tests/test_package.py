@@ -6,8 +6,6 @@ import pytest
 
 import hedgenash
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
@@ -27,6 +25,7 @@ PUBLIC = {
 
 
 def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11 and later
     with (ROOT / "pyproject.toml").open("rb") as fh:
         assert hedgenash.__version__ == tomllib.load(fh)["project"]["version"]
 
