@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -26,7 +27,6 @@ from .analysis import (
 )
 from .dynamics import (
     DEFAULT_SCHEDULE,
-    ScheduleError,
     Trace,
     diagnose_entropy_bounds,
     parse_schedule,
@@ -45,12 +45,23 @@ from .game import (
     save_game,
     uniform_strategy,
 )
-from .lp import LPError
 from .rng import Xoshiro256StarStar
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+
+# What main prints as a one-line error: GameError, ScheduleError and LPError
+# are ValueErrors, and a MemoryError is a step count too large to allocate.
+_CONFIG_ERRORS = (ValueError, argparse.ArgumentTypeError, OSError, KeyError, MemoryError)
+
+
+def _parse_int(text: str, where: str = "") -> int:
+    """A command-line integer: ASCII digits with an optional sign (int() also
+    reads 1_0 and spaces). An argparse type: argparse names the flag."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"{where}invalid int value: {text!r}")
+    return int(text)
 
 
 def _load_game_spec(spec: str) -> SymmetricGame:
@@ -59,8 +70,8 @@ def _load_game_spec(spec: str) -> SymmetricGame:
         return load_game(spec)
     parts = spec.split(":")
     if parts[0] in GAME_KINDS and len(parts) in (2, 3):
-        n = int(parts[1])
-        seed = int(parts[2]) if len(parts) == 3 else 0
+        n, seed = (_parse_int(part, f"game spec {spec!r}: ")
+                   for part in (parts + ["0"])[1:3])
         return generate_game(parts[0], n, seed)
     raise GameError(f"game spec {spec!r} is neither a readable file "
                     f"nor kind:n[:seed] with kind in {GAME_KINDS}")
@@ -89,28 +100,23 @@ def _parse_schedule_arg(spec: str | None):
     return DEFAULT_SCHEDULE if spec is None else parse_schedule(spec)
 
 
-def _run_one(config: dict) -> dict:
-    """Execute one run config; returns the summary dict (also written out)."""
+def _load_run(config: dict) -> tuple:
+    """The game, schedule and start of a run config, loaded before it runs."""
+    if config["format"] not in ("csv", "jsonl"):
+        raise GameError(f"unknown trace format {config['format']!r}")
     game = _load_game_spec(config["game"])
-    schedule = _parse_schedule_arg(config.get("schedule"))
-    seed = int(config.get("seed", 0))
-    x0 = _parse_x0(config.get("x0", "uniform"), game.n, seed)
-    steps = int(config["steps"])
-    emit_every = int(config.get("emit_every", 1000))
-    force = bool(config.get("force", False))
-    out = config.get("out", "hedge_trace.csv")
-    fmt = config.get("format", "csv")
-    if fmt not in ("csv", "jsonl"):
-        raise GameError(f"unknown trace format {fmt!r}")
+    schedule = _parse_schedule_arg(config["schedule"])
+    return game, schedule, _parse_x0(config["x0"], game.n, config["seed"])
 
+
+def _run_one(config: dict, game: SymmetricGame, schedule, x0: np.ndarray) -> dict:
+    """Execute a run config loaded by _load_run; returns the summary (also written out)."""
+    out, fmt = config["out"], config["format"]
     started = time.perf_counter()
-    trace = run_trajectory(game, x0, schedule, steps,
-                           emit_every=emit_every, force=force)
+    trace = run_trajectory(game, x0, schedule, config["steps"],
+                           emit_every=config["emit_every"], force=config["force"])
     wall = time.perf_counter() - started
-    if fmt == "csv":
-        trace.to_csv(out)
-    else:
-        trace.to_jsonl(out)
+    getattr(trace, f"to_{fmt}")(out)          # to_csv or to_jsonl
 
     validation = schedule.validation
     final = trace.final
@@ -124,9 +130,9 @@ def _run_one(config: dict) -> dict:
         "schedule_flags": list(validation.flags),
         "forced": trace.forced,
         "x0": [float(v) for v in x0],
-        "steps": steps,
-        "emit_every": emit_every,
-        "seed": seed,
+        "steps": config["steps"],
+        "emit_every": config["emit_every"],
+        "seed": config["seed"],
         "trace": str(out),
         "format": fmt,
         "final_step": final.step,
@@ -140,14 +146,18 @@ def _run_one(config: dict) -> dict:
     return summary
 
 
-# The keys of a --config entry and the JSON types they take; any may be
-# null except "game" and "steps", which have no default.
+# The keys of a --config entry, the JSON types they take, and the defaults
+# (the run flags') of all but "game" and "steps", which may not be null.
 _CONFIG_TYPES = {"game": str, "steps": int, "schedule": str, "x0": str,
                  "seed": int, "emit_every": int, "force": bool, "out": str,
                  "format": str}
+_RUN_DEFAULTS = {"schedule": None, "x0": "uniform", "seed": 0, "emit_every": 1000,
+                 "force": False, "out": "hedge_trace.csv", "format": "csv"}
 
 
-def _check_config(index: int, config) -> None:
+def _check_config(index: int, config) -> tuple:
+    """--config entry ``index`` checked, its nulls defaulted, and loaded:
+    _run_one's arguments. Every entry is loaded before any runs."""
     if not isinstance(config, dict):
         raise GameError(f"--config entry {index} is not a JSON object")
     for key in ("game", "steps"):
@@ -158,6 +168,11 @@ def _check_config(index: int, config) -> None:
         if value is not None and type(value) is not kind:   # JSON true is no int
             raise GameError(f"--config entry {index}: {key!r} must be "
                             f"{kind.__name__}, got {value!r}")
+    config = {**_RUN_DEFAULTS, **{k: v for k, v in config.items() if v is not None}}
+    try:
+        return (config, *_load_run(config))
+    except _CONFIG_ERRORS as exc:
+        raise GameError(f"--config entry {index}: {exc}") from None
 
 
 def cmd_run(args) -> int:
@@ -167,19 +182,13 @@ def cmd_run(args) -> int:
         configs = json.loads(Path(args.config).read_text())
         if not isinstance(configs, list):
             raise GameError("--config must hold a JSON list of run configs")
-        for index, config in enumerate(configs):
-            _check_config(index, config)
-        _print_json([_run_one(config) for config in configs])
+        runs = [_check_config(index, config) for index, config in enumerate(configs)]
+        _print_json([_run_one(*run) for run in runs])
         return EXIT_OK
     if args.steps is None:
         raise GameError("--steps is required without --config")
-    config = {
-        "game": args.game, "schedule": args.schedule, "x0": args.x0,
-        "steps": args.steps, "emit_every": args.emit_every, "seed": args.seed,
-        "force": args.force, "out": args.out or "hedge_trace.csv",
-        "format": args.format,
-    }
-    _print_json(_run_one(config))
+    config = {key: getattr(args, key) for key in _CONFIG_TYPES}
+    _print_json(_run_one(config, *_load_run(config)))
     return EXIT_OK
 
 
@@ -187,9 +196,6 @@ def cmd_extract(args) -> int:
     game = _load_game_spec(args.game)
     if args.trace:
         trace = Trace.from_file(args.trace)
-        if trace.x0 is None:
-            raise GameError(f"{args.trace}: the first record has K = {trace.steps[0]}, "
-                            "not 0, so the start X^0 is unknown")
         if trace.n != game.n:
             raise GameError(f"trace has n={trace.n}, game has n={game.n}")
     else:
@@ -212,7 +218,7 @@ def cmd_verify(args) -> int:
         raise GameError("exactly one of --x or --support is required")
 
     if args.support is not None:
-        candidate = [int(tok) for tok in args.support.split(",")]
+        candidate = [_parse_int(tok, "--support: ") for tok in args.support.split(",")]
         cert = verify_support(game, candidate, tol=tol)
         if cert is None:
             print(f"support {candidate}: no equilibrium certificate "
@@ -317,16 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="power:P | harmonic | constant:C | file:PATH "
                             "(default power:2/3)")
         p.add_argument("--x0", default="uniform", help="uniform | random | csv:p1,p2,...")
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--emit-every", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--steps", type=_parse_int, default=None)
+        p.add_argument("--emit-every", type=_parse_int, default=1000)
+        p.add_argument("--seed", type=_parse_int, default=0)
         p.add_argument("--force", action="store_true",
                        help="run even if the schedule fails validation")
 
     p = sub.add_parser("run", help="run a trajectory and write a trace + summary")
     p.add_argument("--game", help="game file or generator spec kind:n[:seed]")
     add_run_flags(p)
-    p.add_argument("--out", help="trace output path (default hedge_trace.csv)")
+    p.add_argument("--out", default=_RUN_DEFAULTS["out"],
+                   help="trace output path (default %(default)s)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--config", help="JSON list of run configs, run in order")
     p.set_defaults(func=cmd_run)
@@ -345,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", help="comma list of 0-based indices")
     p.add_argument("--tol", type=_tolerance_arg,
                    help="certificate tolerance (default $HEDGE_NASH_TOL or 1e-8)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="enumerate all symmetric equilibria (n <= 6)")
@@ -355,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a seeded test game")
     p.add_argument("--kind", choices=GAME_KINDS, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--seed", type=_parse_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--fmt", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_generate)
@@ -368,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="run the entropy-inequality diagnostics")
     add_game(p)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--samples", type=_parse_int, default=1000)
+    p.add_argument("--seed", type=_parse_int, default=7)
     p.add_argument("--out")
     p.set_defaults(func=cmd_diagnose)
 
@@ -382,9 +389,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:                       # --help, after printing the help
         return EXIT_OK
-    # a MemoryError is an argument (a step count) whose arrays cannot be allocated
-    except (GameError, ScheduleError, LPError, OSError,
-            ValueError, KeyError, MemoryError) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

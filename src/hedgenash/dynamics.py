@@ -6,6 +6,8 @@ X^0(i) * exp(sum_k alpha_k (CX^k)_i), so the logit vector is the plain
 running sum of alpha_k * CX^k plus ln X^0. Normalization subtracts the
 max logit before exponentiating; iterates therefore never underflow to
 the boundary even when probability masses decay exponentially.
+A trace holds what its file holds, plus the running self-play payoff in
+memory; the trajectory identities are checked from the file's columns.
 """
 
 from __future__ import annotations
@@ -179,7 +181,6 @@ class TraceRecord:
     avg_step_norm: float       # ||Xbar^K - Xbar^{K-1}||, 0 at K=0
     x: np.ndarray              # X^K
     xbar: np.ndarray           # Xbar^K
-    log_next: np.ndarray | None = None   # ln X^{K+1}
     avg_self_play: float | None = None   # (1/A_K) sum alpha_k X^k.CX^k
 
 
@@ -202,24 +203,17 @@ _SIMPLEX_TOL = 1e-6
 class Trace:
     """The emitted snapshots of a run, as columns: ``steps`` holds K per
     record and ``table`` one wire row per record (the _WIRE_SCALARS, then
-    X^K, then Xbar^K). ``log_next`` (ln X^{K+1}, one row per record) and
-    ``avg_self_play`` are kept for traces run in memory and are None for a
-    trace loaded from a file. ``records`` is the same data as a list of
-    TraceRecord, built on first access; its arrays are views of the
-    columns. ``x0`` is None for a file trace without a K = 0 record."""
+    X^K, then Xbar^K). ``avg_self_play`` is kept for traces run in memory
+    and is None for a trace loaded from a file. ``records`` is the same
+    data as a list of TraceRecord, built on first access; its arrays are
+    views of the columns. ``x0`` is None for a file trace without K = 0."""
 
     n: int
     x0: np.ndarray | None
     steps: np.ndarray
     table: np.ndarray
-    log_next: np.ndarray | None = None
     avg_self_play: np.ndarray | None = None
     forced: bool = False
-
-    @property
-    def uniform_start(self) -> bool:
-        return self.x0 is not None and bool(np.allclose(self.x0, 1.0 / self.n,
-                                                        atol=1e-12))
 
     @functools.cached_property
     def records(self) -> list[TraceRecord]:
@@ -232,8 +226,8 @@ class Trace:
     def _records(self, rows: slice) -> list[TraceRecord]:
         lo, n = len(_WIRE_SCALARS), self.n
         table = self.table[rows]
-        extras = (() if self.log_next is None
-                  else (self.log_next[rows], self.avg_self_play[rows].tolist()))
+        extras = (() if self.avg_self_play is None
+                  else (self.avg_self_play[rows].tolist(),))
         return list(map(TraceRecord, self.steps[rows].tolist(), *table[:, :lo].T.tolist(),
                         table[:, lo:lo + n], table[:, lo + n:], *extras))
 
@@ -276,8 +270,8 @@ class Trace:
 
     @classmethod
     def from_file(cls, path) -> "Trace":
-        """Load an emitted trace (CSV or JSON-lines) as columns; the fields
-        not in the wire format (logits, running self-play payoff) are None.
+        """Load an emitted trace (CSV or JSON-lines) as columns; the running
+        self-play payoff, which is not in the wire format, is None.
         A GameError names the file and the first bad line: one that does
         not parse as a record (K not an integer, a field missing or extra,
         X or Xbar not n numbers), whose K is not above the K before it, or
@@ -429,9 +423,9 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     """Run Hedge self-play for steps k = 0..k_max and record emitted snapshots.
 
     Each emitted record at step K carries the iterate X^K, the weighted
-    average Xbar^K, both epsilon-gaps, the distance between consecutive
-    averages, plus ln X^{K+1} and the running weighted self-play payoff
-    (retained for the trajectory-identity diagnostics).
+    average Xbar^K, both epsilon-gaps and the distance between consecutive
+    averages, plus the running weighted self-play payoff (kept for the
+    trajectory-identity diagnostics).
 
     Only the iterate is a recurrence. Its step allocates nothing and makes
     one C call per operation: seven calls write CX^k, the shifted logits,
@@ -484,21 +478,19 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     count = k_max // every + 1 + (k_max % every != 0)
     lo, n = len(_WIRE_SCALARS), game.n
     trace = Trace(n=n, x0=x0.copy(), steps=np.empty(count, dtype=np.int64),
-                  table=np.empty((count, lo + 2 * n)), log_next=np.empty((count, n)),
-                  avg_self_play=np.empty(count), forced=not validation.valid)
+                  table=np.empty((count, lo + 2 * n)), avg_self_play=np.empty(count),
+                  forced=not validation.valid)
     emitted = 0
     block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // game.n))
-    # row k of a block holds alpha_k, X^k, CX^k, the shifted logits and
-    # their exp-sum; step k writes X^{k+1} to row k + 1, and the last row
-    # starts the next block
+    # row k of a block holds alpha_k, X^k, CX^k and the shifted logits;
+    # step k writes X^{k+1} to row k + 1, and the last row starts the next block
     x_block = np.empty((block + 1, game.n))
     cx_block, shifted_block = np.empty((block, game.n)), np.empty((block, game.n))
-    rate_block, wsum_block = np.empty(block), np.empty(block)
+    rate_block, wsum = np.empty(block), np.empty(())
     x_block[0] = x0
     x_rows, cx_rows, shifted_rows = list(x_block), list(cx_block), list(shifted_block)
     next_rows = x_rows[1:]
     rate_cells = [rate_block[i, ...] for i in range(block)]
-    wsum_cells = [wsum_block[i, ...] for i in range(block)]
     logits, tmp, w = np.log(x0), np.empty(game.n), np.empty(game.n)
     peaks = [logits[i, ...] for i in range(game.n)]
     argmax, dot = logits.argmax, c.dot
@@ -510,9 +502,8 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
         size = len(rates)
         rate_block[:size] = rates
         with np.errstate(over="ignore", invalid="ignore"):
-            for alpha, x, cx, shifted, wsum, x_next in zip(
-                    rate_cells[:size], x_rows, cx_rows, shifted_rows, wsum_cells,
-                    next_rows):
+            for alpha, x, cx, shifted, x_next in zip(
+                    rate_cells[:size], x_rows, cx_rows, shifted_rows, next_rows):
                 dot(x, cx)
                 multiply(alpha, cx, tmp)
                 add(logits, tmp, logits)
@@ -557,8 +548,6 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
                               / (weights[prev] - rates[prev])[:, None])
         table[:, 4] = 0.0
         table[moved, 4] = np.sqrt(_row_dots(diff, diff))
-        log_wsum = np.array([math.log(v) for v in wsum_block[e].tolist()])
-        np.subtract(shifteds[e], log_wsum[:, None], out=trace.log_next[rows])
         np.divide(self_plays[e], weights[e], out=trace.avg_self_play[rows])
         x_block[0] = x_block[size]
     return trace
@@ -708,42 +697,55 @@ TRAJECTORY_CHECKS = ("log_ratio_identity", "payoff_floor_bound", "self_play_boun
 
 def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace,
                                    checks=TRAJECTORY_CHECKS) -> DiagnosticsReport:
-    """Verify exact identities/bounds linking the iterate, the average and
-    the payoffs at every recorded snapshot:
+    """Verify exact identities/bounds one step back from each snapshot
+    K >= 1, from its wire columns: with A_{K-1} = A_K - alpha_K, Xbar^{K-1}
+    = (A_K Xbar^K - alpha_K X^K)/A_{K-1} and ln X^K = ln X^0 + A_{K-1} C
+    Xbar^{K-1} - ln(normalizer). With p = C Xbar^{K-1}:
 
-      * log-ratio identity (uniform start only):
-        ln(X^{K+1}(i)/X^{K+1}(j))/A_K equals (C Xbar^K)_i - (C Xbar^K)_j;
-      * payoff floor: (C Xbar^K)_i - (C Xbar^K)_max is bounded below by
-        (ln c + ln X^{K+1}(i))/A_K with c = X^0_min / X^0_max;
-      * best-response bound: X^{K+1}.C Xbar^K >= running avg self-play.
+      * log-ratio identity (uniform start): ln(X^K(i)/X^K(j))/A_{K-1} = p_i - p_j;
+      * payoff floor: p_i - p_max >= (ln c + ln X^K(i))/A_{K-1}, c = X^0_min/X^0_max;
+      * best-response bound (a run in memory): X^K.p >= the avg self-play to
+        K - 1, (A_K avg_self_play - alpha_K X^K.CX^K)/A_{K-1}.
 
-    Each check is evaluated over all snapshots at once, from the trace's
-    columns.
+    X^K entries below the smallest normal float (a forced schedule can
+    drive one to 0) are left out of the log checks.
     """
-    unknown = [name for name in checks if name not in TRAJECTORY_CHECKS]
-    if unknown:
-        raise GameError(f"unknown trajectory check {unknown[0]!r}")
-    if "log_ratio_identity" in checks and not trace.uniform_start:
-        raise GameError("the log-ratio identity requires a uniform start")
-    if trace.log_next is None:
-        raise GameError("trace was recorded without logits; re-run in memory")
-    lo, n = len(_WIRE_SCALARS), trace.n
-    log_next, a_k = trace.log_next, trace.table[:, 1, None]
-    cxbar = np.matmul(game.payoff, trace.table[:, lo + n:, None])[:, :, 0]  # gemv, as c @ xbar
-    per_snapshot = {}
-    if "log_ratio_identity" in checks:
-        d = log_next / a_k - cxbar
-        per_snapshot["log_ratio_identity"] = d.max(axis=1) - d.min(axis=1)
-    if "payoff_floor_bound" in checks:
-        floor = (math.log(trace.x0.min() / trace.x0.max()) + log_next) / a_k
-        gap_to_max = cxbar - cxbar.max(axis=1, keepdims=True)
-        per_snapshot["payoff_floor_bound"] = (floor - gap_to_max).max(axis=1)
-    if "self_play_bound" in checks:
-        per_snapshot["self_play_bound"] = trace.avg_self_play - _row_dots(np.exp(log_next), cxbar)
-    # the largest violation over the snapshots, at least 0; fmax skips a
-    # NaN snapshot, as the per-snapshot max(worst, value) did
-    return DiagnosticsReport(checks=[
-        DiagnosticCheck(name, len(a_k), max(0.0, float(np.fmax.reduce(per_snapshot[name]))),
-                        ACCUMULATED_TOL)
-        for name in checks
-    ])
+    uniform = trace.x0 is not None and np.allclose(trace.x0, 1.0 / trace.n, atol=1e-12)
+    needs = {"log_ratio_identity": (uniform, "a uniform start"),
+             "payoff_floor_bound": (trace.x0 is not None, "X^0, the K = 0 record"),
+             "self_play_bound": (trace.avg_self_play is not None, "a trace run in memory")}
+    for name in checks:
+        if name not in needs:
+            raise GameError(f"unknown trajectory check {name!r}")
+        if not needs[name][0]:
+            raise GameError(f"{name} needs {needs[name][1]}")
+    lo, n, c = len(_WIRE_SCALARS), trace.n, game.payoff
+    later = trace.steps > 0
+    table = trace.table[later]
+    alpha, a_k, x = table[:, :1], table[:, 1:2], table[:, lo:lo + n]
+    # ln X^K, NaN (which fmax and fmin skip) below the smallest normal float
+    held = x >= np.finfo(float).tiny
+    log_x = np.where(held, np.log(np.where(held, x, 1.0)), np.nan)
+    per_row = {}
+    # a forced schedule can make A_K - alpha_K round to 0; such a record
+    # reads inf or NaN, and fails
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_prev = a_k - alpha
+        xbar_prev = (a_k * table[:, lo + n:] - alpha * x) / a_prev
+        cxbar = np.matmul(c, xbar_prev[:, :, None])[:, :, 0]   # gemv per row, as np.dot
+        if "log_ratio_identity" in checks:
+            d = log_x / a_prev - cxbar
+            per_row["log_ratio_identity"] = np.fmax.reduce(d, 1) - np.fmin.reduce(d, 1)
+        if "payoff_floor_bound" in checks:
+            floor = (math.log(trace.x0.min() / trace.x0.max()) + log_x) / a_prev
+            per_row["payoff_floor_bound"] = np.fmax.reduce(
+                floor - (cxbar - cxbar.max(axis=1, keepdims=True)), 1)
+        if "self_play_bound" in checks:
+            xcx = _row_dots(x, np.matmul(c, x[:, :, None])[:, :, 0])[:, None]
+            self_play = (a_k * trace.avg_self_play[later, None] - alpha * xcx) / a_prev
+            per_row["self_play_bound"] = self_play[:, 0] - _row_dots(x, cxbar)
+    # the largest violation over the snapshots, at least 0, a NaN one as inf
+    worst = {name: float(np.max(np.where(np.isnan(v), np.inf, v), initial=0.0))
+             for name, v in per_row.items()}
+    return DiagnosticsReport(checks=[DiagnosticCheck(name, len(table), worst[name],
+                                                     ACCUMULATED_TOL) for name in checks])

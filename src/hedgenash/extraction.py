@@ -1,10 +1,10 @@
 """Turn trajectory side information into exact equilibrium certificates.
 
 Late in a run, the pure strategies supporting the limiting equilibrium
-separate from the rest in average mass, in payoff against the average,
-and (for uniform starts) in iterate mass. Each ranking criterion yields
-candidate supports (its top-m prefixes); each candidate is checked exactly
-with the subequalizer LP.
+separate from the rest in average mass and in payoff against the average,
+both read from the final record's Xbar^K alone. Each ranking criterion
+yields candidate supports (its top-m prefixes); each candidate is checked
+exactly with the subequalizer LP.
 """
 
 from __future__ import annotations
@@ -18,17 +18,13 @@ from .dynamics import Trace, TraceRecord
 from .game import GameError, SymmetricGame
 from .lp import LPError
 
-CRITERIA = ("average_payoff", "average_mass", "iterate_mass")
+CRITERIA = ("average_payoff", "average_mass")
 
 
 def _scores(game: SymmetricGame, record: TraceRecord) -> dict[str, np.ndarray]:
-    """Each criterion's score per pure strategy at ``record``. Iterate mass
-    is that of the iterate following the snapshot; its order provably
-    matches the payoff order only for uniform starts."""
+    """Each criterion's score per pure strategy at ``record``."""
     return {"average_payoff": game.payoff @ record.xbar,
-            "average_mass": record.xbar,
-            "iterate_mass": (record.x if record.log_next is None
-                             else np.exp(record.log_next))}
+            "average_mass": record.xbar}
 
 
 @dataclass
@@ -59,10 +55,6 @@ def extract_certificate(game: SymmetricGame, trace: Trace,
     attempts: list[dict] = []
     verified: dict[frozenset, EquilibriumCertificate | LPError | None] = {}
     for criterion in criteria:
-        if criterion == "iterate_mass" and not trace.uniform_start:
-            attempts.append({"criterion": criterion, "skipped":
-                             "iterate-mass ranking requires a uniform start"})
-            continue
         s = scores[criterion]
         order = sorted(range(game.n), key=lambda i: (-s[i], i))
         for m in range(1, game.n + 1):

@@ -6,7 +6,7 @@ import pytest
 
 import hedgenash.analysis as analysis
 import hedgenash.cli as cli
-from hedgenash import LPError, load_game, save_game, validate_game
+from hedgenash import GAME_KINDS, LPError, load_game, save_game, validate_game
 from hedgenash.cli import main
 
 RPS_NORMALIZED = [[0.5, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 1.0, 0.5]]
@@ -179,6 +179,48 @@ class TestRun:
             batch = outputs(batch_dir, config["out"])
             assert batch == outputs(single_dir, config["out"])
             assert batch[1] == {k: v for k, v in summary.items() if k != "wall_time_s"}
+
+    def test_bad_later_config_entry_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "c.json").write_text(json.dumps([
+            {"game": "random_uniform:3", "steps": 10, "out": "a.csv"},
+            {"game": "bogus:3", "steps": 10, "out": "b.csv"}]))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "c.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        assert captured.err.splitlines() == [
+            "error: --config entry 1: game spec 'bogus:3' is neither a readable file "
+            f"nor kind:n[:seed] with kind in {GAME_KINDS}"]
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"x0": "csv:0.5,x"}, "could not convert string to float: 'x'"),
+        ({"schedule": "power"}, "cannot parse schedule spec 'power'"),
+        ({"schedule": "file:missing.txt"}, "No such file or directory"),
+        ({"format": "xml"}, "unknown trace format 'xml'"),
+    ])
+    def test_config_entry_loaded_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                entry, message):
+        (tmp_path / "c.json").write_text(json.dumps([
+            {"game": "random_uniform:3", "steps": 10, "out": "a.csv"},
+            {"game": "random_uniform:3", "steps": 10, "out": "b.csv", **entry}]))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "c.json"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --config entry 1: ")
+        assert message in err[0] and not (tmp_path / "a.csv").exists()
+
+    def test_null_config_keys_take_flag_defaults(self, tmp_path, monkeypatch, capsys):
+        nulls = dict.fromkeys(["schedule", "x0", "seed", "emit_every", "force",
+                               "format"])
+        (tmp_path / "c.json").write_text(json.dumps([
+            {"game": "random_uniform:3", "steps": 10, "out": "a.csv", **nulls}]))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "c.json"]) == 0
+        batch = (tmp_path / "a.csv").read_bytes()
+        assert main(["run", "--game", "random_uniform:3", "--steps", "10",
+                     "--out", "b.csv"]) == 0
+        assert (tmp_path / "b.csv").read_bytes() == batch
 
     @pytest.mark.parametrize("jobs", ["2", "0", "-3"])
     def test_jobs_flag_is_usage_error(self, rps_file, tmp_path, capsys, jobs):
@@ -375,6 +417,14 @@ class TestExtract:
     def test_missing_trace_and_steps(self, rps_file):
         assert main(["extract", "--game", rps_file]) == 2
 
+    def test_iterate_mass_is_no_criterion(self, capsys):
+        rc = main(["extract", "--game", "coordination:3", "--steps", "200",
+                   "--criteria", "iterate_mass"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: unknown ranking criterion 'iterate_mass'"]
+
     def test_unknown_criterion_is_config_error(self, capsys):
         rc = main(["extract", "--game", "coordination:3", "--steps", "200",
                    "--criteria", "average_payoff,bogus"])
@@ -404,6 +454,20 @@ class TestUsage:
         (["generate", "--n", "3", "--out", "g.json"],
          "the following arguments are required: --kind"),
         (["run", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        # integers are ASCII digits with an optional sign: Python's int()
+        # also reads digit separators, other scripts' digits and spaces
+        (["run", "--game", "random_uniform:3", "--steps", "1_0"],
+         "argument --steps: invalid int value: '1_0'"),
+        (["run", "--game", "random_uniform:3", "--steps", "10", "--emit-every", "\u0665"],
+         "argument --emit-every: invalid int value: '\u0665'"),
+        (["diagnose", "--game", "random_uniform:3", "--samples", " 10"],
+         "argument --samples: invalid int value: ' 10'"),
+        (["run", "--game", "random_uniform:\u0663", "--steps", "10"],
+         "game spec 'random_uniform:\u0663': invalid int value: '\u0663'"),
+        (["extract", "--game", "random_uniform:3:1_0", "--steps", "10"],
+         "game spec 'random_uniform:3:1_0': invalid int value: '1_0'"),
+        (["verify", "--game", "random_uniform:3", "--support", "0,\u0663"],
+         "--support: invalid int value: '\u0663'"),
     ])
     def test_argparse_error_is_one_line(self, capsys, argv, message):
         assert main(argv) == 2

@@ -295,7 +295,6 @@ class TestRunTrajectory:
             by_step[k + 1] = x.copy()
         for r in tr.records:
             assert np.max(np.abs(r.x - by_step[r.step])) <= 1e-9
-            assert np.max(np.abs(np.exp(r.log_next) - by_step[r.step + 1])) <= 1e-9
 
     def test_contraction_bound_on_recorded_trace(self, hawk_dove_norm):
         tr = run_trajectory(hawk_dove_norm, uniform_strategy(2), POWER_23,
@@ -337,7 +336,7 @@ class TestTraceIO:
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.xbar, b.xbar)
             assert a.gap_avg == b.gap_avg
-            assert b.log_next is None
+            assert b.avg_self_play is None
 
     def test_jsonl_round_trip(self, tmp_path, hawk_dove_norm):
         tr = run_trajectory(hawk_dove_norm, np.array([0.7, 0.3]), POWER_23,

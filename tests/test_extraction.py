@@ -18,15 +18,14 @@ from hedgenash.extraction import _scores
 POWER_23 = DEFAULT_SCHEDULE
 
 
-def trace_with(xbar, x=None):
+def trace_with(xbar):
     """Hand-built single-snapshot trace for ranking unit tests."""
     xbar = np.asarray(xbar, dtype=float)
     n = xbar.size
-    x = xbar if x is None else np.asarray(x, dtype=float)
     # K = 5; alpha, A_K, gap_avg, gap_iter, avg_step_norm; X; Xbar
-    row = np.concatenate([[0.5, 2.0, 0.0, 0.0, 0.0], x, xbar])
+    row = np.concatenate([[0.5, 2.0, 0.0, 0.0, 0.0], xbar, xbar])
     return Trace(n=n, x0=np.full(n, 1.0 / n), steps=np.array([5]), table=row[None],
-                 log_next=np.log(x)[None], avg_self_play=np.array([0.0]))
+                 avg_self_play=np.array([0.0]))
 
 
 def order(game, record, criterion):
@@ -63,20 +62,6 @@ class TestRankings:
                            [1.0, 1.25, 0.75])
         assert order(rps_nonneg, tr.final, "average_payoff") == (1, 0, 2)
 
-    def test_iterate_mass_uses_next_iterate(self, rps_nonneg):
-        tr = trace_with([1 / 3] * 3, x=[0.2, 0.5, 0.3])
-        assert order(rps_nonneg, tr.final, "iterate_mass") == (1, 2, 0)
-
-    def test_iterate_order_matches_payoff_order(self, hawk_dove_norm):
-        tr = run_trajectory(hawk_dove_norm, uniform_strategy(2), POWER_23,
-                            1000, emit_every=100)
-        for record in tr.records:
-            payoffs = _scores(hawk_dove_norm, record)["average_payoff"]
-            gaps = np.abs(np.diff(np.sort(payoffs)))
-            if gaps.size and gaps.min() > 1e-8:
-                assert (order(hawk_dove_norm, record, "average_payoff")
-                        == order(hawk_dove_norm, record, "iterate_mass"))
-
 
 class TestExtractCertificate:
     def test_rps_full_support(self, rps_nonneg):
@@ -106,12 +91,6 @@ class TestExtractCertificate:
         assert np.allclose(out.certificate.strategy, [1.0, 0.0], atol=1e-8)
         assert out.certificate.method.endswith("m=1")
 
-    def test_iterate_mass_skipped_off_uniform(self, identity2):
-        tr = run_trajectory(identity2, np.array([0.9, 0.1]), POWER_23, 100)
-        out = extract_certificate(identity2, tr, criteria=("iterate_mass",))
-        assert out.certificate is None
-        assert out.attempts[0]["skipped"]
-
     def test_unknown_criterion_rejected(self, identity2):
         tr = run_trajectory(identity2, uniform_strategy(2), POWER_23, 10)
         with pytest.raises(GameError):
@@ -133,10 +112,13 @@ class TestExtractCertificate:
         extract_certificate(identity2, tr, criteria=("average_payoff",))
         assert calls  # the wrapper does see the sweep's LPs
 
+    # average mass ranks (0, 1, 2) and fails on every prefix; average payoff
+    # ranks (0, 2, 1), so its {0} is average mass's, and {0, 2} carries the
+    # equilibrium (1/2, 0, 1/2)
+    SHARED = [[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+
     def test_shared_prefixes_verified_once(self, monkeypatch):
-        # strategy 2 dominates: average mass and iterate mass both rank
-        # (0, 1, 2) and fail on every prefix; average payoff puts 2 first
-        game = validate_game([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        game = validate_game(self.SHARED)
         calls = []
         original = analysis.best_subequalizer
 
@@ -146,17 +128,15 @@ class TestExtractCertificate:
 
         monkeypatch.setattr(analysis, "best_subequalizer", counting)
         out = extract_certificate(game, trace_with([0.5, 0.3, 0.2]),
-                                  criteria=("average_mass", "iterate_mass",
-                                            "average_payoff"))
-        assert out.certificate.method == "extract:average_payoff:m=1"
-        assert len(calls) == 4  # {0}, {0, 1}, {0, 1, 2}, then {2}
+                                  criteria=("average_mass", "average_payoff"))
+        assert out.certificate.method == "extract:average_payoff:m=2"
+        assert np.allclose(out.certificate.strategy, [0.5, 0.0, 0.5])
+        assert len(calls) == 4  # {0}, {0, 1}, {0, 1, 2}, then {0, 2}
         assert [(a["criterion"], a["m"], a["support"], a["verified"])
                 for a in out.attempts] == [
             ("average_mass", 1, [0], False), ("average_mass", 2, [0, 1], False),
             ("average_mass", 3, [0, 1, 2], False),
-            ("iterate_mass", 1, [0], False), ("iterate_mass", 2, [0, 1], False),
-            ("iterate_mass", 3, [0, 1, 2], False),
-            ("average_payoff", 1, [2], True)]
+            ("average_payoff", 1, [0], False), ("average_payoff", 2, [0, 2], True)]
 
     @staticmethod
     def failing_on(monkeypatch, bad):
@@ -184,15 +164,14 @@ class TestExtractCertificate:
         assert "error" not in out.attempts[0] and "error" not in out.attempts[2]
 
     def test_lp_failure_is_memoised(self, monkeypatch):
-        game = validate_game([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        calls = self.failing_on(monkeypatch, frozenset({0, 1}))
+        game = validate_game(self.SHARED)
+        calls = self.failing_on(monkeypatch, frozenset({0}))
         out = extract_certificate(game, trace_with([0.5, 0.3, 0.2]),
-                                  criteria=("average_mass", "iterate_mass",
-                                            "average_payoff"))
-        assert out.certificate.method == "extract:average_payoff:m=1"
-        assert calls.count(frozenset({0, 1})) == 1
+                                  criteria=("average_mass", "average_payoff"))
+        assert out.certificate.method == "extract:average_payoff:m=2"
+        assert calls.count(frozenset({0})) == 1
         assert [a["criterion"] for a in out.attempts if "error" in a] == [
-            "average_mass", "iterate_mass"]
+            "average_mass", "average_payoff"]
 
     def test_soundness_gap_recomputed(self, hawk_dove_norm):
         tr = run_trajectory(hawk_dove_norm, uniform_strategy(2), POWER_23,

@@ -1,7 +1,7 @@
 """The columnar Trace: the template JSONL encoder against json.dumps, the
 checks a file trace must pass, the derived records, the vectorised
-trajectory identities against their per-record loop, and extract --trace
-on mutated trace files."""
+trajectory identities against their per-record loop and on file traces,
+and extract --trace on mutated trace files."""
 
 import contextlib
 import io
@@ -23,8 +23,10 @@ from hedgenash import (
     TraceRecord,
     diagnose_trajectory_identities,
     generate_game,
+    parse_schedule,
     run_trajectory,
     uniform_strategy,
+    validate_game,
 )
 from hedgenash.cli import main
 from hedgenash.dynamics import ACCUMULATED_TOL, TRAJECTORY_CHECKS
@@ -82,16 +84,15 @@ def test_records_are_derived_views(tmp_path):
     assert [r.step for r in records] == list(range(0, 301, 10))
     assert all(r.x.base is not None for r in records)          # views, not copies
     assert np.shares_memory(records[-1].xbar, trace.table)
-    assert np.shares_memory(records[-1].log_next, trace.log_next)
     final = trace.final
     for name in ("step", "alpha", "weight_sum", "gap_avg", "gap_iter",
                  "avg_step_norm", "avg_self_play"):
         assert getattr(final, name) == getattr(records[-1], name)
         assert type(getattr(final, name)) is type(getattr(records[-1], name))
-    for name in ("x", "xbar", "log_next"):
+    for name in ("x", "xbar"):
         assert np.array_equal(getattr(final, name), getattr(records[-1], name))
     back = Trace.from_file(write(trace, tmp_path, "csv"))
-    assert back.records[0].log_next is None and back.final.avg_self_play is None
+    assert back.records[0].avg_self_play is None and back.final.avg_self_play is None
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +207,18 @@ def test_sum_within_tolerance_is_accepted(trace_file):
 
 
 def test_trace_without_step_zero_has_no_start(trace_file, capsys):
+    # extraction reads only the final record, so it needs no X^0
     fmt, path = trace_file
+    assert main(["extract", "--game", GAME, "--trace", str(path)]) == 0
+    full = capsys.readouterr()
     rewrite(path, fmt, lambda body: body[1:])
     trace = Trace.from_file(path)
-    assert trace.x0 is None and trace.steps[0] == 3 and not trace.uniform_start
-    assert main(["extract", "--game", GAME, "--trace", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {path}: the first record has K = 3, not 0, so the start X^0 is unknown\n"
+    assert trace.x0 is None and trace.steps[0] == 3
+    assert main(["extract", "--game", GAME, "--trace", str(path)]) == 0
+    assert capsys.readouterr() == full
+    game = generate_game("random_uniform", 4, 1)
+    with pytest.raises(GameError, match="payoff_floor_bound needs X\\^0"):
+        diagnose_trajectory_identities(game, trace, ("payoff_floor_bound",))
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +226,31 @@ def test_trace_without_step_zero_has_no_start(trace_file, capsys):
 # ---------------------------------------------------------------------------
 
 def identities_loop(game, trace, checks):
-    """The per-record evaluation the vectorised one replaced."""
+    """The per-record evaluation, one step back from each record K >= 1:
+    Xbar^{K-1} and the self-play average to K - 1 recovered from record K."""
     c = game.payoff
     log_c0 = math.log(trace.x0.min() / trace.x0.max())
     viol = dict.fromkeys(checks, 0.0)
-    for r in trace.records:
-        cxbar = c @ r.xbar
-        a_k = r.weight_sum
+    later = [r for r in trace.records if r.step > 0]
+    for r in later:
+        a_prev = r.weight_sum - r.alpha
+        cxbar = c @ ((r.weight_sum * r.xbar - r.alpha * r.x) / a_prev)
+        log_x = np.log(r.x)
         if "log_ratio_identity" in checks:
-            d = r.log_next / a_k - cxbar
+            d = log_x / a_prev - cxbar
             viol["log_ratio_identity"] = max(viol["log_ratio_identity"],
                                              float(d.max() - d.min()))
         if "payoff_floor_bound" in checks:
-            floor = (log_c0 + r.log_next) / a_k
+            floor = (log_c0 + log_x) / a_prev
             gap_to_max = cxbar - cxbar.max()
             viol["payoff_floor_bound"] = max(viol["payoff_floor_bound"],
                                              float(np.max(floor - gap_to_max)))
         if "self_play_bound" in checks:
-            x_next = np.exp(r.log_next)
+            xcx = float(r.x @ (c @ r.x))
+            self_play = (r.weight_sum * r.avg_self_play - r.alpha * xcx) / a_prev
             viol["self_play_bound"] = max(viol["self_play_bound"],
-                                          r.avg_self_play - float(x_next @ cxbar))
-    return [(name, len(trace.records), viol[name], ACCUMULATED_TOL) for name in checks]
+                                          self_play - float(r.x @ cxbar))
+    return [(name, len(later), viol[name], ACCUMULATED_TOL) for name in checks]
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
@@ -256,6 +266,85 @@ def test_identities_match_per_record_loop(kind, n):
             got = [(c.name, c.samples, c.max_violation, c.tolerance) for c in report.checks]
             assert got == identities_loop(game, trace, checks)
             assert all(type(c.max_violation) is float for c in report.checks)
+
+
+WIRE_CHECKS = ("log_ratio_identity", "payoff_floor_bound")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("kind", GAME_KINDS)
+def test_file_trace_identities_match_memory(tmp_path, kind, fmt):
+    for n in (3, 8):
+        game = generate_game(kind, n, 5)
+        trace = run_trajectory(game, uniform_strategy(n), DEFAULT_SCHEDULE, 600,
+                               emit_every=1)
+        want = diagnose_trajectory_identities(game, trace, WIRE_CHECKS).to_dict()
+        back = Trace.from_file(write(trace, tmp_path, fmt))
+        assert diagnose_trajectory_identities(game, back, WIRE_CHECKS).to_dict() == want
+        assert want["all_passed"] and want["checks"][0]["samples"] == 600
+
+
+def nudged(fmt, line, delta):
+    """line with delta moved from its X_2 to its X_1: the sum stays 1."""
+    if fmt == "jsonl":
+        record = json.loads(line)
+        record["X"][0] += delta
+        record["X"][1] -= delta
+        return json.dumps(record)
+    fields = line.split(",")
+    fields[6] = repr(float(fields[6]) + delta)
+    fields[7] = repr(float(fields[7]) - delta)
+    return ",".join(fields)
+
+
+def test_nudged_iterate_fails_log_ratio_check(trace_file):
+    fmt, path = trace_file
+    game = generate_game("random_uniform", 4, 1)
+    before = diagnose_trajectory_identities(game, Trace.from_file(path), WIRE_CHECKS)
+    assert before.all_passed
+    rewrite(path, fmt, lambda body: body[:10] + [nudged(fmt, body[10], 1e-6)] + body[11:])
+    log_ratio = diagnose_trajectory_identities(game, Trace.from_file(path),
+                                               WIRE_CHECKS).checks[0]
+    assert log_ratio.name == "log_ratio_identity" and not log_ratio.passed
+
+
+def test_underflowed_iterate_left_out_of_log_checks(tmp_path):
+    # strategy 1 loses 5 per step: its mass is below the smallest normal
+    # float from about step 142 and 0 on the wire from about step 149
+    game = validate_game([[1.0, 1.0], [0.0, 0.0]])
+    trace = run_trajectory(game, uniform_strategy(2), parse_schedule("constant:5"), 200,
+                           emit_every=1, force=True)
+    assert trace.table[-1, 6] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = diagnose_trajectory_identities(game, trace)
+        back = Trace.from_file(write(trace, tmp_path, "csv"))
+        assert diagnose_trajectory_identities(game, back, WIRE_CHECKS).checks == \
+            report.checks[:2]
+    assert report.all_passed, report.to_dict()
+
+
+def test_cancelled_weight_fails_the_identities(tmp_path):
+    # A_1 = 1e-300 + 1 rounds to 1, so A_1 - alpha_1 is 0 and Xbar^0 cannot
+    # be recovered from record 1: its checks read inf or NaN, never a pass
+    (tmp_path / "rates.txt").write_text("1e-300 1 1 1 1")
+    game = generate_game("random_uniform", 3, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")           # run_trajectory's own warning
+        trace = run_trajectory(game, uniform_strategy(3),
+                               parse_schedule(f"file:{tmp_path / 'rates.txt'}"), 4,
+                               emit_every=1, force=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = diagnose_trajectory_identities(game, trace)
+    assert [c.max_violation for c in report.checks] == [math.inf] * 3
+
+
+def test_self_play_bound_needs_a_memory_trace(trace_file):
+    fmt, path = trace_file
+    game = generate_game("random_uniform", 4, 1)
+    with pytest.raises(GameError, match="self_play_bound needs a trace run in memory"):
+        diagnose_trajectory_identities(game, Trace.from_file(path), ("self_play_bound",))
 
 
 def test_unknown_identity_check_rejected():

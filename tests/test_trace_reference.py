@@ -28,7 +28,7 @@ from hedgenash.dynamics import (
 from hedgenash.game import as_strategy
 
 FIELDS = ("step", "alpha", "weight_sum", "gap_avg", "gap_iter", "avg_step_norm",
-          "x", "xbar", "log_next", "avg_self_play")
+          "x", "xbar", "avg_self_play")
 
 
 def reference_records(game, x0, schedule, k_max):
@@ -64,8 +64,7 @@ def reference_records(game, x0, schedule, k_max):
             step=k, alpha=float(alpha), weight_sum=weight,
             gap_avg=float(cxbar.max() - np.dot(xbar, cxbar)),
             gap_iter=float(cx.max() - xcx), avg_step_norm=step_norm,
-            x=x.copy(), xbar=xbar, log_next=shifted - math.log(wsum),
-            avg_self_play=self_play_sum / weight))
+            x=x.copy(), xbar=xbar, avg_self_play=self_play_sum / weight))
         x = w / wsum
     return records
 
