@@ -64,7 +64,6 @@ class EquilibriumCertificate:
     well_supported_eps: float
     method: str
     game_units_gap: float
-    game_digest: str
 
     def to_dict(self) -> dict:
         return {
@@ -104,7 +103,6 @@ def make_certificate(game: SymmetricGame, x, method: str) -> EquilibriumCertific
         well_supported_eps=well_supported_eps(game, x),
         method=method,
         game_units_gap=denormalize_gap(game, gap),
-        game_digest=game.digest(),
     )
 
 

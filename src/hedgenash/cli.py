@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 import time
 from pathlib import Path
@@ -28,6 +27,7 @@ from .analysis import (
 from .dynamics import (
     DEFAULT_SCHEDULE,
     Trace,
+    check_run,
     diagnose_entropy_bounds,
     parse_schedule,
     run_trajectory,
@@ -35,6 +35,7 @@ from .dynamics import (
 from .extraction import CRITERIA, extract_certificate
 from .game import (
     GAME_KINDS,
+    OFF_SIMPLEX_TOL,
     GameError,
     SymmetricGame,
     decompose,
@@ -42,6 +43,7 @@ from .game import (
     generate_game,
     load_game,
     normalize_payoffs,
+    parse_int,
     save_game,
     uniform_strategy,
 )
@@ -56,21 +58,13 @@ EXIT_USAGE = 2
 _CONFIG_ERRORS = (ValueError, argparse.ArgumentTypeError, OSError, KeyError, MemoryError)
 
 
-def _parse_int(text: str, where: str = "") -> int:
-    """A command-line integer: ASCII digits with an optional sign (int() also
-    reads 1_0 and spaces). An argparse type: argparse names the flag."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"{where}invalid int value: {text!r}")
-    return int(text)
-
-
 def _load_game_spec(spec: str) -> SymmetricGame:
     """Load a game from a file path or a generator spec kind:n[:seed]."""
     if Path(spec).exists():
         return load_game(spec)
     parts = spec.split(":")
     if parts[0] in GAME_KINDS and len(parts) in (2, 3):
-        n, seed = (_parse_int(part, f"game spec {spec!r}: ")
+        n, seed = (parse_int(part, f"game spec {spec!r}: ")
                    for part in (parts + ["0"])[1:3])
         return generate_game(parts[0], n, seed)
     raise GameError(f"game spec {spec!r} is neither a readable file "
@@ -147,7 +141,8 @@ def _run_one(config: dict, game: SymmetricGame, schedule, x0: np.ndarray) -> dic
 
 
 # The keys of a --config entry, the JSON types they take, and the defaults
-# (the run flags') of all but "game" and "steps", which may not be null.
+# of all but "game" and "steps", which may not be null; the run flags take
+# their defaults from here too.
 _CONFIG_TYPES = {"game": str, "steps": int, "schedule": str, "x0": str,
                  "seed": int, "emit_every": int, "force": bool, "out": str,
                  "format": str}
@@ -156,8 +151,9 @@ _RUN_DEFAULTS = {"schedule": None, "x0": "uniform", "seed": 0, "emit_every": 100
 
 
 def _check_config(index: int, config) -> tuple:
-    """--config entry ``index`` checked, its nulls defaulted, and loaded:
-    _run_one's arguments. Every entry is loaded before any runs."""
+    """--config entry ``index`` checked, its nulls defaulted, loaded and
+    put through run_trajectory's checks: _run_one's arguments. Every entry
+    is checked before any runs."""
     if not isinstance(config, dict):
         raise GameError(f"--config entry {index} is not a JSON object")
     for key in ("game", "steps"):
@@ -170,7 +166,10 @@ def _check_config(index: int, config) -> tuple:
                             f"{kind.__name__}, got {value!r}")
     config = {**_RUN_DEFAULTS, **{k: v for k, v in config.items() if v is not None}}
     try:
-        return (config, *_load_run(config))
+        game, schedule, x0 = _load_run(config)
+        check_run(game, x0, schedule, config["steps"], config["emit_every"],
+                  config["force"])
+        return config, game, schedule, x0
     except _CONFIG_ERRORS as exc:
         raise GameError(f"--config entry {index}: {exc}") from None
 
@@ -218,7 +217,7 @@ def cmd_verify(args) -> int:
         raise GameError("exactly one of --x or --support is required")
 
     if args.support is not None:
-        candidate = [_parse_int(tok, "--support: ") for tok in args.support.split(",")]
+        candidate = [parse_int(tok, "--support: ") for tok in args.support.split(",")]
         cert = verify_support(game, candidate, tol=tol)
         if cert is None:
             print(f"support {candidate}: no equilibrium certificate "
@@ -234,9 +233,9 @@ def cmd_verify(args) -> int:
         raise GameError(f"strategy has length {x.size}, game has n={game.n}")
     with np.errstate(over="ignore"):           # a sum past the float range is inf
         total = x.sum()
-    if x.min() < -1e-6 or abs(total - 1.0) > 1e-6:
+    if x.min() < -OFF_SIMPLEX_TOL or abs(total - 1.0) > OFF_SIMPLEX_TOL:
         raise GameError(
-            f"vector is off the simplex beyond 1e-6 (sum {total:.17g}, "
+            f"vector is off the simplex beyond {OFF_SIMPLEX_TOL:g} (sum {total:.17g}, "
             f"min {x.min():.17g}); refusing to renormalize silently")
     x = np.clip(x, 0.0, None)
     x = x / x.sum()
@@ -296,11 +295,18 @@ class _Parser(argparse.ArgumentParser):
         raise GameError(message)
 
 
-def _tolerance_arg(text: str) -> float:
-    try:
-        return parse_tolerance(text)
-    except GameError as exc:      # argparse names the flag before the message
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(parse):
+    """parse as an argparse type: its GameError becomes the message that
+    argparse prints after the flag's name."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except GameError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+_int_arg = _arg(parse_int)
 
 
 @functools.cache
@@ -322,10 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schedule",
                        help="power:P | harmonic | constant:C | file:PATH "
                             "(default power:2/3)")
-        p.add_argument("--x0", default="uniform", help="uniform | random | csv:p1,p2,...")
-        p.add_argument("--steps", type=_parse_int, default=None)
-        p.add_argument("--emit-every", type=_parse_int, default=1000)
-        p.add_argument("--seed", type=_parse_int, default=0)
+        p.add_argument("--x0", default=_RUN_DEFAULTS["x0"],
+                       help="uniform | random | csv:p1,p2,...")
+        p.add_argument("--steps", type=_int_arg, default=None)
+        p.add_argument("--emit-every", type=_int_arg, default=_RUN_DEFAULTS["emit_every"])
+        p.add_argument("--seed", type=_int_arg, default=_RUN_DEFAULTS["seed"])
         p.add_argument("--force", action="store_true",
                        help="run even if the schedule fails validation")
 
@@ -334,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_flags(p)
     p.add_argument("--out", default=_RUN_DEFAULTS["out"],
                    help="trace output path (default %(default)s)")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p.add_argument("--format", choices=("csv", "jsonl"), default=_RUN_DEFAULTS["format"])
     p.add_argument("--config", help="JSON list of run configs, run in order")
     p.set_defaults(func=cmd_run)
 
@@ -350,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_game(p)
     p.add_argument("--x", help="uniform | random | csv:p1,p2,...")
     p.add_argument("--support", help="comma list of 0-based indices")
-    p.add_argument("--tol", type=_tolerance_arg,
+    p.add_argument("--tol", type=_arg(parse_tolerance),
                    help="certificate tolerance (default $HEDGE_NASH_TOL or 1e-8)")
-    p.add_argument("--seed", type=_parse_int, default=0)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="enumerate all symmetric equilibria (n <= 6)")
@@ -362,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a seeded test game")
     p.add_argument("--kind", choices=GAME_KINDS, required=True)
-    p.add_argument("--n", type=_parse_int, required=True)
-    p.add_argument("--seed", type=_parse_int, default=0)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--fmt", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_generate)
@@ -375,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="run the entropy-inequality diagnostics")
     add_game(p)
-    p.add_argument("--samples", type=_parse_int, default=1000)
-    p.add_argument("--seed", type=_parse_int, default=7)
+    p.add_argument("--samples", type=_int_arg, default=1000)
+    p.add_argument("--seed", type=_int_arg, default=7)
     p.add_argument("--out")
     p.set_defaults(func=cmd_diagnose)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .game import GameError, SymmetricGame, as_strategy, is_interior
+from .game import OFF_SIMPLEX_TOL, GameError, SymmetricGame, as_strategy, is_interior
 from .rng import Xoshiro256StarStar
 
 
@@ -151,22 +151,6 @@ def _hedge_map(log_x, cx, alphas) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def relative_entropy(p, q) -> float:
-    """KL divergence sum p(i) ln(p(i)/q(i)) over the support of p."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
-        raise GameError("relative entropy undefined: q vanishes on the support of p")
-    value = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-    value = max(value, 0.0)
-    # sanity bound, stronger than Pinsker on the simplex
-    if value + 1e-9 < float(np.sum((p - q) ** 2)):
-        raise GameError("relative entropy below its lower bound ||p - q||^2: "
-                        "p and q must be strategies")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Traces
 # ---------------------------------------------------------------------------
@@ -195,25 +179,31 @@ _UNREADABLE = (ValueError, TypeError, KeyError, OverflowError)
 # chunk take several times the bytes of its rows.
 _WRITE_CHUNK = 512
 
-# How far from 1 the sum of a file trace's X or Xbar row may be.
-_SIMPLEX_TOL = 1e-6
-
 
 @dataclass
 class Trace:
     """The emitted snapshots of a run, as columns: ``steps`` holds K per
     record and ``table`` one wire row per record (the _WIRE_SCALARS, then
-    X^K, then Xbar^K). ``avg_self_play`` is kept for traces run in memory
+    X^K, then Xbar^K), every value finite. ``n`` and ``x0`` are read from
+    the table: its width and the X of its K = 0 row (None for a file trace
+    without K = 0). ``avg_self_play`` is kept for traces run in memory
     and is None for a trace loaded from a file. ``records`` is the same
     data as a list of TraceRecord, built on first access; its arrays are
-    views of the columns. ``x0`` is None for a file trace without K = 0."""
+    views of the columns."""
 
-    n: int
-    x0: np.ndarray | None
     steps: np.ndarray
     table: np.ndarray
     avg_self_play: np.ndarray | None = None
     forced: bool = False
+
+    @property
+    def n(self) -> int:
+        return (self.table.shape[1] - len(_WIRE_SCALARS)) // 2
+
+    @property
+    def x0(self) -> np.ndarray | None:
+        lo = len(_WIRE_SCALARS)
+        return self.table[0, lo:lo + self.n] if self.steps[0] == 0 else None
 
     @functools.cached_property
     def records(self) -> list[TraceRecord]:
@@ -236,37 +226,27 @@ class Trace:
         xbars = ",".join(f"Xbar_{i + 1}" for i in range(self.n))
         return f"K,{','.join(_WIRE_SCALARS)},{xs},{xbars}"
 
-    def _chunks(self):
-        """The records a chunk at a time: K and the wire rows as Python ints
-        and floats, and the rows as an array."""
-        for start in range(0, len(self.steps), _WRITE_CHUNK):
-            rows = self.table[start:start + _WRITE_CHUNK]
-            yield self.steps[start:start + _WRITE_CHUNK].tolist(), rows.tolist(), rows
-
-    def to_csv(self, path) -> None:
-        line = "%d" + ",%.17g" * self.table.shape[1] + "\n"
+    def _write(self, path, head: str, line: str) -> None:
+        """head, then each record formatted by the %-template line from K
+        and its wire row, a chunk of records at a time."""
         with open(path, "w") as fh:
-            fh.write(self.csv_header() + "\n")
-            for steps, rows, _ in self._chunks():
+            fh.write(head)
+            for start in range(0, len(self.steps), _WRITE_CHUNK):
+                steps = self.steps[start:start + _WRITE_CHUNK].tolist()
+                rows = self.table[start:start + _WRITE_CHUNK].tolist()
                 fh.writelines(line % (k, *row) for k, row in zip(steps, rows))
 
+    def to_csv(self, path) -> None:
+        self._write(path, self.csv_header() + "\n",
+                    "%d" + ",%.17g" * self.table.shape[1] + "\n")
+
     def to_jsonl(self, path) -> None:
-        """One JSON object per record, formatted by one template: json
-        writes a finite float as its repr, which %r gives too. A row with a
-        non-finite value (only a loaded file's scalars can hold one) is
-        written by json itself, as NaN, Infinity or -Infinity."""
-        lo, n = len(_WIRE_SCALARS), self.n
+        """One JSON object per record: json writes a finite float as its
+        repr, which %r gives too, and every value of a trace is finite."""
         scalars = ", ".join(f'"{name}": %r' for name in _WIRE_SCALARS)
-        vector = ", ".join(["%r"] * n)
-        line = f'{{"K": %d, {scalars}, "X": [{vector}], "Xbar": [{vector}]}}\n'
-        with open(path, "w") as fh:
-            for steps, rows, table in self._chunks():
-                lines = [line % (k, *row) for k, row in zip(steps, rows)]
-                for i in np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist():
-                    row = rows[i]
-                    lines[i] = json.dumps({"K": steps[i], **dict(zip(_WIRE_SCALARS, row)),
-                                           "X": row[lo:lo + n], "Xbar": row[lo + n:]}) + "\n"
-                fh.writelines(lines)
+        vector = ", ".join(["%r"] * self.n)
+        self._write(path, "", f'{{"K": %d, {scalars}, "X": [{vector}], '
+                              f'"Xbar": [{vector}]}}\n')
 
     @classmethod
     def from_file(cls, path) -> "Trace":
@@ -274,10 +254,10 @@ class Trace:
         self-play payoff, which is not in the wire format, is None.
         A GameError names the file and the first bad line: one that does
         not parse as a record (K not an integer, a field missing or extra,
-        X or Xbar not n numbers), whose K is not above the K before it, or
-        whose X or Xbar is not a probability vector (a non-finite or
-        negative entry, or a sum off 1 by more than _SIMPLEX_TOL). A trace
-        whose first K is not 0 loads with x0 None: its start is unknown."""
+        X or Xbar not n numbers), that holds a value that is not finite,
+        whose K is not above the K before it, or whose X or Xbar is not a
+        probability vector (a negative entry, or a sum off 1 by more than
+        OFF_SIMPLEX_TOL)."""
         path = Path(path)
         text = path.read_text()
         lines = text.strip().splitlines()
@@ -293,23 +273,20 @@ class Trace:
             parse = functools.partial(_csv_columns, n=n)
         if not body:
             raise GameError(f"trace file {path} contains no records")
-        steps, table = _parse_located(parse, body, path, first)
-        lo = len(_WIRE_SCALARS)
-        n = (table.shape[1] - lo) // 2
-        _check_records(steps, table, n, path, first)
-        return cls(n=n, x0=table[0, lo:lo + n] if steps[0] == 0 else None,
-                   steps=steps, table=table)
+        trace = cls(*_parse_located(parse, body, path, first))
+        _check_records(trace, path, first)
+        return trace
 
 
-def _check_records(steps: np.ndarray, table: np.ndarray, n: int, path: Path,
-                   first: int) -> None:
-    """Raise a GameError naming the first record that is out of order or
-    whose X or Xbar is not a probability vector; the first record is on
-    line ``first``."""
+def _check_records(trace: Trace, path: Path, first: int) -> None:
+    """Raise a GameError naming the first record that holds a value that
+    is not finite, is out of order, or whose X or Xbar is not a
+    probability vector; the first record is on line ``first``."""
+    steps, table, n = trace.steps, trace.table, trace.n
     vectors = table[:, len(_WIRE_SCALARS):].reshape(len(table), 2, n)
-    finite = np.isfinite(vectors).all(axis=(1, 2))
+    finite = np.isfinite(table).all(axis=1)
     simplex = ((vectors >= 0.0).all(axis=2)
-               & (np.abs(vectors.sum(axis=2) - 1.0) <= _SIMPLEX_TOL))
+               & (np.abs(vectors.sum(axis=2) - 1.0) <= OFF_SIMPLEX_TOL))
     ordered = np.r_[True, steps[1:] > steps[:-1]]
     good = finite & ordered & simplex.all(axis=1)
     if good.all():
@@ -317,7 +294,7 @@ def _check_records(steps: np.ndarray, table: np.ndarray, n: int, path: Path,
     row = int(np.argmin(good))
     where = f"{path}:{first + row}: "
     if not finite[row]:
-        raise GameError(where + "record has a non-finite X or Xbar entry")
+        raise GameError(where + "record has a non-finite value")
     if not ordered[row]:
         raise GameError(where + f"K = {steps[row]} after K = {steps[row - 1]}; "
                         "K must strictly increase")
@@ -418,6 +395,37 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def check_run(game: SymmetricGame, x0, schedule: Schedule, k_max: int, emit_every: int,
+              force: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The checks run_trajectory makes before its first step, which
+    ``run --config`` makes for every entry before any runs: the start is an
+    interior strategy of length n, k_max and emit_every are >= 1, the
+    schedule is valid unless forced, and its rates alpha_0..alpha_{k_max}
+    are finite and non-negative with alpha_0 > 0. Returns the start as a
+    strategy and the rates."""
+    x0 = as_strategy(x0)
+    if not is_interior(x0):
+        raise GameError("trajectories must start in the simplex interior")
+    if x0.size != game.n:
+        raise GameError(f"start vector has length {x0.size}, game has n={game.n}")
+    if k_max < 1:
+        raise GameError("k_max must be >= 1")
+    if emit_every < 1:
+        raise GameError("emit_every must be >= 1")
+    validation = schedule.validation
+    if not validation.valid and not force:
+        raise ScheduleError(validation.reason or "invalid schedule")
+    with np.errstate(over="ignore"):           # an overflowing rate is refused below
+        alphas = schedule.rates(k_max + 1)
+    if not np.all(np.isfinite(alphas)):
+        raise ScheduleError(f"schedule {schedule.label} yields a non-finite rate")
+    # every average divides by A_K = alpha_0 + ... + alpha_K
+    if not alphas[0] > 0 or alphas.min() < 0:
+        raise ScheduleError(f"schedule {schedule.label} needs alpha_0 > 0 and "
+                            "no negative rate")
+    return x0, alphas
+
+
 def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
                    emit_every: int = 1000, force: bool = False) -> Trace:
     """Run Hedge self-play for steps k = 0..k_max and record emitted snapshots.
@@ -444,31 +452,13 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     allocated once for every emitted step, before the next block
     overwrites the step buffers.
 
-    A forced schedule whose running weight A_K or logits overflow raises
-    ``ScheduleError`` naming the first such step instead of emitting NaN.
+    A schedule whose running weight A_K or logits overflow, or whose
+    A_K - alpha_K rounds to 0 at a step K >= 1 (so that Xbar^{K-1} cannot
+    be recovered from step K), raises ``ScheduleError`` naming the first
+    such step instead of emitting NaN; every value of the trace is finite.
     """
-    x0 = as_strategy(x0)
-    if not is_interior(x0):
-        raise GameError("trajectories must start in the simplex interior")
-    if x0.size != game.n:
-        raise GameError(f"start vector has length {x0.size}, game has n={game.n}")
-    if k_max < 1:
-        raise GameError("k_max must be >= 1")
-    if emit_every < 1:
-        raise GameError("emit_every must be >= 1")
-    validation = schedule.validation
-    if not validation.valid and not force:
-        raise ScheduleError(validation.reason or "invalid schedule")
-
+    x0, alphas = check_run(game, x0, schedule, k_max, emit_every, force)
     c = game.payoff
-    with np.errstate(over="ignore"):           # an overflowing rate is refused below
-        alphas = schedule.rates(k_max + 1)
-    if not np.all(np.isfinite(alphas)):
-        raise ScheduleError(f"schedule {schedule.label} yields a non-finite rate")
-    # every average divides by A_K = alpha_0 + ... + alpha_K
-    if not alphas[0] > 0 or alphas.min() < 0:
-        raise ScheduleError(f"schedule {schedule.label} needs alpha_0 > 0 and "
-                            "no negative rate")
     accum = np.zeros_like(x0)
     weight = 0.0
     self_play_sum = 0.0
@@ -477,9 +467,9 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     every = min(emit_every, k_max + 1)
     count = k_max // every + 1 + (k_max % every != 0)
     lo, n = len(_WIRE_SCALARS), game.n
-    trace = Trace(n=n, x0=x0.copy(), steps=np.empty(count, dtype=np.int64),
+    trace = Trace(steps=np.empty(count, dtype=np.int64),
                   table=np.empty((count, lo + 2 * n)), avg_self_play=np.empty(count),
-                  forced=not validation.valid)
+                  forced=not schedule.validation.valid)
     emitted = 0
     block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // game.n))
     # row k of a block holds alpha_k, X^k, CX^k and the shifted logits;
@@ -518,6 +508,14 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
             raise ScheduleError(f"schedule {schedule.label} overflows at step "
                                 f"{start + int(np.argmin(finite))}: A_K or the "
                                 "logits are no longer finite")
+        # A_{K-1} as step K's sums give it back; K = 0 has no predecessor
+        prev_weights = weights - rates
+        skip = int(start == 0)
+        held = prev_weights[skip:] > 0
+        if not held.all():
+            raise ScheduleError(f"schedule {schedule.label} cancels at step "
+                                f"{start + skip + int(np.argmin(held))}: "
+                                "A_K - alpha_K is not positive")
 
         terms = rates[:, None] * xs
         accums = _running_sum(accum, terms)
@@ -545,7 +543,7 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
         moved = start + e > 0
         prev = e[moved]
         diff = xbar[moved] - ((accums[prev] - terms[prev])
-                              / (weights[prev] - rates[prev])[:, None])
+                              / prev_weights[prev, None])
         table[:, 4] = 0.0
         table[moved, 4] = np.sqrt(_row_dots(diff, diff))
         np.divide(self_plays[e], weights[e], out=trace.avg_self_play[rows])
@@ -710,16 +708,17 @@ def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace,
     X^K entries below the smallest normal float (a forced schedule can
     drive one to 0) are left out of the log checks.
     """
-    uniform = trace.x0 is not None and np.allclose(trace.x0, 1.0 / trace.n, atol=1e-12)
+    x0, n = trace.x0, trace.n
+    uniform = x0 is not None and np.allclose(x0, 1.0 / n, atol=1e-12)
     needs = {"log_ratio_identity": (uniform, "a uniform start"),
-             "payoff_floor_bound": (trace.x0 is not None, "X^0, the K = 0 record"),
+             "payoff_floor_bound": (x0 is not None, "X^0, the K = 0 record"),
              "self_play_bound": (trace.avg_self_play is not None, "a trace run in memory")}
     for name in checks:
         if name not in needs:
             raise GameError(f"unknown trajectory check {name!r}")
         if not needs[name][0]:
             raise GameError(f"{name} needs {needs[name][1]}")
-    lo, n, c = len(_WIRE_SCALARS), trace.n, game.payoff
+    lo, c = len(_WIRE_SCALARS), game.payoff
     later = trace.steps > 0
     table = trace.table[later]
     alpha, a_k, x = table[:, :1], table[:, 1:2], table[:, lo:lo + n]
@@ -727,8 +726,8 @@ def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace,
     held = x >= np.finfo(float).tiny
     log_x = np.where(held, np.log(np.where(held, x, 1.0)), np.nan)
     per_row = {}
-    # a forced schedule can make A_K - alpha_K round to 0; such a record
-    # reads inf or NaN, and fails
+    # a file can hold a record whose A_K - alpha_K is 0 (a run refuses
+    # one); it reads inf or NaN, and fails
     with np.errstate(divide="ignore", invalid="ignore"):
         a_prev = a_k - alpha
         xbar_prev = (a_k * table[:, lo + n:] - alpha * x) / a_prev
@@ -737,7 +736,7 @@ def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace,
             d = log_x / a_prev - cxbar
             per_row["log_ratio_identity"] = np.fmax.reduce(d, 1) - np.fmin.reduce(d, 1)
         if "payoff_floor_bound" in checks:
-            floor = (math.log(trace.x0.min() / trace.x0.max()) + log_x) / a_prev
+            floor = (math.log(x0.min() / x0.max()) + log_x) / a_prev
             per_row["payoff_floor_bound"] = np.fmax.reduce(
                 floor - (cxbar - cxbar.max(axis=1, keepdims=True)), 1)
         if "self_play_bound" in checks:

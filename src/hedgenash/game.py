@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,13 @@ from .rng import Xoshiro256StarStar
 
 SIMPLEX_TOL = 1e-12
 SUPPORT_TOL = 1e-9
+# How far off the simplex a strategy read from outside (a trace file's X
+# and Xbar rows, verify --x) may be: a sum off 1, or for verify --x a
+# negative entry, within it is accepted.
+OFF_SIMPLEX_TOL = 1e-6
+# The largest n generate_game draws: a game of n strategies draws n^2
+# doubles one at a time, about 1.6 s at n = 1000.
+GENERATOR_MAX_N = 1000
 
 GAME_KINDS = ("random_uniform", "zero_sum_symmetric", "doubly_symmetric", "coordination")
 
@@ -37,7 +45,6 @@ class SymmetricGame:
     """
 
     payoff: np.ndarray
-    nonnegative: bool
     normalized: bool
     scale: float = 1.0
     offset: float = 0.0
@@ -45,14 +52,6 @@ class SymmetricGame:
     @property
     def n(self) -> int:
         return self.payoff.shape[0]
-
-    @property
-    def max_entry(self) -> float:
-        return float(self.payoff.max())
-
-    @property
-    def min_entry(self) -> float:
-        return float(self.payoff.min())
 
     def digest(self) -> str:
         return hashlib.sha1(np.ascontiguousarray(self.payoff).tobytes()).hexdigest()[:16]
@@ -72,13 +71,8 @@ def validate_game(matrix, *, scale: float = 1.0, offset: float = 0.0) -> Symmetr
         raise GameError("payoff matrix contains non-finite entries")
     c.setflags(write=False)
     lo, hi = float(c.min()), float(c.max())
-    return SymmetricGame(
-        payoff=c,
-        nonnegative=lo >= 0.0,
-        normalized=lo >= 0.0 and hi <= 1.0,
-        scale=scale,
-        offset=offset,
-    )
+    return SymmetricGame(payoff=c, normalized=lo >= 0.0 and hi <= 1.0,
+                         scale=scale, offset=offset)
 
 
 def normalize_payoffs(game: SymmetricGame) -> tuple[SymmetricGame, float, float]:
@@ -88,7 +82,7 @@ def normalize_payoffs(game: SymmetricGame) -> tuple[SymmetricGame, float, float]
     maps to the all-zero matrix (a=1, b=-min); every strategy of such a
     game is an equilibrium, so the semantics are preserved.
     """
-    lo, hi = game.min_entry, game.max_entry
+    lo, hi = float(game.payoff.min()), float(game.payoff.max())
     if hi > lo:
         a = 1.0 / (hi - lo)
         b = -lo / (hi - lo)
@@ -145,8 +139,20 @@ def support(x) -> tuple[int, ...]:
     return tuple(int(i) for i in np.flatnonzero(v > SUPPORT_TOL))
 
 
+def parse_int(text: str, where: str = "") -> int:
+    """An integer written in ASCII digits with an optional sign; int() also
+    reads 1_0, other scripts' digits and spaces, which are GameErrors."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise GameError(f"{where}invalid int value: {text!r}")
+    return int(text)
+
+
 def generate_game(kind: str, n: int, seed: int) -> SymmetricGame:
-    """Deterministically generate a test game of the requested kind."""
+    """Deterministically generate a test game of the requested kind, for
+    2 <= n <= GENERATOR_MAX_N."""
+    if n > GENERATOR_MAX_N:
+        raise GameError(f"generated games are limited to n <= {GENERATOR_MAX_N}, "
+                        f"got n={n}")
     if n < 2:
         raise GameError("n must be >= 2")
     if kind == "coordination":
@@ -179,22 +185,25 @@ def save_game(game: SymmetricGame, path, fmt: str = "json") -> None:
 
 
 def load_game(path) -> SymmetricGame:
-    """Load a game from JSON ({"n": ..., "payoff": [[...]]}) or plain text."""
+    """Load a game from JSON ({"n": ..., "payoff": [[...]]}, n optional and
+    a JSON integer) or plain text (n, read by parse_int, then the rows)."""
     text = Path(path).read_text().strip()
     if text.startswith("{"):
         payload = json.loads(text)
-        matrix = payload["payoff"]
-        game = validate_game(matrix)
-        if "n" in payload and int(payload["n"]) != game.n:
-            raise GameError(f"declared n={payload['n']} but matrix is {game.n}x{game.n}")
+        game = validate_game(payload["payoff"])
+        n = payload.get("n", game.n)
+        if type(n) is not int:                  # JSON 2.5, "2" and true are no n
+            raise GameError(f"declared n={n!r} is not a JSON integer")
+        if n != game.n:
+            raise GameError(f"declared n={n} but matrix is {game.n}x{game.n}")
         return game
     tokens = text.split()
     if not tokens:
         raise GameError("empty game file")
-    try:
-        n = int(tokens[0])
-    except ValueError as exc:
-        raise GameError("text game file must start with the dimension n") from exc
+    n = parse_int(tokens[0], "text game file dimension n: ")
+    if n < 2:
+        raise GameError(f"text game file declares n={n}; a game needs at least 2 "
+                        "pure strategies")
     values = tokens[1:]
     if len(values) != n * n:
         raise GameError(f"expected {n * n} payoff entries, found {len(values)}")

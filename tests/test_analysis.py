@@ -73,7 +73,6 @@ class TestCertificates:
         assert cert.gap == 0.0
         assert cert.support == (0, 1, 2)
         assert cert.method == "manual"
-        assert cert.game_digest == rps_nonneg.digest()
         payload = cert.to_dict()
         assert payload["support"] == [0, 1, 2]
         assert "game_digest" not in payload

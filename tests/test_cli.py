@@ -121,6 +121,21 @@ class TestRun:
             "error: schedule constant:1e+307 overflows at step 17: "
             "A_K or the logits are no longer finite"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_cancelled_weight_is_config_error(self, tmp_path, capsys, fmt):
+        # A_1 = 1e-300 + 1 rounds to 1: A_1 - alpha_1 is 0, and the step norm
+        # of record 1 would divide by it; the rates pass validation
+        rates = tmp_path / "rates.txt"
+        rates.write_text("1e-300 1 1 1 1")
+        out = tmp_path / f"t.{fmt}"
+        rc = main(["run", "--game", "random_uniform:3:0", "--steps", "4",
+                   "--emit-every", "1", "--schedule", f"file:{rates}", "--format", fmt,
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert not (tmp_path / f"t.{fmt}.summary.json").exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: schedule custom[5] cancels at step 1: A_K - alpha_K is not positive"]
+
     def test_force_flags_summary(self, rps_file, tmp_path):
         out = tmp_path / "t.csv"
         rc = main(["run", "--game", rps_file, "--steps", "100",
@@ -209,6 +224,34 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --config entry 1: ")
         assert message in err[0] and not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"steps": 0}, "k_max must be >= 1"),
+        ({"emit_every": 0}, "emit_every must be >= 1"),
+        ({"x0": "csv:0.5,0.5"}, "start vector has length 2, game has n=3"),
+        ({"x0": "csv:1,0,0"}, "trajectories must start in the simplex interior"),
+        ({"x0": "csv:0.5,0.5,0.5"}, "strategy entries sum to 1.5"),
+        ({"schedule": "power:0.4"}, "sum alpha_k*(exp(alpha_k)-1) diverges"),
+        ({"schedule": "constant:0", "force": True}, "needs alpha_0 > 0"),
+        ({"schedule": "power:nan", "force": True}, "yields a non-finite rate"),
+        ({"schedule": "file:short.txt"}, "custom schedule has 3 rates, 11 needed"),
+    ])
+    def test_config_entry_checked_as_the_run_would(self, tmp_path, monkeypatch, capsys,
+                                                   entry, message):
+        # the checks run_trajectory makes before its first step are made for
+        # every entry before any runs
+        (tmp_path / "short.txt").write_text("0.5 0.5 0.5")
+        (tmp_path / "c.json").write_text(json.dumps([
+            {"game": "random_uniform:3", "steps": 10, "out": "a.csv"},
+            {"game": "random_uniform:3", "steps": 10, "out": "b.csv", **entry}]))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "c.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --config entry 1: ")
+        assert message in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "short.txt"]
 
     def test_null_config_keys_take_flag_defaults(self, tmp_path, monkeypatch, capsys):
         nulls = dict.fromkeys(["schedule", "x0", "seed", "emit_every", "force",
@@ -328,6 +371,20 @@ class TestVerify:
         assert main(["verify", "--game", "random_uniform:16:1",
                      "--x", "uniform"]) in (0, 1)
 
+    @pytest.mark.parametrize("name, text", [
+        ("arabic.txt", "\u0662\n0.5 0\n0 0.5\n"),
+        ("spaced.txt", "2_0\n0.5 0\n0 0.5\n"),
+        ("fraction.json", '{"n": 2.5, "payoff": [[0.5, 0], [0, 0.5]]}'),
+        ("string.json", '{"n": "2", "payoff": [[0.5, 0], [0, 0.5]]}'),
+        ("bool.json", '{"n": true, "payoff": [[0.5, 0], [0, 0.5]]}'),
+    ])
+    def test_game_file_n_is_an_integer(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["verify", "--game", str(path), "--support", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_requires_exactly_one_input(self, rps_file):
         assert main(["verify", "--game", rps_file]) == 2
         assert main(["verify", "--game", rps_file, "--x", "uniform",
@@ -354,6 +411,21 @@ class TestGenerateDecompose:
         assert rc == 0
         g = load_game(out)
         assert g.n == 3 and g.normalized
+
+    @pytest.mark.parametrize("argv, n", [
+        (["generate", "--kind", "random_uniform", "--n", "100000", "--out", "g.json"],
+         100000),
+        (["run", "--game", "random_uniform:100000", "--steps", "10", "--out", "t.csv"],
+         100000),
+        (["verify", "--game", "coordination:1001", "--support", "0"], 1001),
+    ])
+    def test_oversized_generated_game_is_config_error(self, tmp_path, monkeypatch,
+                                                       capsys, argv, n):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: generated games are limited to n <= 1000, got n={n}"]
 
     def test_decompose_output(self, identity_file, capsys):
         rc = main(["decompose", "--game", identity_file])

@@ -3,8 +3,9 @@ start and strategy vectors, supports, tolerances, and tokens of any kind
 for the integer flags: every call must end in exit 0 or 1, or exit 2 with
 one line on stderr, and never in a traceback or a stray warning.
 
-Generated games stay small: a game of n strategies draws n^2 doubles, so a
-spec such as random_uniform:100000 would run for minutes, not fail."""
+Generated games have n <= 6, or n past GENERATOR_MAX_N, where the spec is
+refused before anything is drawn: a game of n strategies draws n^2 doubles,
+so a large n within the limit would run for seconds."""
 
 import contextlib
 import io
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from hedgenash import GAME_KINDS
 from hedgenash.cli import main
+from hedgenash.game import GENERATOR_MAX_N
 
 NUMBER_TOKENS = ["", " ", "x", "nan", "inf", "-inf", "0", "-0.0", "1", "-1", "2/3",
                  "0.5", "0.51", "0.7", "1.5", "1e-320", "1e308", "-1e308", "1e400",
@@ -34,7 +36,8 @@ numbers = st.one_of(st.sampled_from(NUMBER_TOKENS),
 
 game_specs = mostly(
     st.builds(lambda kind, n, seed: f"{kind}:{n}:{seed}", st.sampled_from(GAME_KINDS),
-              st.integers(2, 6), st.integers(-2**70, 2**70)),
+              mostly(st.integers(2, 6), st.integers(GENERATOR_MAX_N + 1, 2**70)),
+              st.integers(-2**70, 2**70)),
     st.one_of(
         st.builds(lambda kind, n, tail: f"{kind}:{n}{tail}",
                   st.sampled_from(GAME_KINDS + ("bogus", "", "Random_uniform")),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hedgenash.dynamics as dynamics
 from hedgenash import (
     DEFAULT_SCHEDULE,
     GameError,
@@ -15,6 +16,7 @@ from hedgenash import (
     Trace,
     diagnose_entropy_bounds,
     diagnose_trajectory_identities,
+    generate_game,
     hedge_step,
     normalize_payoffs,
     parse_schedule,
@@ -22,7 +24,7 @@ from hedgenash import (
     uniform_strategy,
     validate_game,
 )
-from hedgenash.dynamics import relative_entropy
+from hedgenash.dynamics import _re_on_support
 
 POWER_23 = DEFAULT_SCHEDULE
 
@@ -217,26 +219,44 @@ class TestSchedules:
                 run_trajectory(validate_game(payoff), uniform_strategy(2),
                                parse_schedule("constant:1e307"), 100, force=True)
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_cancelled_weight_rejected(self, tmp_path, monkeypatch, force):
+        # A_1 = 1e-300 + 1 rounds to 1, so A_1 - alpha_1 is 0 and Xbar^0
+        # cannot be recovered from step 1; the rates pass validation
+        schedule = schedule_of(tmp_path, "file", "1e-300 1 1 1 1 " * 30)
+        assert schedule.validation.valid
+        game = generate_game("random_uniform", 3, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScheduleError, match="custom\\[150\\] cancels at step 1: "
+                                                    "A_K - alpha_K is not positive"):
+                run_trajectory(game, uniform_strategy(3), schedule, 4, force=force)
+            # past the first block too: 1e-300 then 1 at step 130
+            monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 64)
+            rates = ["1"] * 130 + ["1e300"] + ["1"] * 10
+            with pytest.raises(ScheduleError, match="cancels at step 130:"):
+                run_trajectory(game, uniform_strategy(3),
+                               schedule_of(tmp_path, "file", " ".join(rates)), 140,
+                               force=force)
+
     def test_custom_exhaustion(self, tmp_path):
         with pytest.raises(ScheduleError):
             schedule_of(tmp_path, "file", "1.0 0.5").rates(5)
 
 
 class TestRelativeEntropy:
+    """RE(y, q) as the entropy diagnostics evaluate it."""
+
     def test_zero_at_equality(self):
-        assert relative_entropy(uniform_strategy(3), uniform_strategy(3)) == 0.0
+        assert _re_on_support(uniform_strategy(3), uniform_strategy(3)) == 0.0
 
     def test_point_vs_coin(self):
-        assert relative_entropy([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2))
+        assert _re_on_support(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == \
+            pytest.approx(math.log(2))
 
-    def test_support_violation(self):
-        with pytest.raises(GameError):
-            relative_entropy([0.5, 0.5], [1.0, 0.0])
-
-    def test_lower_bound_breach_is_game_error(self):
-        # not strategies: KL 2 ln 2 falls below ||p - q||^2 = 2
-        with pytest.raises(GameError):
-            relative_entropy([2.0, 0.0], [1.0, 1.0])
+    def test_batched_along_last_axis(self):
+        ys = np.array([[1.0, 0.0], [0.5, 0.5]])
+        assert np.allclose(_re_on_support(ys, np.full((2, 2), 0.5)), [math.log(2), 0.0])
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=100, deadline=None)
@@ -245,7 +265,7 @@ class TestRelativeEntropy:
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(4)) + 1e-9
         q = q / q.sum()
-        assert relative_entropy(p, q) + 1e-12 >= np.sum((p - q) ** 2)
+        assert _re_on_support(p, q) + 1e-12 >= np.sum((p - q) ** 2)
 
 
 class TestRunTrajectory:

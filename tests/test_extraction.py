@@ -21,11 +21,9 @@ POWER_23 = DEFAULT_SCHEDULE
 def trace_with(xbar):
     """Hand-built single-snapshot trace for ranking unit tests."""
     xbar = np.asarray(xbar, dtype=float)
-    n = xbar.size
     # K = 5; alpha, A_K, gap_avg, gap_iter, avg_step_norm; X; Xbar
     row = np.concatenate([[0.5, 2.0, 0.0, 0.0, 0.0], xbar, xbar])
-    return Trace(n=n, x0=np.full(n, 1.0 / n), steps=np.array([5]), table=row[None],
-                 avg_self_play=np.array([0.0]))
+    return Trace(steps=np.array([5]), table=row[None], avg_self_play=np.array([0.0]))
 
 
 def order(game, record, criterion):

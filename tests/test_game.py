@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgenash import (
+    GAME_KINDS,
     GameError,
     decompose,
     generate_game,
@@ -13,7 +14,14 @@ from hedgenash import (
     uniform_strategy,
     validate_game,
 )
-from hedgenash.game import SUPPORT_TOL, as_strategy, is_interior, support
+from hedgenash.game import (
+    GENERATOR_MAX_N,
+    SUPPORT_TOL,
+    as_strategy,
+    is_interior,
+    support,
+)
+from hedgenash.rng import Xoshiro256StarStar
 
 
 def random_matrix(seed, n):
@@ -23,12 +31,11 @@ def random_matrix(seed, n):
 class TestValidateGame:
     def test_identity_flags(self):
         g = validate_game([[1, 0], [0, 1]])
-        assert g.nonnegative and g.normalized
-        assert g.n == 2 and g.max_entry == 1.0 and g.min_entry == 0.0
+        assert g.normalized and g.n == 2
 
     def test_negative_entry_flag(self):
         g = validate_game([[0, -1], [1, 0]])
-        assert not g.nonnegative and not g.normalized
+        assert not g.normalized
 
     def test_non_square_rejected(self):
         with pytest.raises(GameError):
@@ -82,8 +89,8 @@ class TestNormalizePayoffs:
     def test_range_and_inverse_map(self, seed):
         g = validate_game(random_matrix(seed, 4))
         out, a, b = normalize_payoffs(g)
-        assert out.min_entry >= 0.0
-        assert out.max_entry == pytest.approx(1.0, abs=1e-15)
+        assert out.payoff.min() >= 0.0
+        assert out.payoff.max() == pytest.approx(1.0, abs=1e-15)
         recovered = (out.payoff - b) / a
         assert np.max(np.abs(recovered - g.payoff)) <= 1e-12
 
@@ -184,6 +191,20 @@ class TestGenerateGame:
         with pytest.raises(GameError):
             generate_game("random_uniform", 1, seed=0)
 
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_n_past_the_limit_rejected_before_drawing(self, kind, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew or allocated a game past the limit")
+        monkeypatch.setattr(np, "eye", no_draws)
+        monkeypatch.setattr(Xoshiro256StarStar, "__init__", no_draws)
+        for n in (GENERATOR_MAX_N + 1, 10**5, 10**18):
+            with pytest.raises(GameError, match=f"limited to n <= {GENERATOR_MAX_N}, "
+                                                f"got n={n}"):
+                generate_game(kind, n, seed=0)
+
+    def test_n_at_the_limit_accepted(self):
+        assert generate_game("coordination", GENERATOR_MAX_N, seed=0).n == GENERATOR_MAX_N
+
 
 class TestGameIO:
     def test_json_round_trip(self, tmp_path):
@@ -205,6 +226,33 @@ class TestGameIO:
         path.write_text('{"n": 3, "payoff": [[1, 0], [0, 1]]}')
         with pytest.raises(GameError):
             load_game(path)
+
+    @pytest.mark.parametrize("n", ["2.5", '"2"', "true", "2e0", "null"])
+    def test_json_n_must_be_a_json_integer(self, tmp_path, n):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"n": {n}, "payoff": [[1, 0], [0, 1]]}}')
+        with pytest.raises(GameError, match="is not a JSON integer"):
+            load_game(path)
+
+    @pytest.mark.parametrize("n", ["\u0662", "2.0", "1_0", "+2x", "0x2"])
+    def test_text_n_must_be_ascii_digits(self, tmp_path, n):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{n}\n1 0\n0 1\n")
+        with pytest.raises(GameError, match="text game file dimension n: "
+                                            "invalid int value"):
+            load_game(path)
+
+    @pytest.mark.parametrize("n", ["-2", "-1", "0", "1"])
+    def test_text_n_below_two_rejected(self, tmp_path, n):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{n}\n1 0\n0 1\n")
+        with pytest.raises(GameError, match=f"declares n={n}"):
+            load_game(path)
+
+    def test_signed_text_n_accepted(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("+2\n1 0\n0 1\n")
+        assert load_game(path).n == 2
 
     def test_text_wrong_count(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -1,7 +1,7 @@
-"""The columnar Trace: the template JSONL encoder against json.dumps, the
-checks a file trace must pass, the derived records, the vectorised
-trajectory identities against their per-record loop and on file traces,
-and extract --trace on mutated trace files."""
+"""The columnar Trace: the template JSONL encoder against json.dumps, n and
+x0 read from the table, the checks a file trace must pass, the derived
+records, the vectorised trajectory identities against their per-record
+loop and on file traces, and extract --trace on mutated trace files."""
 
 import contextlib
 import io
@@ -29,7 +29,7 @@ from hedgenash import (
     validate_game,
 )
 from hedgenash.cli import main
-from hedgenash.dynamics import ACCUMULATED_TOL, TRAJECTORY_CHECKS
+from hedgenash.dynamics import _WIRE_SCALARS, ACCUMULATED_TOL, TRAJECTORY_CHECKS
 from hedgenash.rng import Xoshiro256StarStar
 
 GAME = "random_uniform:4:1"
@@ -58,21 +58,14 @@ def test_jsonl_template_matches_json_dumps(tmp_path, n):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_non_finite_scalars_written_as_json_writes_them(tmp_path, fmt):
-    # only a loaded file can hold a non-finite scalar; json writes it as
-    # NaN, Infinity or -Infinity, where %r would write nan, inf or -inf
-    trace = run_trajectory(generate_game("random_uniform", 3, 0), uniform_strategy(3),
-                           DEFAULT_SCHEDULE, 40, emit_every=4)
-    trace.table[2, 0] = math.nan
-    trace.table[3, 2] = math.inf
-    trace.table[3, 4] = -math.inf
-    trace.table[5, 1:3] = [-math.inf, math.nan]
-    loaded = Trace.from_file(write(trace, tmp_path, fmt))
-    assert np.isnan(loaded.table[2, 0]) and loaded.table[3, 4] == -math.inf
-    text = write(loaded, tmp_path, "jsonl").read_text()
-    assert text == json_reference(loaded)
-    assert "NaN" in text and "-Infinity" in text and "nan" not in text
-    assert write(trace, tmp_path, "jsonl").read_text() == text
+def test_n_and_x0_are_read_from_the_table(tmp_path, fmt):
+    x0 = Xoshiro256StarStar(3).interior_point(5)
+    trace = run_trajectory(generate_game("doubly_symmetric", 5, 2), x0,
+                           DEFAULT_SCHEDULE, 50, emit_every=7)
+    assert trace.n == 5 and np.array_equal(trace.x0, x0)
+    assert np.shares_memory(trace.x0, trace.table)
+    back = Trace.from_file(write(trace, tmp_path, fmt))
+    assert back.n == 5 and np.array_equal(back.x0, x0)
 
 
 def test_records_are_derived_views(tmp_path):
@@ -162,6 +155,30 @@ def test_bad_file_trace_names_first_offending_line(trace_file, capsys, case, edi
     assert err.count("\n") == 1 and err.startswith(f"error: {path}:{first + offset}: ")
 
 
+def with_scalar(fmt, line, column, value):
+    """line with its scalar field ``column`` set to value."""
+    if fmt == "jsonl":
+        return json.dumps({**json.loads(line), column: value})
+    fields = line.split(",")
+    fields[1 + _WIRE_SCALARS.index(column)] = repr(value)
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", ["alpha", "gap_avg", "avg_step_norm"])
+def test_non_finite_scalar_names_its_line(trace_file, capsys, column, value):
+    # json.dumps writes NaN, Infinity or -Infinity, which json reads back
+    fmt, path = trace_file
+    first = rewrite(path, fmt, lambda body: body[:7] + [
+        with_scalar(fmt, body[7], column, value)] + body[8:])
+    with pytest.raises(GameError, match=re.escape(f"{path}:{first + 7}: record has a "
+                                                  "non-finite value")):
+        Trace.from_file(path)
+    assert main(["extract", "--game", GAME, "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}:{first + 7}: ")
+
+
 def garbled(fmt, line):
     """line broken so that it fails alone: cut short, or given a word field."""
     return line[:-7] if fmt == "jsonl" else line.replace(",", ",x,", 1)
@@ -213,7 +230,7 @@ def test_trace_without_step_zero_has_no_start(trace_file, capsys):
     full = capsys.readouterr()
     rewrite(path, fmt, lambda body: body[1:])
     trace = Trace.from_file(path)
-    assert trace.x0 is None and trace.steps[0] == 3
+    assert trace.x0 is None and trace.n == 4 and trace.steps[0] == 3
     assert main(["extract", "--game", GAME, "--trace", str(path)]) == 0
     assert capsys.readouterr() == full
     game = generate_game("random_uniform", 4, 1)
@@ -326,18 +343,17 @@ def test_underflowed_iterate_left_out_of_log_checks(tmp_path):
 
 def test_cancelled_weight_fails_the_identities(tmp_path):
     # A_1 = 1e-300 + 1 rounds to 1, so A_1 - alpha_1 is 0 and Xbar^0 cannot
-    # be recovered from record 1: its checks read inf or NaN, never a pass
-    (tmp_path / "rates.txt").write_text("1e-300 1 1 1 1")
-    game = generate_game("random_uniform", 3, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")           # run_trajectory's own warning
-        trace = run_trajectory(game, uniform_strategy(3),
-                               parse_schedule(f"file:{tmp_path / 'rates.txt'}"), 4,
-                               emit_every=1, force=True)
+    # be recovered from record 1: its checks read inf or NaN, never a pass.
+    # A run refuses such rates, so the file is written by hand.
+    path = tmp_path / "trace.csv"
+    path.write_text("K,alpha,A_K,gap_avg,gap_iter,avg_step_norm,X_1,X_2,Xbar_1,Xbar_2\n"
+                    "0,1e-300,1e-300,0,0,0,0.5,0.5,0.5,0.5\n"
+                    "1,1,1,0,0,0,0.25,0.75,0.25,0.75\n")
+    game = generate_game("random_uniform", 2, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = diagnose_trajectory_identities(game, trace)
-    assert [c.max_violation for c in report.checks] == [math.inf] * 3
+        report = diagnose_trajectory_identities(game, Trace.from_file(path), WIRE_CHECKS)
+    assert [c.max_violation for c in report.checks] == [math.inf] * 2
 
 
 def test_self_play_bound_needs_a_memory_trace(trace_file):
