@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +20,7 @@ from .game import (
     SymmetricGame,
     as_strategy,
     denormalize_gap,
+    parse_float,
     support,
 )
 from .lp import LPError, StandardFormLP, solve_lp
@@ -28,17 +28,11 @@ from .lp import LPError, StandardFormLP, solve_lp
 DEFAULT_CERT_TOL = 1e-8
 ORACLE_MAX_N = 6        # the largest n of the oracle, which solves 2^n - 1 supports
 
-# ASCII decimal or scientific notation: no digit separators, other scripts'
-# digits, hexadecimal, inf or nan, all of which float() reads.
-_DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
-
 
 def parse_tolerance(text: str) -> float:
-    """A tolerance written in ASCII decimal or scientific notation, finite
-    and >= 0; anything else is a GameError."""
-    if not _DECIMAL.fullmatch(text):
-        raise GameError(f"tolerance is not a decimal number: {text!r}")
-    tol = float(text)
+    """A tolerance read by parse_float, finite and >= 0; anything else is a
+    GameError."""
+    tol = parse_float(text, "tolerance: ")
     if not 0.0 <= tol < np.inf:
         raise GameError(f"tolerance must be finite and >= 0, got {text!r}")
     return tol

@@ -25,14 +25,13 @@ from .analysis import (
     well_supported_eps,
 )
 from .dynamics import (
-    DEFAULT_SCHEDULE,
     Trace,
     check_run,
     diagnose_entropy_bounds,
     parse_schedule,
     run_trajectory,
 )
-from .extraction import CRITERIA, extract_certificate
+from .extraction import extract_certificate
 from .game import (
     GAME_KINDS,
     OFF_SIMPLEX_TOL,
@@ -43,6 +42,7 @@ from .game import (
     generate_game,
     load_game,
     normalize_payoffs,
+    parse_float,
     parse_int,
     save_game,
     uniform_strategy,
@@ -77,7 +77,8 @@ def _parse_x0(spec: str, n: int, seed: int) -> np.ndarray:
     if spec == "random":
         return Xoshiro256StarStar(seed).interior_point(n)
     if spec.startswith("csv:"):
-        return np.array([float(tok) for tok in spec[4:].split(",")])
+        return np.array([parse_float(tok, "start vector entry: ")
+                         for tok in spec[4:].split(",")])
     raise GameError(f"cannot parse start spec {spec!r}; "
                     "expected uniform | random | csv:p1,p2,...")
 
@@ -90,16 +91,11 @@ def _print_json(payload, out: str | None = None) -> None:
     print(text)
 
 
-def _parse_schedule_arg(spec: str | None):
-    return DEFAULT_SCHEDULE if spec is None else parse_schedule(spec)
-
-
 def _load_run(config: dict) -> tuple:
-    """The game, schedule and start of a run config, loaded before it runs."""
-    if config["format"] not in ("csv", "jsonl"):
-        raise GameError(f"unknown trace format {config['format']!r}")
+    """The game, schedule and start of a run config or of the run flags,
+    loaded before it runs."""
     game = _load_game_spec(config["game"])
-    schedule = _parse_schedule_arg(config["schedule"])
+    schedule = parse_schedule(config["schedule"])
     return game, schedule, _parse_x0(config["x0"], game.n, config["seed"])
 
 
@@ -142,12 +138,13 @@ def _run_one(config: dict, game: SymmetricGame, schedule, x0: np.ndarray) -> dic
 
 # The keys of a --config entry, the JSON types they take, and the defaults
 # of all but "game" and "steps", which may not be null; the run flags take
-# their defaults from here too.
+# their defaults from here too. The schedule is DEFAULT_SCHEDULE's spec.
 _CONFIG_TYPES = {"game": str, "steps": int, "schedule": str, "x0": str,
                  "seed": int, "emit_every": int, "force": bool, "out": str,
                  "format": str}
-_RUN_DEFAULTS = {"schedule": None, "x0": "uniform", "seed": 0, "emit_every": 1000,
-                 "force": False, "out": "hedge_trace.csv", "format": "csv"}
+_RUN_DEFAULTS = {"schedule": "power:0.6666666666666666", "x0": "uniform", "seed": 0,
+                 "emit_every": 1000, "force": False, "out": "hedge_trace.csv",
+                 "format": "csv"}
 
 
 def _check_config(index: int, config) -> tuple:
@@ -156,16 +153,20 @@ def _check_config(index: int, config) -> tuple:
     is checked before any runs."""
     if not isinstance(config, dict):
         raise GameError(f"--config entry {index} is not a JSON object")
-    for key in ("game", "steps"):
-        if config.get(key) is None:
-            raise GameError(f"--config entry {index} has no {key!r}")
-    for key, kind in _CONFIG_TYPES.items():
-        value = config.get(key)
+    for key, value in config.items():
+        if key not in _CONFIG_TYPES:
+            raise GameError(f"--config entry {index}: unknown key {key!r}")
+        kind = _CONFIG_TYPES[key]
         if value is not None and type(value) is not kind:   # JSON true is no int
             raise GameError(f"--config entry {index}: {key!r} must be "
                             f"{kind.__name__}, got {value!r}")
+    for key in ("game", "steps"):
+        if config.get(key) is None:
+            raise GameError(f"--config entry {index} has no {key!r}")
     config = {**_RUN_DEFAULTS, **{k: v for k, v in config.items() if v is not None}}
     try:
+        if config["format"] not in ("csv", "jsonl"):
+            raise GameError(f"unknown trace format {config['format']!r}")
         game, schedule, x0 = _load_run(config)
         check_run(game, x0, schedule, config["steps"], config["emit_every"],
                   config["force"])
@@ -192,20 +193,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    game = _load_game_spec(args.game)
     if args.trace:
+        game = _load_game_spec(args.game)
         trace = Trace.from_file(args.trace)
         if trace.n != game.n:
             raise GameError(f"trace has n={trace.n}, game has n={game.n}")
+    elif args.steps is None:
+        raise GameError("either --trace or --steps is required")
     else:
-        if args.steps is None:
-            raise GameError("either --trace or --steps is required")
-        schedule = _parse_schedule_arg(args.schedule)
-        x0 = _parse_x0(args.x0, game.n, args.seed)
+        game, schedule, x0 = _load_run(vars(args))
         trace = run_trajectory(game, x0, schedule, args.steps,
                                emit_every=args.emit_every, force=args.force)
-    criteria = tuple(args.criteria.split(",")) if args.criteria else CRITERIA
-    outcome = extract_certificate(game, trace, criteria=criteria)
+    outcome = extract_certificate(game, trace)
     _print_json(outcome.to_dict(), args.out)
     return EXIT_OK if outcome.certificate is not None else EXIT_FAILED
 
@@ -294,6 +293,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise GameError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse drops a value of "--" (as in --steps=--) and stores [] for
+        # the flag without calling its type
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            if action.nargs is None and isinstance(getattr(namespace, action.dest, None),
+                                                   list):
+                self.error(f"argument {'/'.join(action.option_strings)}: "
+                           "expected one argument")
+        return namespace, extras
+
 
 def _arg(parse):
     """parse as an argparse type: its GameError becomes the message that
@@ -325,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="game file (JSON or text) or generator spec kind:n[:seed]")
 
     def add_run_flags(p):
-        p.add_argument("--schedule",
+        p.add_argument("--schedule", default=_RUN_DEFAULTS["schedule"],
                        help="power:P | harmonic | constant:C | file:PATH "
                             "(default power:2/3)")
         p.add_argument("--x0", default=_RUN_DEFAULTS["x0"],
@@ -349,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_game(p)
     p.add_argument("--trace", help="existing trace file (CSV or JSONL)")
     add_run_flags(p)
-    p.add_argument("--criteria", help="comma list from: " + ",".join(CRITERIA))
     p.add_argument("--out", help="write certificate JSON here")
     p.set_defaults(func=cmd_extract)
 

@@ -21,7 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .game import OFF_SIMPLEX_TOL, GameError, SymmetricGame, as_strategy, is_interior
+from .game import (
+    OFF_SIMPLEX_TOL,
+    GameError,
+    SymmetricGame,
+    as_strategy,
+    is_interior,
+    parse_float,
+)
 from .rng import Xoshiro256StarStar
 
 
@@ -92,7 +99,8 @@ def parse_schedule(spec: str) -> Schedule:
     """Parse a schedule spec: power:P | harmonic | constant:C | file:PATH.
 
     power:P is alpha_k = (k+1)^(-P); harmonic is alpha_0 = 1, alpha_k = 1/k;
-    file:PATH lists the rates, whitespace-separated. The validation checks
+    file:PATH lists the rates, whitespace-separated. P, C and the listed
+    rates are read by parse_float. The validation checks
     the three conditions a diminishing schedule must satisfy: alpha_k -> 0,
     sum alpha_k diverges, sum alpha_k*(exp(alpha_k)-1) converges. For power
     schedules these hold exactly when 1/2 < p <= 1 (the tail term behaves
@@ -104,17 +112,18 @@ def parse_schedule(spec: str) -> Schedule:
     if spec == "harmonic":
         return Schedule("harmonic", _harmonic_rates, ScheduleValidation(True))
     if spec.startswith("power:"):
-        p = float(arg)
+        p = parse_float(arg, f"schedule {spec!r}: ")
         return Schedule(f"power:{p:g}",
                         lambda count: np.arange(1, count + 1, dtype=float) ** -p,
                         _power_validation(p))
     if spec.startswith("constant:"):
-        value = float(arg)
+        value = parse_float(arg, f"schedule {spec!r}: ")
         reason = "rates must be positive" if value <= 0 else "alpha_k does not tend to 0"
         return Schedule(f"constant:{value:g}", lambda count: np.full(count, value),
                         ScheduleValidation(False, reason))
     if spec.startswith("file:"):
-        values = tuple(float(tok) for tok in Path(arg).read_text().split())
+        values = tuple(parse_float(tok, f"schedule file {arg}: ")
+                       for tok in Path(arg).read_text().split())
         return Schedule(f"custom[{len(values)}]",
                         lambda count: _listed_rates(values, count),
                         _listed_validation(values))
@@ -300,8 +309,10 @@ def _check_records(trace: Trace, path: Path, first: int) -> None:
                         "K must strictly increase")
     side = int(np.argmin(simplex[row]))
     vector = vectors[row, side]
+    found = (f"min {vector.min():.17g}, sum {vector.sum():.17g}" if n
+             else "no entries")
     raise GameError(where + f"{('X', 'Xbar')[side]} is not a probability vector "
-                    f"(min {vector.min():.17g}, sum {vector.sum():.17g})")
+                    f"({found})")
 
 
 def _csv_columns(lines: list[str], n: int):
@@ -693,31 +704,24 @@ def diagnose_entropy_bounds(game: SymmetricGame, samples: int,
 TRAJECTORY_CHECKS = ("log_ratio_identity", "payoff_floor_bound", "self_play_bound")
 
 
-def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace,
-                                   checks=TRAJECTORY_CHECKS) -> DiagnosticsReport:
+def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace) -> DiagnosticsReport:
     """Verify exact identities/bounds one step back from each snapshot
     K >= 1, from its wire columns: with A_{K-1} = A_K - alpha_K, Xbar^{K-1}
     = (A_K Xbar^K - alpha_K X^K)/A_{K-1} and ln X^K = ln X^0 + A_{K-1} C
     Xbar^{K-1} - ln(normalizer). With p = C Xbar^{K-1}:
 
-      * log-ratio identity (uniform start): ln(X^K(i)/X^K(j))/A_{K-1} = p_i - p_j;
-      * payoff floor: p_i - p_max >= (ln c + ln X^K(i))/A_{K-1}, c = X^0_min/X^0_max;
-      * best-response bound (a run in memory): X^K.p >= the avg self-play to
-        K - 1, (A_K avg_self_play - alpha_K X^K.CX^K)/A_{K-1}.
+      * log-ratio identity (a uniform start): ln(X^K(i)/X^K(j))/A_{K-1} = p_i - p_j;
+      * payoff floor (X^0, the K = 0 record): p_i - p_max >= (ln c + ln
+        X^K(i))/A_{K-1}, c = X^0_min/X^0_max;
+      * best-response bound (avg_self_play, a run in memory): X^K.p >= the
+        avg self-play to K - 1, (A_K avg_self_play - alpha_K X^K.CX^K)/A_{K-1}.
 
-    X^K entries below the smallest normal float (a forced schedule can
-    drive one to 0) are left out of the log checks.
+    The report holds, in TRAJECTORY_CHECKS order, the checks whose inputs
+    (named in parentheses) the trace holds. X^K entries below the smallest
+    normal float (a forced schedule can drive one to 0) are left out of the
+    log checks.
     """
     x0, n = trace.x0, trace.n
-    uniform = x0 is not None and np.allclose(x0, 1.0 / n, atol=1e-12)
-    needs = {"log_ratio_identity": (uniform, "a uniform start"),
-             "payoff_floor_bound": (x0 is not None, "X^0, the K = 0 record"),
-             "self_play_bound": (trace.avg_self_play is not None, "a trace run in memory")}
-    for name in checks:
-        if name not in needs:
-            raise GameError(f"unknown trajectory check {name!r}")
-        if not needs[name][0]:
-            raise GameError(f"{name} needs {needs[name][1]}")
     lo, c = len(_WIRE_SCALARS), game.payoff
     later = trace.steps > 0
     table = trace.table[later]
@@ -732,19 +736,19 @@ def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace,
         a_prev = a_k - alpha
         xbar_prev = (a_k * table[:, lo + n:] - alpha * x) / a_prev
         cxbar = np.matmul(c, xbar_prev[:, :, None])[:, :, 0]   # gemv per row, as np.dot
-        if "log_ratio_identity" in checks:
+        if x0 is not None and np.allclose(x0, 1.0 / n, atol=1e-12):
             d = log_x / a_prev - cxbar
             per_row["log_ratio_identity"] = np.fmax.reduce(d, 1) - np.fmin.reduce(d, 1)
-        if "payoff_floor_bound" in checks:
+        if x0 is not None:
             floor = (math.log(x0.min() / x0.max()) + log_x) / a_prev
             per_row["payoff_floor_bound"] = np.fmax.reduce(
                 floor - (cxbar - cxbar.max(axis=1, keepdims=True)), 1)
-        if "self_play_bound" in checks:
+        if trace.avg_self_play is not None:
             xcx = _row_dots(x, np.matmul(c, x[:, :, None])[:, :, 0])[:, None]
             self_play = (a_k * trace.avg_self_play[later, None] - alpha * xcx) / a_prev
             per_row["self_play_bound"] = self_play[:, 0] - _row_dots(x, cxbar)
     # the largest violation over the snapshots, at least 0, a NaN one as inf
-    worst = {name: float(np.max(np.where(np.isnan(v), np.inf, v), initial=0.0))
-             for name, v in per_row.items()}
-    return DiagnosticsReport(checks=[DiagnosticCheck(name, len(table), worst[name],
-                                                     ACCUMULATED_TOL) for name in checks])
+    return DiagnosticsReport(checks=[
+        DiagnosticCheck(name, len(table),
+                        float(np.max(np.where(np.isnan(v), np.inf, v), initial=0.0)),
+                        ACCUMULATED_TOL) for name, v in per_row.items()])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import EquilibriumCertificate, verify_support
 from .dynamics import Trace, TraceRecord
-from .game import GameError, SymmetricGame
+from .game import SymmetricGame
 from .lp import LPError
 
 CRITERIA = ("average_payoff", "average_mass")
@@ -39,22 +39,17 @@ class ExtractionOutcome:
         }
 
 
-def extract_certificate(game: SymmetricGame, trace: Trace,
-                        criteria=CRITERIA) -> ExtractionOutcome:
-    """Sweep prefixes m = 1..n of each criterion's order (descending score,
-    ties by index) at the final record, LP-verifying each as a candidate
-    support; first certificate wins. The sweep avoids guessing a
+def extract_certificate(game: SymmetricGame, trace: Trace) -> ExtractionOutcome:
+    """Sweep prefixes m = 1..n of each CRITERIA order in turn (descending
+    score, ties by index) at the final record, LP-verifying each as a
+    candidate support; first certificate wins. The sweep avoids guessing a
     separation threshold: a correct prefix is guaranteed to recur, but its
     size is not computable from a finite trace. A candidate whose LP fails
     numerically is recorded with its error and the sweep goes on."""
-    criteria = tuple(criteria)
-    for criterion in criteria:
-        if criterion not in CRITERIA:
-            raise GameError(f"unknown ranking criterion {criterion!r}")
     scores = _scores(game, trace.final)
     attempts: list[dict] = []
     verified: dict[frozenset, EquilibriumCertificate | LPError | None] = {}
-    for criterion in criteria:
+    for criterion in CRITERIA:
         s = scores[criterion]
         order = sorted(range(game.n), key=lambda i: (-s[i], i))
         for m in range(1, game.n + 1):

@@ -39,15 +39,14 @@ class GameError(ValueError):
 class SymmetricGame:
     """Immutable symmetric game. Construct via :func:`validate_game`.
 
-    ``scale`` / ``offset`` record the positive-affine map applied by
-    :func:`normalize_payoffs` (payoff = scale * original + offset), so
-    quantities on the normalized scale can be reported in original units.
+    ``scale`` records the factor of the positive-affine maps applied by
+    :func:`normalize_payoffs` (payoff = scale * original + a shift), so
+    payoff gaps on the normalized scale can be reported in original units.
     """
 
     payoff: np.ndarray
     normalized: bool
     scale: float = 1.0
-    offset: float = 0.0
 
     @property
     def n(self) -> int:
@@ -57,7 +56,7 @@ class SymmetricGame:
         return hashlib.sha1(np.ascontiguousarray(self.payoff).tobytes()).hexdigest()[:16]
 
 
-def validate_game(matrix, *, scale: float = 1.0, offset: float = 0.0) -> SymmetricGame:
+def validate_game(matrix, *, scale: float = 1.0) -> SymmetricGame:
     """Validate a square, finite payoff matrix and compute its flags."""
     try:
         c = np.array(matrix, dtype=float)
@@ -71,8 +70,7 @@ def validate_game(matrix, *, scale: float = 1.0, offset: float = 0.0) -> Symmetr
         raise GameError("payoff matrix contains non-finite entries")
     c.setflags(write=False)
     lo, hi = float(c.min()), float(c.max())
-    return SymmetricGame(payoff=c, normalized=lo >= 0.0 and hi <= 1.0,
-                         scale=scale, offset=offset)
+    return SymmetricGame(payoff=c, normalized=lo >= 0.0 and hi <= 1.0, scale=scale)
 
 
 def normalize_payoffs(game: SymmetricGame) -> tuple[SymmetricGame, float, float]:
@@ -92,7 +90,7 @@ def normalize_payoffs(game: SymmetricGame) -> tuple[SymmetricGame, float, float]
     else:
         a, b = 1.0, -lo
         c = a * game.payoff + b
-    out = validate_game(c, scale=a * game.scale, offset=a * game.offset + b)
+    out = validate_game(c, scale=a * game.scale)
     return out, a, b
 
 
@@ -147,6 +145,19 @@ def parse_int(text: str, where: str = "") -> int:
     return int(text)
 
 
+_DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def parse_float(text: str, where: str = "") -> float:
+    """A number written in ASCII decimal or scientific notation; float()
+    also reads nan, inf, 1_0, other scripts' digits and spaces, which are
+    GameErrors with float()'s message. A decimal past the float range reads
+    as +-inf."""
+    if not _DECIMAL.fullmatch(text):
+        raise GameError(f"{where}could not convert string to float: {text!r}")
+    return float(text)
+
+
 def generate_game(kind: str, n: int, seed: int) -> SymmetricGame:
     """Deterministically generate a test game of the requested kind, for
     2 <= n <= GENERATOR_MAX_N."""
@@ -186,7 +197,8 @@ def save_game(game: SymmetricGame, path, fmt: str = "json") -> None:
 
 def load_game(path) -> SymmetricGame:
     """Load a game from JSON ({"n": ..., "payoff": [[...]]}, n optional and
-    a JSON integer) or plain text (n, read by parse_int, then the rows)."""
+    a JSON integer) or plain text (n, read by parse_int, then the rows,
+    read by parse_float)."""
     text = Path(path).read_text().strip()
     if text.startswith("{"):
         payload = json.loads(text)
@@ -207,5 +219,6 @@ def load_game(path) -> SymmetricGame:
     values = tokens[1:]
     if len(values) != n * n:
         raise GameError(f"expected {n * n} payoff entries, found {len(values)}")
-    matrix = np.array([float(v) for v in values]).reshape(n, n)
+    matrix = np.array([parse_float(v, "text game file entry: ")
+                       for v in values]).reshape(n, n)
     return validate_game(matrix)

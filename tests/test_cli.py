@@ -6,7 +6,17 @@ import pytest
 
 import hedgenash.analysis as analysis
 import hedgenash.cli as cli
-from hedgenash import GAME_KINDS, LPError, load_game, save_game, validate_game
+from hedgenash import (
+    DEFAULT_SCHEDULE,
+    GAME_KINDS,
+    LPError,
+    generate_game,
+    load_game,
+    run_trajectory,
+    save_game,
+    uniform_strategy,
+    validate_game,
+)
 from hedgenash.cli import main
 
 RPS_NORMALIZED = [[0.5, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 1.0, 0.5]]
@@ -48,6 +58,14 @@ class TestRun:
                    "--out", str(out)])
         assert rc == 0 and out.exists()
 
+    def test_default_flags_run_default_schedule(self, tmp_path):
+        out, want = tmp_path / "t.csv", tmp_path / "want.csv"
+        assert main(["run", "--game", "random_uniform:3:1", "--steps", "600",
+                     "--out", str(out)]) == 0
+        run_trajectory(generate_game("random_uniform", 3, 1), uniform_strategy(3),
+                       DEFAULT_SCHEDULE, 600, emit_every=1000).to_csv(want)
+        assert out.read_bytes() == want.read_bytes()
+
     def test_jsonl_format(self, rps_file, tmp_path):
         out = tmp_path / "trace.jsonl"
         rc = main(["run", "--game", rps_file, "--steps", "100",
@@ -70,12 +88,14 @@ class TestRun:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "forced"])
-    @pytest.mark.parametrize("rates", ["power:nan", "file"])
+    # nan is no decimal; -1e400 and 1e400 read as -inf and inf, so the
+    # others reach the check of the rates
+    @pytest.mark.parametrize("rates", ["power:nan", "power:-1e400", "file"])
     def test_non_finite_schedule_is_config_error(self, rps_file, tmp_path, capsys,
                                                  rates, force):
         if rates == "file":
             path = tmp_path / "rates.txt"
-            path.write_text("0.5 nan " * 60)
+            path.write_text("0.5 1e400 " * 60)
             rates = f"file:{path}"
         out = tmp_path / "t.csv"
         rc = main(["run", "--game", rps_file, "--steps", "100", "--schedule",
@@ -233,7 +253,7 @@ class TestRun:
         ({"x0": "csv:0.5,0.5,0.5"}, "strategy entries sum to 1.5"),
         ({"schedule": "power:0.4"}, "sum alpha_k*(exp(alpha_k)-1) diverges"),
         ({"schedule": "constant:0", "force": True}, "needs alpha_0 > 0"),
-        ({"schedule": "power:nan", "force": True}, "yields a non-finite rate"),
+        ({"schedule": "power:-1e400", "force": True}, "yields a non-finite rate"),
         ({"schedule": "file:short.txt"}, "custom schedule has 3 rates, 11 needed"),
     ])
     def test_config_entry_checked_as_the_run_would(self, tmp_path, monkeypatch, capsys,
@@ -274,6 +294,17 @@ class TestRun:
         assert rc == 2 and not (tmp_path / "r.csv").exists()
         assert capsys.readouterr().err.splitlines() == [
             f"error: unrecognized arguments: --jobs {jobs}"]
+
+    def test_unknown_config_key_is_config_error(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "c.json").write_text(json.dumps([
+            {"game": "random_uniform:3", "steps": 10, "emit_evry": 1, "out": "u.csv"}]))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "c.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --config entry 0: unknown key 'emit_evry'"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     @pytest.mark.parametrize("entry, named", [
         (1, "entry 0 is not a JSON object"),
@@ -333,8 +364,8 @@ class TestVerify:
         assert main(args) == 1
         assert main(args + ["--tol", "1e-4"]) == 0
 
-    # 1_0, an Arabic-Indic 3, hexadecimal and spaces are floats to Python,
-    # but no tolerance: on normalized payoffs a tolerance of 1 verifies anything
+    # 1_0, an Arabic-Indic 3 and spaces are floats to Python, but no
+    # tolerance: on normalized payoffs a tolerance of 1 verifies anything
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1_0", "\u0663", "0x10", " 1e-4",
                                      "1e", ""])
     def test_bad_tol_is_config_error(self, rps_file, capsys, tol):
@@ -342,7 +373,9 @@ class TestVerify:
                      f"--tol={tol}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: argument --tol: tolerance ")
+        assert captured.err.startswith((
+            "error: argument --tol: tolerance: could not convert string to float: ",
+            "error: argument --tol: tolerance must be finite and >= 0"))
 
     def test_non_numeric_env_tolerance_is_config_error(self, rps_file, capsys,
                                                        monkeypatch):
@@ -489,20 +522,42 @@ class TestExtract:
     def test_missing_trace_and_steps(self, rps_file):
         assert main(["extract", "--game", rps_file]) == 2
 
+    # the sweep tries every criterion in order; none is chosen, so --criteria
+    # is no flag
     def test_iterate_mass_is_no_criterion(self, capsys):
         rc = main(["extract", "--game", "coordination:3", "--steps", "200",
                    "--criteria", "iterate_mass"])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err.splitlines() == [
-            "error: unknown ranking criterion 'iterate_mass'"]
+            "error: unrecognized arguments: --criteria iterate_mass"]
 
     def test_unknown_criterion_is_config_error(self, capsys):
         rc = main(["extract", "--game", "coordination:3", "--steps", "200",
                    "--criteria", "average_payoff,bogus"])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
-        assert captured.err.splitlines() == ["error: unknown ranking criterion 'bogus'"]
+        assert captured.err.splitlines() == [
+            "error: unrecognized arguments: --criteria average_payoff,bogus"]
+
+    @pytest.mark.parametrize("flag", ["--steps", "--emit-every", "--seed", "--x0",
+                                      "--game"])
+    def test_double_dash_value_is_usage_error(self, capsys, flag):
+        # argparse stores [] for a flag whose value is "--"
+        args = {"--game": "coordination:3", "--steps": "5", "--x0": "random"}
+        argv = ["extract", *(f"{k}={v}" for k, v in args.items() if k != flag),
+                f"{flag}=--"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: argument {flag}: expected one argument"]
+
+    def test_second_criterion_certifies(self, capsys):
+        assert main(["extract", "--game", "zero_sum_symmetric:10:1",
+                     "--steps", "10000"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certificate"]["method"] == "extract:average_mass:m=3"
 
 
 class TestUsage:
@@ -548,14 +603,38 @@ class TestUsage:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error: {message}")
 
+    # Python's float() reads each of these decimals
+    @pytest.mark.parametrize("flags, message", [
+        (["--schedule", "power:\u0660.\u0667"],
+         "schedule 'power:\u0660.\u0667': could not convert string to float: "
+         "'\u0660.\u0667'"),
+        (["--schedule", "constant: 1", "--force"],
+         "schedule 'constant: 1': could not convert string to float: ' 1'"),
+        (["--schedule", "file:rates.txt"],
+         "schedule file rates.txt: could not convert string to float: '1_0'"),
+        (["--x0", "csv:\u0660.\u0665,\u0660.\u0665"],
+         "start vector entry: could not convert string to float: '\u0660.\u0665'"),
+        (["--game", "game.txt"],
+         "text game file entry: could not convert string to float: '1_0'"),
+    ])
+    def test_decimals_are_ascii(self, tmp_path, monkeypatch, capsys, flags, message):
+        (tmp_path / "rates.txt").write_text("1_0 \u0663 1e-1")
+        (tmp_path / "game.txt").write_text("2\n1_0 0 0 \u0661\n")
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--game", "random_uniform:2", "--steps", "2", "--out", "t.csv"]
+        assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["game.txt", "rates.txt"]
+
     def test_parser_built_once_keeps_no_values_between_calls(self, tmp_path, capsys):
         assert cli.build_parser() is cli.build_parser()
         game, steps = ["--game", "random_uniform:3:0"], ["--steps", "20"]
         first = tmp_path / "first.jsonl"
         assert main(["run", *game, *steps, "--schedule", "constant:0.5", "--force",
                      "--format", "jsonl", "--out", str(first)]) == 0
-        assert main(["extract", *game, *steps, "--criteria", "bogus"]) == 2
-        # no --force, --format, --out or --criteria is carried into a later call
+        assert main(["extract", *game, *steps, "--x0", "bogus"]) == 2
+        # no --force, --format, --out or --x0 is carried into a later call
         second = tmp_path / "second.csv"
         assert main(["run", *game, *steps, "--schedule", "constant:0.5",
                      "--out", str(second)]) == 2

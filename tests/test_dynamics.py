@@ -180,11 +180,20 @@ class TestSchedules:
         ("power:nan",), ("file", "0.5 nan"), ("file", "0.5 inf")],
         ids=["power-nan", "custom-nan", "custom-inf"])
     def test_non_finite_invalid(self, tmp_path, schedule):
+        # nan and inf are no decimals to parse_float
+        with pytest.raises(GameError, match="could not convert string to float"):
+            schedule_of(tmp_path, *schedule)
+
+    @pytest.mark.parametrize("schedule", [
+        ("power:1e400",), ("file", "0.5 1e400"), ("file", "0.5 -1e400")],
+        ids=["power", "custom", "custom-negative"])
+    def test_overflowing_decimal_invalid(self, tmp_path, schedule):
+        # a decimal past the float range reads as inf
         assert not schedule_of(tmp_path, *schedule).validation.valid
 
     @pytest.mark.parametrize("schedule", [
-        ("power:nan",), ("constant:nan",), ("constant:inf",), ("power:-1e3",),
-        ("file", "0.5 nan " * 10)])
+        ("power:-1e400",), ("constant:1e400",), ("constant:-1e400",), ("power:-1e3",),
+        ("file", "0.5 1e400 " * 10)])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_rates_rejected_even_forced(self, identity2, tmp_path, schedule):
         with pytest.raises(ScheduleError, match="non-finite"):
@@ -444,18 +453,20 @@ class TestDiagnostics:
     def test_log_ratio_needs_uniform_start(self, rps_norm):
         tr = run_trajectory(rps_norm, np.array([0.6, 0.2, 0.2]), POWER_23,
                             100, emit_every=10)
-        with pytest.raises(GameError):
-            diagnose_trajectory_identities(rps_norm, tr)
-        partial = diagnose_trajectory_identities(
-            rps_norm, tr, checks=("payoff_floor_bound", "self_play_bound"))
-        assert partial.all_passed
+        report = diagnose_trajectory_identities(rps_norm, tr)
+        assert [c.name for c in report.checks] == ["payoff_floor_bound",
+                                                   "self_play_bound"]
+        assert report.all_passed
 
     def test_file_traces_lack_logits(self, tmp_path, hawk_dove_norm):
+        # a file holds no self-play payoff: only the wire checks are reported
         tr = run_trajectory(hawk_dove_norm, uniform_strategy(2), POWER_23, 100)
         path = tmp_path / "t.csv"
         tr.to_csv(path)
-        with pytest.raises(GameError):
-            diagnose_trajectory_identities(hawk_dove_norm, Trace.from_file(path))
+        report = diagnose_trajectory_identities(hawk_dove_norm, Trace.from_file(path))
+        assert [c.name for c in report.checks] == ["log_ratio_identity",
+                                                   "payoff_floor_bound"]
+        assert report.all_passed
 
     def test_report_serializes(self, identity2):
         payload = diagnose_entropy_bounds(identity2, 10, seed=0).to_dict()

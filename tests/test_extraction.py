@@ -1,14 +1,13 @@
 import numpy as np
-import pytest
 
 import hedgenash.analysis as analysis
 import hedgenash.extraction as extraction
 from hedgenash import (
     DEFAULT_SCHEDULE,
-    GameError,
     LPError,
     Trace,
     extract_certificate,
+    generate_game,
     run_trajectory,
     uniform_strategy,
     validate_game,
@@ -73,13 +72,25 @@ class TestExtractCertificate:
         rejected = [a for a in out.attempts if not a.get("verified")]
         assert {a["m"] for a in rejected} == {1, 2}
 
-    def test_hawk_dove_average_mass(self, hawk_dove_norm):
+    def test_hawk_dove_average_mass(self, hawk_dove_norm, monkeypatch):
+        # the sweep limited to its second criterion
+        monkeypatch.setattr(extraction, "CRITERIA", ("average_mass",))
         tr = run_trajectory(hawk_dove_norm, uniform_strategy(2), POWER_23,
                             10**4, emit_every=1000)
-        out = extract_certificate(hawk_dove_norm, tr, criteria=("average_mass",))
+        out = extract_certificate(hawk_dove_norm, tr)
         assert out.certificate is not None
         assert np.allclose(out.certificate.strategy, 0.5, atol=1e-8)
         assert out.certificate.method == "extract:average_mass:m=2"
+
+    def test_average_mass_certifies_what_payoff_misses(self):
+        # every average_payoff prefix of this game fails after 1e4 steps:
+        # the sweep goes on to the second criterion
+        game = generate_game("zero_sum_symmetric", 10, 1)
+        tr = run_trajectory(game, uniform_strategy(10), POWER_23, 10**4, emit_every=1000)
+        out = extract_certificate(game, tr)
+        assert out.certificate.method == "extract:average_mass:m=3"
+        assert [a["criterion"] for a in out.attempts] == \
+            ["average_payoff"] * 10 + ["average_mass"] * 3
 
     def test_identity_locks_onto_dominant(self, identity2):
         tr = run_trajectory(identity2, np.array([0.9, 0.1]), POWER_23,
@@ -89,31 +100,12 @@ class TestExtractCertificate:
         assert np.allclose(out.certificate.strategy, [1.0, 0.0], atol=1e-8)
         assert out.certificate.method.endswith("m=1")
 
-    def test_unknown_criterion_rejected(self, identity2):
-        tr = run_trajectory(identity2, uniform_strategy(2), POWER_23, 10)
-        with pytest.raises(GameError):
-            extract_certificate(identity2, tr, criteria=("entropy",))
-
-    def test_every_criterion_checked_before_any_lp(self, identity2, monkeypatch):
-        calls = []
-        original = extraction.verify_support
-
-        def counting(game, candidate):
-            calls.append(tuple(candidate))
-            return original(game, candidate)
-
-        monkeypatch.setattr(extraction, "verify_support", counting)
-        tr = run_trajectory(identity2, uniform_strategy(2), POWER_23, 200)
-        with pytest.raises(GameError, match="'bogus'"):
-            extract_certificate(identity2, tr, criteria=("average_payoff", "bogus"))
-        assert calls == []
-        extract_certificate(identity2, tr, criteria=("average_payoff",))
-        assert calls  # the wrapper does see the sweep's LPs
-
-    # average mass ranks (0, 1, 2) and fails on every prefix; average payoff
-    # ranks (0, 2, 1), so its {0} is average mass's, and {0, 2} carries the
-    # equilibrium (1/2, 0, 1/2)
-    SHARED = [[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    # at Xbar = (0.39, 0.3, 0.29, 0.02) average payoff ranks (0, 2, 3, 1)
+    # and fails on every prefix; average mass ranks (0, 1, 2, 3), so its {0}
+    # is average payoff's, and {0, 1} carries the equilibrium (0, 1, 0, 0)
+    SHARED = [[1.0, 1.0, 3.0, 2.0], [0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 2.0, 1.0],
+              [2.0, 0.0, 0.0, 1.0]]
+    SHARED_XBAR = [0.39, 0.3, 0.29, 0.02]
 
     def test_shared_prefixes_verified_once(self, monkeypatch):
         game = validate_game(self.SHARED)
@@ -125,16 +117,16 @@ class TestExtractCertificate:
             return original(game, carrier)
 
         monkeypatch.setattr(analysis, "best_subequalizer", counting)
-        out = extract_certificate(game, trace_with([0.5, 0.3, 0.2]),
-                                  criteria=("average_mass", "average_payoff"))
-        assert out.certificate.method == "extract:average_payoff:m=2"
-        assert np.allclose(out.certificate.strategy, [0.5, 0.0, 0.5])
-        assert len(calls) == 4  # {0}, {0, 1}, {0, 1, 2}, then {0, 2}
+        out = extract_certificate(game, trace_with(self.SHARED_XBAR))
+        assert out.certificate.method == "extract:average_mass:m=2"
+        assert np.allclose(out.certificate.strategy, [0.0, 1.0, 0.0, 0.0])
+        assert len(calls) == 5  # {0}, {0, 2}, {0, 2, 3}, {0, 1, 2, 3}, then {0, 1}
         assert [(a["criterion"], a["m"], a["support"], a["verified"])
                 for a in out.attempts] == [
-            ("average_mass", 1, [0], False), ("average_mass", 2, [0, 1], False),
-            ("average_mass", 3, [0, 1, 2], False),
-            ("average_payoff", 1, [0], False), ("average_payoff", 2, [0, 2], True)]
+            ("average_payoff", 1, [0], False), ("average_payoff", 2, [0, 2], False),
+            ("average_payoff", 3, [0, 2, 3], False),
+            ("average_payoff", 4, [0, 2, 3, 1], False),
+            ("average_mass", 1, [0], False), ("average_mass", 2, [0, 1], True)]
 
     @staticmethod
     def failing_on(monkeypatch, bad):
@@ -152,24 +144,23 @@ class TestExtractCertificate:
         return calls
 
     def test_lp_failure_does_not_end_the_sweep(self, rps_nonneg, monkeypatch):
+        # average payoff ranks (1, 0, 2) at this Xbar
         self.failing_on(monkeypatch, frozenset({0, 1}))
-        out = extract_certificate(rps_nonneg, trace_with([0.5, 0.3, 0.2]),
-                                  criteria=("average_mass",))
-        assert out.certificate.method == "extract:average_mass:m=3"
+        out = extract_certificate(rps_nonneg, trace_with([0.5, 0.3, 0.2]))
+        assert out.certificate.method == "extract:average_payoff:m=3"
         assert out.attempts[1] == {
-            "criterion": "average_mass", "m": 2, "support": [0, 1],
+            "criterion": "average_payoff", "m": 2, "support": [1, 0],
             "verified": False, "error": "LP solution violates A y = b by 0.06"}
         assert "error" not in out.attempts[0] and "error" not in out.attempts[2]
 
     def test_lp_failure_is_memoised(self, monkeypatch):
         game = validate_game(self.SHARED)
         calls = self.failing_on(monkeypatch, frozenset({0}))
-        out = extract_certificate(game, trace_with([0.5, 0.3, 0.2]),
-                                  criteria=("average_mass", "average_payoff"))
-        assert out.certificate.method == "extract:average_payoff:m=2"
+        out = extract_certificate(game, trace_with(self.SHARED_XBAR))
+        assert out.certificate.method == "extract:average_mass:m=2"
         assert calls.count(frozenset({0})) == 1
         assert [a["criterion"] for a in out.attempts if "error" in a] == [
-            "average_mass", "average_payoff"]
+            "average_payoff", "average_mass"]
 
     def test_soundness_gap_recomputed(self, hawk_dove_norm):
         tr = run_trajectory(hawk_dove_norm, uniform_strategy(2), POWER_23,

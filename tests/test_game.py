@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from hedgenash.game import (
     SUPPORT_TOL,
     as_strategy,
     is_interior,
+    parse_float,
     support,
 )
 from hedgenash.rng import Xoshiro256StarStar
@@ -96,8 +100,10 @@ class TestNormalizePayoffs:
 
     def test_affine_map_composes(self):
         g = validate_game(random_matrix(11, 3))
-        out, _, _ = normalize_payoffs(g)
-        assert np.max(np.abs(out.scale * g.payoff + out.offset - out.payoff)) <= 1e-12
+        out, a, _ = normalize_payoffs(g)
+        # payoff = scale * original + one shift for every entry
+        assert out.scale == a
+        assert np.ptp(out.payoff - out.scale * g.payoff) <= 1e-12
 
 
 class TestDecompose:
@@ -254,6 +260,17 @@ class TestGameIO:
         path.write_text("+2\n1 0\n0 1\n")
         assert load_game(path).n == 2
 
+    @pytest.mark.parametrize("entry", ["1_0", "\u0661", "nan", "inf", "0x1"])
+    def test_text_entries_must_be_ascii_decimals(self, tmp_path, entry):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2\n1 0 0 {entry}\n")
+        with pytest.raises(GameError, match="text game file entry: could not convert "
+                                            "string to float"):
+            load_game(path)
+        path.write_text("2\n1_0 0 0 \u0661\n")
+        with pytest.raises(GameError, match="could not convert string to float: '1_0'"):
+            load_game(path)
+
     def test_text_wrong_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3\n1 0\n0 1\n")
@@ -264,3 +281,20 @@ class TestGameIO:
         g = generate_game("coordination", 2, seed=0)
         with pytest.raises(GameError):
             save_game(g, tmp_path / "g.xml", fmt="xml")
+
+
+class TestParseFloat:
+    @pytest.mark.parametrize("text, value", [
+        ("1e-8", 1e-8), ("0", 0.0), ("-0.5", -0.5), ("+.5", 0.5), ("3.", 3.0),
+        ("2.5E-3", 2.5e-3), ("1e400", math.inf), ("-1e400", -math.inf)])
+    def test_ascii_decimals(self, text, value):
+        assert parse_float(text) == value
+
+    # float() reads all of these but the last four
+    @pytest.mark.parametrize("text", [
+        " 1", "1 ", "1_0", "\u0663", "\u0660.\u0667", "nan", "inf", "-Infinity",
+        "0x10", "", "1e", "1.2.3"])
+    def test_other_text_refused(self, text):
+        with pytest.raises(GameError, match=re.escape(
+                f"where: could not convert string to float: {text!r}")):
+            parse_float(text, "where: ")

@@ -217,6 +217,22 @@ def test_error_names_file_line_after_leading_blank_lines(trace_file, edit, own_e
         assert column <= len(f"[{lines[bad]}]") + 1
 
 
+@pytest.mark.parametrize("fmt, text, line", [
+    ("csv", "K,alpha,A_K,gap_avg,gap_iter,avg_step_norm\n0,1,1,0,0,0\n1,1,2,0,0,0\n", 2),
+    ("jsonl", '{"K": 0, "alpha": 1, "A_K": 1, "gap_avg": 0, "gap_iter": 0, '
+              '"avg_step_norm": 0, "X": [], "Xbar": []}\n', 1),
+])
+def test_zero_width_trace_names_its_line(tmp_path, capsys, fmt, text, line):
+    # a CSV header without X_ columns, or a JSON line with empty X and Xbar
+    path = tmp_path / f"trace.{fmt}"
+    path.write_text(text)
+    message = f"{path}:{line}: X is not a probability vector (no entries)"
+    with pytest.raises(GameError, match=re.escape(message)):
+        Trace.from_file(path)
+    assert main(["extract", "--game", GAME, "--trace", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_sum_within_tolerance_is_accepted(trace_file):
     fmt, path = trace_file
     rewrite(path, fmt, lambda body: body[:6] + [scaled_x(fmt, body[6], 1 + 5e-7)] + body[7:])
@@ -233,9 +249,9 @@ def test_trace_without_step_zero_has_no_start(trace_file, capsys):
     assert trace.x0 is None and trace.n == 4 and trace.steps[0] == 3
     assert main(["extract", "--game", GAME, "--trace", str(path)]) == 0
     assert capsys.readouterr() == full
+    # every identity needs X^0, so the report holds none
     game = generate_game("random_uniform", 4, 1)
-    with pytest.raises(GameError, match="payoff_floor_bound needs X\\^0"):
-        diagnose_trajectory_identities(game, trace, ("payoff_floor_bound",))
+    assert diagnose_trajectory_identities(game, trace).checks == []
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +295,7 @@ def test_identities_match_per_record_loop(kind, n):
     for x0, checks in starts.values():
         for emit_every in (1, 7, 1000):
             trace = run_trajectory(game, x0, DEFAULT_SCHEDULE, 1500, emit_every=emit_every)
-            report = diagnose_trajectory_identities(game, trace, checks)
+            report = diagnose_trajectory_identities(game, trace)
             got = [(c.name, c.samples, c.max_violation, c.tolerance) for c in report.checks]
             assert got == identities_loop(game, trace, checks)
             assert all(type(c.max_violation) is float for c in report.checks)
@@ -295,10 +311,11 @@ def test_file_trace_identities_match_memory(tmp_path, kind, fmt):
         game = generate_game(kind, n, 5)
         trace = run_trajectory(game, uniform_strategy(n), DEFAULT_SCHEDULE, 600,
                                emit_every=1)
-        want = diagnose_trajectory_identities(game, trace, WIRE_CHECKS).to_dict()
+        want = diagnose_trajectory_identities(game, trace).to_dict()["checks"][:2]
         back = Trace.from_file(write(trace, tmp_path, fmt))
-        assert diagnose_trajectory_identities(game, back, WIRE_CHECKS).to_dict() == want
-        assert want["all_passed"] and want["checks"][0]["samples"] == 600
+        assert diagnose_trajectory_identities(game, back).to_dict() == {
+            "all_passed": True, "checks": want}
+        assert want[0]["samples"] == 600
 
 
 def nudged(fmt, line, delta):
@@ -317,11 +334,10 @@ def nudged(fmt, line, delta):
 def test_nudged_iterate_fails_log_ratio_check(trace_file):
     fmt, path = trace_file
     game = generate_game("random_uniform", 4, 1)
-    before = diagnose_trajectory_identities(game, Trace.from_file(path), WIRE_CHECKS)
+    before = diagnose_trajectory_identities(game, Trace.from_file(path))
     assert before.all_passed
     rewrite(path, fmt, lambda body: body[:10] + [nudged(fmt, body[10], 1e-6)] + body[11:])
-    log_ratio = diagnose_trajectory_identities(game, Trace.from_file(path),
-                                               WIRE_CHECKS).checks[0]
+    log_ratio = diagnose_trajectory_identities(game, Trace.from_file(path)).checks[0]
     assert log_ratio.name == "log_ratio_identity" and not log_ratio.passed
 
 
@@ -336,8 +352,7 @@ def test_underflowed_iterate_left_out_of_log_checks(tmp_path):
         warnings.simplefilter("error")
         report = diagnose_trajectory_identities(game, trace)
         back = Trace.from_file(write(trace, tmp_path, "csv"))
-        assert diagnose_trajectory_identities(game, back, WIRE_CHECKS).checks == \
-            report.checks[:2]
+        assert diagnose_trajectory_identities(game, back).checks == report.checks[:2]
     assert report.all_passed, report.to_dict()
 
 
@@ -352,22 +367,21 @@ def test_cancelled_weight_fails_the_identities(tmp_path):
     game = generate_game("random_uniform", 2, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = diagnose_trajectory_identities(game, Trace.from_file(path), WIRE_CHECKS)
+        report = diagnose_trajectory_identities(game, Trace.from_file(path))
     assert [c.max_violation for c in report.checks] == [math.inf] * 2
 
 
-def test_self_play_bound_needs_a_memory_trace(trace_file):
-    fmt, path = trace_file
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_self_play_bound_needs_a_memory_trace(tmp_path, fmt):
+    # a file trace reports the wire checks its start allows, and no self-play
     game = generate_game("random_uniform", 4, 1)
-    with pytest.raises(GameError, match="self_play_bound needs a trace run in memory"):
-        diagnose_trajectory_identities(game, Trace.from_file(path), ("self_play_bound",))
-
-
-def test_unknown_identity_check_rejected():
-    game = generate_game("random_uniform", 3, 0)
-    trace = run_trajectory(game, uniform_strategy(3), DEFAULT_SCHEDULE, 20)
-    with pytest.raises(GameError, match="unknown trajectory check 'bogus'"):
-        diagnose_trajectory_identities(game, trace, ("self_play_bound", "bogus"))
+    starts = {"uniform": (uniform_strategy(4), list(WIRE_CHECKS)),
+              "random": (Xoshiro256StarStar(4).interior_point(4), ["payoff_floor_bound"])}
+    for x0, names in starts.values():
+        trace = run_trajectory(game, x0, DEFAULT_SCHEDULE, 60, emit_every=3)
+        report = diagnose_trajectory_identities(game, Trace.from_file(
+            write(trace, tmp_path, fmt)))
+        assert [c.name for c in report.checks] == names and report.all_passed
 
 
 # ---------------------------------------------------------------------------
