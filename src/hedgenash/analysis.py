@@ -27,6 +27,8 @@ from .lp import LPError, StandardFormLP, solve_lp
 
 DEFAULT_CERT_TOL = 1e-8
 ORACLE_MAX_N = 6        # the largest n of the oracle, which solves 2^n - 1 supports
+# The residual above which an indifference system has no solution.
+INDIFFERENCE_TOL = 1e-7
 
 
 def parse_tolerance(text: str) -> float:
@@ -177,7 +179,12 @@ def verify_support(game: SymmetricGame, candidate_support,
                    tol: float | None = None) -> EquilibriumCertificate | None:
     """Exact equilibrium with support inside ``candidate_support``, if the
     subequalizer program solves with spread within ``tol`` (default: the
-    certificate tolerance)."""
+    certificate tolerance). ``verify --support`` keeps this LP: for any
+    ``tol`` it searches every strategy with support inside the candidate
+    whose payoffs on the candidate are within ``tol`` of each other, where
+    extraction's indifference solve looks only at exact solutions of the
+    candidate's system, which gives the same verdict at the certificate
+    tolerance."""
     result = best_subequalizer(game, candidate_support)
     if result is None:
         return None
@@ -193,8 +200,11 @@ def verify_support(game: SymmetricGame, candidate_support,
 
 
 def _equalizing_solution(c: np.ndarray, carrier: list[int]):
-    """Least-squares solution of the indifference system on a support,
-    with the null space of the system for degenerate families."""
+    """Least-squares solution of the indifference system on a support
+    (every supported payoff equal, entries summing to 1), the null space of
+    the system for a consistent degenerate family (empty at full rank, and
+    when the residual exceeds INDIFFERENCE_TOL: the system is inconsistent),
+    and the residual."""
     m = len(carrier)
     cols = np.array(carrier)
     sub = c[np.ix_(cols, cols)]
@@ -204,13 +214,13 @@ def _equalizing_solution(c: np.ndarray, carrier: list[int]):
     b = np.zeros(m)
     b[m - 1] = 1.0
     sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=1e-10)
-    if rank < m:
+    residual = float(np.max(np.abs(a @ sol - b)))
+    if rank < m and residual <= INDIFFERENCE_TOL:
         _, sv, vh = np.linalg.svd(a)
         cutoff = 1e-10 * max(float(sv.max()), 1.0)
         null = vh[np.concatenate([sv, np.zeros(m - sv.size)]) < cutoff]
     else:
         null = np.zeros((0, m))
-    residual = float(np.max(np.abs(a @ sol - b)))
     return sol, null, residual
 
 
@@ -248,7 +258,7 @@ def enumerate_symmetric_equilibria(game: SymmetricGame) -> list[EquilibriumCerti
         for carrier in itertools.combinations(range(n), size):
             carrier = list(carrier)
             sol, null, residual = _equalizing_solution(c, carrier)
-            if residual > 1e-7:
+            if residual > INDIFFERENCE_TOL:
                 continue
             x_full = np.zeros(n)
             x_full[carrier] = sol

@@ -145,6 +145,13 @@ _CONFIG_TYPES = {"game": str, "steps": int, "schedule": str, "x0": str,
 _RUN_DEFAULTS = {"schedule": "power:0.6666666666666666", "x0": "uniform", "seed": 0,
                  "emit_every": 1000, "force": False, "out": "hedge_trace.csv",
                  "format": "csv"}
+# The run flags, which parse to None unless given: extract --trace takes none.
+_RUN_FLAGS = ("schedule", "x0", "steps", "emit_every", "seed", "force")
+
+
+def _defaulted(config: dict) -> dict:
+    """``config`` with each null setting at its default."""
+    return {**_RUN_DEFAULTS, **{k: v for k, v in config.items() if v is not None}}
 
 
 def _check_config(index: int, config) -> tuple:
@@ -163,7 +170,7 @@ def _check_config(index: int, config) -> tuple:
     for key in ("game", "steps"):
         if config.get(key) is None:
             raise GameError(f"--config entry {index} has no {key!r}")
-    config = {**_RUN_DEFAULTS, **{k: v for k, v in config.items() if v is not None}}
+    config = _defaulted(config)
     try:
         if config["format"] not in ("csv", "jsonl"):
             raise GameError(f"unknown trace format {config['format']!r}")
@@ -187,13 +194,17 @@ def cmd_run(args) -> int:
         return EXIT_OK
     if args.steps is None:
         raise GameError("--steps is required without --config")
-    config = {key: getattr(args, key) for key in _CONFIG_TYPES}
+    config = _defaulted({key: getattr(args, key) for key in _CONFIG_TYPES})
     _print_json(_run_one(config, *_load_run(config)))
     return EXIT_OK
 
 
 def cmd_extract(args) -> int:
     if args.trace:
+        given = [f"--{flag.replace('_', '-')}" for flag in _RUN_FLAGS
+                 if getattr(args, flag) is not None]
+        if given:
+            raise GameError(f"--trace takes no run flags, got {', '.join(given)}")
         game = _load_game_spec(args.game)
         trace = Trace.from_file(args.trace)
         if trace.n != game.n:
@@ -201,9 +212,10 @@ def cmd_extract(args) -> int:
     elif args.steps is None:
         raise GameError("either --trace or --steps is required")
     else:
-        game, schedule, x0 = _load_run(vars(args))
+        config = _defaulted(vars(args))
+        game, schedule, x0 = _load_run(config)
         trace = run_trajectory(game, x0, schedule, args.steps,
-                               emit_every=args.emit_every, force=args.force)
+                               emit_every=config["emit_every"], force=config["force"])
     outcome = extract_certificate(game, trace)
     _print_json(outcome.to_dict(), args.out)
     return EXIT_OK if outcome.certificate is not None else EXIT_FAILED
@@ -335,15 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="game file (JSON or text) or generator spec kind:n[:seed]")
 
     def add_run_flags(p):
-        p.add_argument("--schedule", default=_RUN_DEFAULTS["schedule"],
+        # each defaults to None, and to its _RUN_DEFAULTS value when it runs
+        p.add_argument("--schedule",
                        help="power:P | harmonic | constant:C | file:PATH "
                             "(default power:2/3)")
-        p.add_argument("--x0", default=_RUN_DEFAULTS["x0"],
-                       help="uniform | random | csv:p1,p2,...")
-        p.add_argument("--steps", type=_int_arg, default=None)
-        p.add_argument("--emit-every", type=_int_arg, default=_RUN_DEFAULTS["emit_every"])
-        p.add_argument("--seed", type=_int_arg, default=_RUN_DEFAULTS["seed"])
-        p.add_argument("--force", action="store_true",
+        p.add_argument("--x0", help="uniform | random | csv:p1,p2,...")
+        p.add_argument("--steps", type=_int_arg)
+        p.add_argument("--emit-every", type=_int_arg)
+        p.add_argument("--seed", type=_int_arg)
+        p.add_argument("--force", action="store_true", default=None,
                        help="run even if the schedule fails validation")
 
     p = sub.add_parser("run", help="run a trajectory and write a trace + summary")

@@ -60,7 +60,7 @@ def validate_game(matrix, *, scale: float = 1.0) -> SymmetricGame:
     """Validate a square, finite payoff matrix and compute its flags."""
     try:
         c = np.array(matrix, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: a huge int
         raise GameError(f"payoff matrix is not rectangular numeric data: {exc}") from exc
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise GameError(f"payoff matrix must be square, got shape {c.shape}")
@@ -197,12 +197,17 @@ def save_game(game: SymmetricGame, path, fmt: str = "json") -> None:
 
 def load_game(path) -> SymmetricGame:
     """Load a game from JSON ({"n": ..., "payoff": [[...]]}, n optional and
-    a JSON integer) or plain text (n, read by parse_int, then the rows,
-    read by parse_float)."""
+    a JSON integer, each payoff entry a JSON number) or plain text (n, read
+    by parse_int, then the rows, read by parse_float)."""
     text = Path(path).read_text().strip()
     if text.startswith("{"):
         payload = json.loads(text)
-        game = validate_game(payload["payoff"])
+        payoff = payload["payoff"]
+        for i, row in enumerate(payoff if isinstance(payoff, list) else []):
+            for j, v in enumerate(row if isinstance(row, list) else []):
+                if type(v) not in (int, float):     # numpy reads "1_0" and true
+                    raise GameError(f"payoff[{i}][{j}] = {v!r} is not a JSON number")
+        game = validate_game(payoff)
         n = payload.get("n", game.n)
         if type(n) is not int:                  # JSON 2.5, "2" and true are no n
             raise GameError(f"declared n={n!r} is not a JSON integer")

@@ -8,10 +8,13 @@ The solver is a two-phase tableau simplex with Bland's anti-cycling rule;
 each pivot is one rank-1 update of the dense tableau. The programs it serves
 are the payoff-spread programs of ``analysis``: n + m + 1 rows for an n x n
 game and a carrier of m strategies (2n + 1 on the full carrier), so each
-pivot is O(n^2) work. Degeneracy (most right-hand sides are 0) is handled by
-Bland's rule alone. Numerical breakdown, and a phase that cycles until it
-reaches ``PIVOT_CAP``, are reported as an ``LPError``, never as an unchecked
-result or a hang.
+pivot is O(n^2) work. They come from ``min_equalizer_gap``,
+``find_equalizer`` and ``verify_support``; extraction solves a candidate's
+indifference system instead, and reaches the LP only when that system is
+singular and consistent. Degeneracy (most right-hand sides are 0) is
+handled by Bland's rule alone. Numerical breakdown, and a phase that cycles
+until it reaches ``PIVOT_CAP``, are reported as an ``LPError``, never as an
+unchecked result or a hang.
 """
 
 from __future__ import annotations

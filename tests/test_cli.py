@@ -519,6 +519,23 @@ class TestExtract:
         payload = json.loads(out.read_text())
         assert payload["certificate"]["support"] == [0]
 
+    # a file trace was run already: a run flag would change nothing
+    @pytest.mark.parametrize("flags", [
+        ["--schedule", "bogus"], ["--x0", "bogus"], ["--steps", "7"],
+        ["--emit-every", "3"], ["--seed", "0"], ["--force"],
+        ["--schedule", "power:0.5", "--x0", "uniform", "--steps", "7", "--force"]])
+    def test_trace_refuses_run_flags(self, rps_file, tmp_path, capsys, flags):
+        trace = tmp_path / "t.csv"
+        assert main(["run", "--game", rps_file, "--steps", "200",
+                     "--emit-every", "50", "--out", str(trace)]) == 0
+        capsys.readouterr()
+        rc = main(["extract", "--game", rps_file, "--trace", str(trace), *flags])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        given = ", ".join(f for f in flags if f.startswith("--"))
+        assert captured.err.splitlines() == [
+            f"error: --trace takes no run flags, got {given}"]
+
     def test_missing_trace_and_steps(self, rps_file):
         assert main(["extract", "--game", rps_file]) == 2
 
@@ -626,6 +643,14 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["game.txt", "rates.txt"]
+
+    def test_json_payoff_string_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text('{"payoff": [["1_0", 0], [0, "1"]]}')
+        assert main(["verify", "--game", str(path), "--support", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            "error: payoff[0][0] = '1_0' is not a JSON number"]
 
     def test_parser_built_once_keeps_no_values_between_calls(self, tmp_path, capsys):
         assert cli.build_parser() is cli.build_parser()

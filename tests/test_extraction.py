@@ -1,9 +1,13 @@
+import time
+
 import numpy as np
+import pytest
 
 import hedgenash.analysis as analysis
 import hedgenash.extraction as extraction
 from hedgenash import (
     DEFAULT_SCHEDULE,
+    GAME_KINDS,
     LPError,
     Trace,
     extract_certificate,
@@ -110,17 +114,18 @@ class TestExtractCertificate:
     def test_shared_prefixes_verified_once(self, monkeypatch):
         game = validate_game(self.SHARED)
         calls = []
-        original = analysis.best_subequalizer
+        original = extraction._verify_prefix
 
-        def counting(game, carrier):
-            calls.append(tuple(carrier))
-            return original(game, carrier)
+        def counting(game, candidate):
+            calls.append(tuple(candidate))
+            return original(game, candidate)
 
-        monkeypatch.setattr(analysis, "best_subequalizer", counting)
+        monkeypatch.setattr(extraction, "_verify_prefix", counting)
         out = extract_certificate(game, trace_with(self.SHARED_XBAR))
         assert out.certificate.method == "extract:average_mass:m=2"
         assert np.allclose(out.certificate.strategy, [0.0, 1.0, 0.0, 0.0])
-        assert len(calls) == 5  # {0}, {0, 2}, {0, 2, 3}, {0, 1, 2, 3}, then {0, 1}
+        # {0}, {0, 2}, {0, 2, 3}, {0, 1, 2, 3}, then {0, 1}
+        assert calls == [(0,), (0, 2), (0, 2, 3), (0, 2, 3, 1), (0, 1)]
         assert [(a["criterion"], a["m"], a["support"], a["verified"])
                 for a in out.attempts] == [
             ("average_payoff", 1, [0], False), ("average_payoff", 2, [0, 2], False),
@@ -128,9 +133,18 @@ class TestExtractCertificate:
             ("average_payoff", 4, [0, 2, 3, 1], False),
             ("average_mass", 1, [0], False), ("average_mass", 2, [0, 1], True)]
 
+    # rock-paper-scissors with rock duplicated (strategy 3): the full
+    # carrier's indifference system is singular and consistent, so that
+    # candidate goes to the LP. Average payoff ranks (1, 0, 3, 2)
+    # at both Xbar below; average mass ranks (2, 1, 0, 3) at the first, whose
+    # {0, 1, 2} carries the equilibrium (1/3, 1/3, 1/3, 0) at full rank, and
+    # (0, 3, 1, 2) at the second, which certifies nothing.
+    DUP_RPS = [[1.0, 0.0, 2.0, 1.0], [2.0, 1.0, 0.0, 2.0], [0.0, 2.0, 1.0, 0.0],
+               [1.0, 0.0, 2.0, 1.0]]
+
     @staticmethod
     def failing_on(monkeypatch, bad):
-        """Make verify_support raise LPError on the carrier bad; count calls."""
+        """Make the LP fallback raise LPError on the carrier bad; count calls."""
         calls = []
         original = extraction.verify_support
 
@@ -143,24 +157,35 @@ class TestExtractCertificate:
         monkeypatch.setattr(extraction, "verify_support", verify_support)
         return calls
 
-    def test_lp_failure_does_not_end_the_sweep(self, rps_nonneg, monkeypatch):
-        # average payoff ranks (1, 0, 2) at this Xbar
-        self.failing_on(monkeypatch, frozenset({0, 1}))
-        out = extract_certificate(rps_nonneg, trace_with([0.5, 0.3, 0.2]))
-        assert out.certificate.method == "extract:average_payoff:m=3"
-        assert out.attempts[1] == {
-            "criterion": "average_payoff", "m": 2, "support": [1, 0],
+    def test_degenerate_candidate_certified_by_lp_fallback(self, monkeypatch):
+        game = validate_game(self.DUP_RPS)
+        calls = self.failing_on(monkeypatch, None)
+        out = extract_certificate(game, trace_with([0.25] * 4))
+        assert calls == [frozenset(range(4))]
+        assert out.certificate.method == "extract:average_payoff:m=4"
+        assert out.certificate.gap <= 1e-8
+
+    def test_lp_failure_does_not_end_the_sweep(self, monkeypatch):
+        game = validate_game(self.DUP_RPS)
+        calls = self.failing_on(monkeypatch, frozenset(range(4)))
+        out = extract_certificate(game, trace_with([0.24, 0.25, 0.27, 0.24]))
+        assert calls == [frozenset(range(4))]
+        assert out.certificate.method == "extract:average_mass:m=3"
+        assert np.allclose(out.certificate.strategy, [1 / 3, 1 / 3, 1 / 3, 0.0])
+        assert out.attempts[3] == {
+            "criterion": "average_payoff", "m": 4, "support": [1, 0, 3, 2],
             "verified": False, "error": "LP solution violates A y = b by 0.06"}
-        assert "error" not in out.attempts[0] and "error" not in out.attempts[2]
+        assert [a for a in out.attempts if "error" in a] == [out.attempts[3]]
 
     def test_lp_failure_is_memoised(self, monkeypatch):
-        game = validate_game(self.SHARED)
-        calls = self.failing_on(monkeypatch, frozenset({0}))
-        out = extract_certificate(game, trace_with(self.SHARED_XBAR))
-        assert out.certificate.method == "extract:average_mass:m=2"
-        assert calls.count(frozenset({0})) == 1
-        assert [a["criterion"] for a in out.attempts if "error" in a] == [
-            "average_payoff", "average_mass"]
+        game = validate_game(self.DUP_RPS)
+        calls = self.failing_on(monkeypatch, frozenset(range(4)))
+        out = extract_certificate(game, trace_with([0.3, 0.2, 0.2, 0.3]))
+        assert out.certificate is None
+        # {0, 3} is singular and consistent too; the full carrier fails once
+        assert calls == [frozenset(range(4)), frozenset({0, 3})]
+        assert [(a["criterion"], a["m"]) for a in out.attempts if "error" in a] == [
+            ("average_payoff", 4), ("average_mass", 4)]
 
     def test_soundness_gap_recomputed(self, hawk_dove_norm):
         tr = run_trajectory(hawk_dove_norm, uniform_strategy(2), POWER_23,
@@ -169,3 +194,80 @@ class TestExtractCertificate:
         cert = out.certificate
         cx = hawk_dove_norm.payoff @ cert.strategy
         assert float(cx.max() - cert.strategy @ cx) <= 1e-8
+
+
+def sweep_prefixes(game, trace):
+    """Every top-m prefix of every criterion's order at the final record."""
+    scores = _scores(game, trace.final)
+    prefixes = set()
+    for criterion in extraction.CRITERIA:
+        s = scores[criterion]
+        order = sorted(range(game.n), key=lambda i: (-s[i], i))
+        prefixes.update(tuple(order[:m]) for m in range(1, game.n + 1))
+    return sorted(prefixes, key=lambda p: (len(p), p))
+
+
+class TestIndifferenceSolve:
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_same_verdict_as_the_lp(self, kind):
+        # every prefix of both orders, not only those before the first
+        # certificate: the solve and the LP certify the same candidates,
+        # with the same strategy
+        checked = certified = 0
+        for n in (3, 5, 8, 12, 16):
+            for seed in (0, 1):
+                game = generate_game(kind, n, seed)
+                tr = run_trajectory(game, uniform_strategy(n), POWER_23, 2000,
+                                    emit_every=2000)
+                for prefix in sweep_prefixes(game, tr):
+                    solved = extraction._verify_prefix(game, list(prefix))
+                    lp = analysis.verify_support(game, list(prefix))
+                    assert (solved is None) == (lp is None), (kind, n, seed, prefix)
+                    checked += 1
+                    if lp is not None:
+                        certified += 1
+                        assert solved.support == lp.support
+                        assert np.max(np.abs(solved.strategy - lp.strategy)) <= 1e-7
+        # every prefix of the identity carries an equilibrium
+        assert certified >= 1 and (checked > certified or kind == "coordination")
+
+    @pytest.mark.parametrize("spec", [("zero_sum_symmetric", 10, 1),
+                                      ("random_uniform", 12, 0),
+                                      ("zero_sum_symmetric", 16, 0)])
+    def test_nondegenerate_game_needs_no_lp(self, spec, monkeypatch):
+        calls = []
+        original = analysis.best_subequalizer
+
+        def counting(game, carrier):
+            calls.append(tuple(carrier))
+            return original(game, carrier)
+
+        monkeypatch.setattr(analysis, "best_subequalizer", counting)
+        game = generate_game(*spec)
+        tr = run_trajectory(game, uniform_strategy(game.n), POWER_23, 10**4,
+                            emit_every=10**4)
+        out = extract_certificate(game, tr)
+        assert calls == []
+        if spec[0] == "zero_sum_symmetric":
+            # a skew-symmetric core makes every even prefix's system
+            # singular and inconsistent: rejected from its residual alone
+            even = [a["support"] for a in out.attempts if a["m"] % 2 == 0]
+            assert even
+            for candidate in even:
+                _, null, residual = analysis._equalizing_solution(game.payoff, candidate)
+                assert residual > analysis.INDIFFERENCE_TOL and null.shape[0] == 0
+
+    @pytest.mark.parametrize("spec", [("zero_sum_symmetric", 32, 0),
+                                      ("zero_sum_symmetric", 64, 0),
+                                      ("random_uniform", 64, 1)])
+    def test_large_failing_sweep_is_fast(self, spec):
+        # the LP sweep took 1.3 s to a minute on these, and raised LPError
+        game = generate_game(*spec)
+        tr = run_trajectory(game, uniform_strategy(game.n), POWER_23, 10**4,
+                            emit_every=10**4)
+        started = time.perf_counter()
+        out = extract_certificate(game, tr)
+        assert time.perf_counter() - started < 1.0
+        assert out.certificate is None
+        assert len(out.attempts) == 2 * game.n
+        assert not any("error" in a for a in out.attempts)

@@ -240,6 +240,31 @@ class TestGameIO:
         with pytest.raises(GameError, match="is not a JSON integer"):
             load_game(path)
 
+    # numpy's float conversion reads strings and booleans
+    @pytest.mark.parametrize("entry, shown", [
+        ('"1_0"', "'1_0'"), ('"\u0661"', "'\u0661'"), ('"1"', "'1'"), ("true", "True"),
+        ("null", "None"), ("[1]", "[1]")])
+    def test_json_payoff_entries_must_be_json_numbers(self, tmp_path, entry, shown):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"payoff": [[1, 0], [0, {entry}]]}}')
+        with pytest.raises(GameError, match=re.escape(
+                f"payoff[1][1] = {shown} is not a JSON number")):
+            load_game(path)
+
+    def test_json_payoff_past_the_float_range(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"payoff": [[1%s, 0], [0, 1]]}' % ("0" * 400))
+        with pytest.raises(GameError, match="int too large to convert to float"):
+            load_game(path)
+        path.write_text('{"payoff": [[1e400, 0], [0, 1]]}')
+        with pytest.raises(GameError, match="non-finite"):
+            load_game(path)
+
+    def test_json_integer_and_float_entries(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"payoff": [[1, 0.5], [-2, 1e-3]]}')
+        assert np.array_equal(load_game(path).payoff, [[1.0, 0.5], [-2.0, 1e-3]])
+
     @pytest.mark.parametrize("n", ["\u0662", "2.0", "1_0", "+2x", "0x2"])
     def test_text_n_must_be_ascii_digits(self, tmp_path, n):
         path = tmp_path / "bad.txt"
