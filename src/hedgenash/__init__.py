@@ -1,5 +1,5 @@
 """Symmetric Nash equilibria via Hedge self-play with weighted averaging,
-runtime inequality diagnostics, and LP-based exact certificate extraction.
+runtime inequality diagnostics, and certificates from indifference solves.
 
 The package root exports the pipeline: games, schedules and trajectories,
 certificate extraction and checks, the diagnostics and the seeded generator.

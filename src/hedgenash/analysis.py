@@ -55,11 +55,14 @@ class EquilibriumCertificate:
     """An equilibrium strategy plus the evidence that it is one."""
 
     strategy: np.ndarray
-    support: tuple[int, ...]
     gap: float
     well_supported_eps: float
     method: str
     game_units_gap: float
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return support(self.strategy)
 
     def to_dict(self) -> dict:
         return {
@@ -88,13 +91,17 @@ def well_supported_eps(game: SymmetricGame, x) -> float:
     return float(cx.max() - cx[supported].min())
 
 
-def make_certificate(game: SymmetricGame, x, method: str) -> EquilibriumCertificate:
+def make_certificate(game: SymmetricGame, x, method: str,
+                     tol: float | None = None) -> EquilibriumCertificate | None:
+    """The certificate of ``x``, clipped at 0 and renormalized, or None when
+    its gap exceeds ``tol`` (default: the certificate tolerance)."""
     x = np.clip(np.asarray(x, dtype=float), 0.0, None)
     x = as_strategy(x / x.sum())
     gap = epsilon_gap(game, x)
+    if gap > (certificate_tolerance() if tol is None else tol):
+        return None
     return EquilibriumCertificate(
         strategy=x,
-        support=support(x),
         gap=gap,
         well_supported_eps=well_supported_eps(game, x),
         method=method,
@@ -189,14 +196,8 @@ def verify_support(game: SymmetricGame, candidate_support,
     if result is None:
         return None
     x, eps = result
-    if tol is None:
-        tol = certificate_tolerance()
-    if eps > tol:
-        return None
-    cert = make_certificate(game, x, method="support_lp")
-    if cert.gap > tol:
-        return None
-    return cert
+    tol = certificate_tolerance() if tol is None else tol
+    return None if eps > tol else make_certificate(game, x, method="support_lp", tol=tol)
 
 
 def _equalizing_solution(c: np.ndarray, carrier: list[int]):
@@ -236,7 +237,7 @@ def enumerate_symmetric_equilibria(game: SymmetricGame) -> list[EquilibriumCerti
         raise GameError(f"support enumeration limited to n <= {ORACLE_MAX_N}, got n={n}")
     tol = certificate_tolerance()
     c = game.payoff
-    found: list[np.ndarray] = []
+    found: list[EquilibriumCertificate] = []
 
     def consider(x_full: np.ndarray) -> None:
         if x_full.min() < -1e-10:
@@ -245,14 +246,10 @@ def enumerate_symmetric_equilibria(game: SymmetricGame) -> list[EquilibriumCerti
         total = x.sum()
         if not np.isfinite(total) or abs(total - 1.0) > 1e-7:
             return
-        x = x / total
-        cx = c @ x
-        if float(cx.max() - x @ cx) > tol:
-            return
-        for seen in found:
-            if np.max(np.abs(seen - x)) <= 1e-7:
-                return
-        found.append(x)
+        cert = make_certificate(game, x / total, method="support_enumeration", tol=tol)
+        if cert is not None and all(np.max(np.abs(seen.strategy - cert.strategy)) > 1e-7
+                                    for seen in found):
+            found.append(cert)
 
     for size in range(1, n + 1):
         for carrier in itertools.combinations(range(n), size):
@@ -270,5 +267,5 @@ def enumerate_symmetric_equilibria(game: SymmetricGame) -> list[EquilibriumCerti
                         x_alt[carrier] = sol + t * direction
                         consider(x_alt)
 
-    found.sort(key=lambda x: tuple(np.round(x, 9)))
-    return [make_certificate(game, x, method="support_enumeration") for x in found]
+    found.sort(key=lambda cert: tuple(np.round(cert.strategy, 9)))
+    return found

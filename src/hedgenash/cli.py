@@ -25,6 +25,7 @@ from .analysis import (
     well_supported_eps,
 )
 from .dynamics import (
+    DEFAULT_SCHEDULE,
     Trace,
     check_run,
     diagnose_entropy_bounds,
@@ -47,6 +48,7 @@ from .game import (
     save_game,
     uniform_strategy,
 )
+from .lp import LPError
 from .rng import Xoshiro256StarStar
 
 EXIT_OK = 0
@@ -95,7 +97,8 @@ def _load_run(config: dict) -> tuple:
     """The game, schedule and start of a run config or of the run flags,
     loaded before it runs."""
     game = _load_game_spec(config["game"])
-    schedule = parse_schedule(config["schedule"])
+    spec = config.get("schedule")
+    schedule = DEFAULT_SCHEDULE if spec is None else parse_schedule(spec)
     return game, schedule, _parse_x0(config["x0"], game.n, config["seed"])
 
 
@@ -108,17 +111,16 @@ def _run_one(config: dict, game: SymmetricGame, schedule, x0: np.ndarray) -> dic
     wall = time.perf_counter() - started
     getattr(trace, f"to_{fmt}")(out)          # to_csv or to_jsonl
 
-    validation = schedule.validation
     final = trace.final
     summary = {
         "game": config["game"],
         "game_digest": game.digest(),
         "n": game.n,
         "schedule": schedule.label,
-        "schedule_valid": validation.valid,
-        "schedule_reason": validation.reason,
-        "schedule_flags": list(validation.flags),
-        "forced": trace.forced,
+        "schedule_valid": schedule.valid,
+        "schedule_reason": schedule.reason,
+        "schedule_flags": list(schedule.flags),
+        "forced": not schedule.valid,
         "x0": [float(v) for v in x0],
         "steps": config["steps"],
         "emit_every": config["emit_every"],
@@ -137,14 +139,13 @@ def _run_one(config: dict, game: SymmetricGame, schedule, x0: np.ndarray) -> dic
 
 
 # The keys of a --config entry, the JSON types they take, and the defaults
-# of all but "game" and "steps", which may not be null; the run flags take
-# their defaults from here too. The schedule is DEFAULT_SCHEDULE's spec.
+# of all but "game" and "steps", which may not be null, and "schedule", whose
+# default is DEFAULT_SCHEDULE; the run flags take their defaults from here too.
 _CONFIG_TYPES = {"game": str, "steps": int, "schedule": str, "x0": str,
                  "seed": int, "emit_every": int, "force": bool, "out": str,
                  "format": str}
-_RUN_DEFAULTS = {"schedule": "power:0.6666666666666666", "x0": "uniform", "seed": 0,
-                 "emit_every": 1000, "force": False, "out": "hedge_trace.csv",
-                 "format": "csv"}
+_RUN_DEFAULTS = {"x0": "uniform", "seed": 0, "emit_every": 1000, "force": False,
+                 "out": "hedge_trace.csv", "format": "csv"}
 # The run flags, which parse to None unless given: extract --trace takes none.
 _RUN_FLAGS = ("schedule", "x0", "steps", "emit_every", "seed", "force")
 
@@ -252,11 +253,15 @@ def cmd_verify(args) -> int:
     x = x / x.sum()
     gap = epsilon_gap(game, x)
     ws = well_supported_eps(game, x)
-    _, spread = min_equalizer_gap(game)
+    # the spread is informational: the verdict is the gap's alone
+    try:
+        spread = f"{min_equalizer_gap(game)[1]:.17g}"
+    except LPError as exc:
+        spread = f"unavailable ({exc})"
     passed = gap <= tol
     print(f"gap: {gap:.17g} (game units {denormalize_gap(game, gap):.17g})")
     print(f"well-supported at eps={tol:g}: {ws <= tol} (eps* = {ws:.17g})")
-    print(f"equalizer spread: {spread:.17g}")
+    print(f"equalizer spread: {spread}")
     print("verified" if passed else "verification failed")
     return EXIT_OK if passed else EXIT_FAILED
 
@@ -339,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hedge-nash",
         description="Symmetric Nash equilibria via Hedge self-play with "
-                    "weighted averaging and LP certificate extraction.")
+                    "weighted averaging, certified by indifference solves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_game(p):
@@ -347,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="game file (JSON or text) or generator spec kind:n[:seed]")
 
     def add_run_flags(p):
-        # each defaults to None, and to its _RUN_DEFAULTS value when it runs
+        # each defaults to None, and to _RUN_DEFAULTS or DEFAULT_SCHEDULE when it runs
         p.add_argument("--schedule",
                        help="power:P | harmonic | constant:C | file:PATH "
                             "(default power:2/3)")

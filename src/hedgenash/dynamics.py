@@ -41,44 +41,41 @@ class ScheduleError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ScheduleValidation:
-    valid: bool
-    reason: str | None = None
-    flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class Schedule:
     """A learning-rate schedule: its label, ``rates(count)`` giving
-    alpha_0..alpha_{count-1}, and its check against the convergence
-    hypotheses. Built by ``parse_schedule``."""
+    alpha_0..alpha_{count-1}, why it fails the convergence hypotheses
+    (None when it meets them) and its flags. Built by ``parse_schedule``."""
 
     label: str
     rates: Callable[[int], np.ndarray]
-    validation: ScheduleValidation
+    reason: str | None = None
+    flags: tuple[str, ...] = ()
+
+    @property
+    def valid(self) -> bool:
+        return self.reason is None
 
 
-def _power_validation(p: float) -> ScheduleValidation:
+def _power_validation(p: float) -> str | None:
     if not math.isfinite(p):
-        return ScheduleValidation(False, "exponent must be finite")
+        return "exponent must be finite"
     if p <= 0:
-        return ScheduleValidation(False, "alpha_k does not tend to 0")
+        return "alpha_k does not tend to 0"
     if p <= 0.5:
-        return ScheduleValidation(
-            False, "sum alpha_k*(exp(alpha_k)-1) diverges (needs p > 1/2)")
+        return "sum alpha_k*(exp(alpha_k)-1) diverges (needs p > 1/2)"
     if p > 1:
-        return ScheduleValidation(False, "sum alpha_k converges (needs p <= 1)")
-    return ScheduleValidation(True)
+        return "sum alpha_k converges (needs p <= 1)"
+    return None
 
 
-def _listed_validation(values: tuple[float, ...]) -> ScheduleValidation:
+def _listed_validation(values: tuple[float, ...]) -> str | None:
     if not values:
-        return ScheduleValidation(False, "empty rate list")
+        return "empty rate list"
     if not all(math.isfinite(v) for v in values):
-        return ScheduleValidation(False, "rates must be finite")
+        return "rates must be finite"
     if min(values) <= 0:
-        return ScheduleValidation(False, "rates must be positive")
-    return ScheduleValidation(True, flags=("unverified-asymptotics",))
+        return "rates must be positive"
+    return None
 
 
 def _harmonic_rates(count: int) -> np.ndarray:
@@ -100,9 +97,9 @@ def parse_schedule(spec: str) -> Schedule:
 
     power:P is alpha_k = (k+1)^(-P); harmonic is alpha_0 = 1, alpha_k = 1/k;
     file:PATH lists the rates, whitespace-separated. P, C and the listed
-    rates are read by parse_float. The validation checks
-    the three conditions a diminishing schedule must satisfy: alpha_k -> 0,
-    sum alpha_k diverges, sum alpha_k*(exp(alpha_k)-1) converges. For power
+    rates are read by parse_float. The reason names the condition a
+    diminishing schedule fails: alpha_k -> 0, sum alpha_k diverges, sum
+    alpha_k*(exp(alpha_k)-1) converges (None: it meets all three). For power
     schedules these hold exactly when 1/2 < p <= 1 (the tail term behaves
     like alpha_k^2, a p-series with exponent 2p). Listed rates are only
     checked for finite positive values; their asymptotics cannot be
@@ -110,7 +107,7 @@ def parse_schedule(spec: str) -> Schedule:
     """
     arg = spec.partition(":")[2]
     if spec == "harmonic":
-        return Schedule("harmonic", _harmonic_rates, ScheduleValidation(True))
+        return Schedule("harmonic", _harmonic_rates)
     if spec.startswith("power:"):
         p = parse_float(arg, f"schedule {spec!r}: ")
         return Schedule(f"power:{p:g}",
@@ -120,13 +117,14 @@ def parse_schedule(spec: str) -> Schedule:
         value = parse_float(arg, f"schedule {spec!r}: ")
         reason = "rates must be positive" if value <= 0 else "alpha_k does not tend to 0"
         return Schedule(f"constant:{value:g}", lambda count: np.full(count, value),
-                        ScheduleValidation(False, reason))
+                        reason)
     if spec.startswith("file:"):
         values = tuple(parse_float(tok, f"schedule file {arg}: ")
                        for tok in Path(arg).read_text().split())
+        reason = _listed_validation(values)
         return Schedule(f"custom[{len(values)}]",
                         lambda count: _listed_rates(values, count),
-                        _listed_validation(values))
+                        reason, () if reason else ("unverified-asymptotics",))
     raise ScheduleError(f"cannot parse schedule spec {spec!r}")
 
 
@@ -203,7 +201,6 @@ class Trace:
     steps: np.ndarray
     table: np.ndarray
     avg_self_play: np.ndarray | None = None
-    forced: bool = False
 
     @property
     def n(self) -> int:
@@ -423,9 +420,8 @@ def check_run(game: SymmetricGame, x0, schedule: Schedule, k_max: int, emit_ever
         raise GameError("k_max must be >= 1")
     if emit_every < 1:
         raise GameError("emit_every must be >= 1")
-    validation = schedule.validation
-    if not validation.valid and not force:
-        raise ScheduleError(validation.reason or "invalid schedule")
+    if not schedule.valid and not force:
+        raise ScheduleError(schedule.reason)
     with np.errstate(over="ignore"):           # an overflowing rate is refused below
         alphas = schedule.rates(k_max + 1)
     if not np.all(np.isfinite(alphas)):
@@ -479,8 +475,7 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     count = k_max // every + 1 + (k_max % every != 0)
     lo, n = len(_WIRE_SCALARS), game.n
     trace = Trace(steps=np.empty(count, dtype=np.int64),
-                  table=np.empty((count, lo + 2 * n)), avg_self_play=np.empty(count),
-                  forced=not schedule.validation.valid)
+                  table=np.empty((count, lo + 2 * n)), avg_self_play=np.empty(count))
     emitted = 0
     block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // game.n))
     # row k of a block holds alpha_k, X^k, CX^k and the shifted logits;

@@ -45,19 +45,22 @@ class SymmetricGame:
     """
 
     payoff: np.ndarray
-    normalized: bool
     scale: float = 1.0
 
     @property
     def n(self) -> int:
         return self.payoff.shape[0]
 
+    @property
+    def normalized(self) -> bool:          # every payoff in [0, 1]
+        return float(self.payoff.min()) >= 0.0 and float(self.payoff.max()) <= 1.0
+
     def digest(self) -> str:
         return hashlib.sha1(np.ascontiguousarray(self.payoff).tobytes()).hexdigest()[:16]
 
 
 def validate_game(matrix, *, scale: float = 1.0) -> SymmetricGame:
-    """Validate a square, finite payoff matrix and compute its flags."""
+    """Validate a square, finite payoff matrix."""
     try:
         c = np.array(matrix, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: a huge int
@@ -69,8 +72,7 @@ def validate_game(matrix, *, scale: float = 1.0) -> SymmetricGame:
     if not np.all(np.isfinite(c)):
         raise GameError("payoff matrix contains non-finite entries")
     c.setflags(write=False)
-    lo, hi = float(c.min()), float(c.max())
-    return SymmetricGame(payoff=c, normalized=lo >= 0.0 and hi <= 1.0, scale=scale)
+    return SymmetricGame(payoff=c, scale=scale)
 
 
 def normalize_payoffs(game: SymmetricGame) -> tuple[SymmetricGame, float, float]:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from hedgenash.analysis import (
     parse_tolerance,
     well_supported_eps,
 )
+from hedgenash.game import support
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -80,8 +83,24 @@ class TestCertificates:
     def test_game_units_gap(self):
         raw = validate_game(np.array([[4.0, 0.0], [0.0, 4.0]]))
         norm, _, _ = normalize_payoffs(raw)
-        cert = make_certificate(norm, np.array([0.9, 0.1]), method="manual")
+        # the strategy has gap 0.08: a certificate only at a loose tolerance
+        cert = make_certificate(norm, np.array([0.9, 0.1]), method="manual", tol=1.0)
         assert cert.game_units_gap == pytest.approx(4.0 * cert.gap)
+
+    def test_issued_only_within_tolerance(self):
+        game = normalize_payoffs(validate_game([[4.0, 0.0], [0.0, 4.0]]))[0]
+        x = np.array([0.9, 0.1])
+        gap = epsilon_gap(game, x)
+        assert gap > 0.0
+        assert make_certificate(game, x, method="manual") is None
+        assert make_certificate(game, x, method="manual", tol=np.nextafter(gap, 0)) is None
+        assert make_certificate(game, x, method="manual", tol=gap).gap == gap
+
+    def test_support_follows_strategy(self, rps_nonneg):
+        cert = make_certificate(rps_nonneg, uniform_strategy(3), method="manual")
+        y = np.array([0.5, 0.0, 0.5])
+        assert replace(cert, strategy=y).support == support(y) == (0, 2)
+        assert replace(cert, method="other").support == (0, 1, 2)
 
     def test_tolerance_env_override(self, monkeypatch):
         monkeypatch.setenv("HEDGE_NASH_TOL", "1e-4")

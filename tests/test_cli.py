@@ -164,6 +164,18 @@ class TestRun:
         summary = json.loads((tmp_path / "t.csv.summary.json").read_text())
         assert summary["forced"] is True and summary["schedule_valid"] is False
 
+    def test_forced_constant_schedule_summary(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        assert main(["run", "--game", "doubly_symmetric:4:3", "--steps", "50",
+                     "--schedule", "constant:0.3", "--force", "--format", "jsonl",
+                     "--out", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        written = json.loads(Path(f"{out}.summary.json").read_text())
+        for summary in (printed, written):
+            assert summary["forced"] is True
+            assert summary["forced"] == (not summary["schedule_valid"])
+            assert summary["schedule_reason"] == "alpha_k does not tend to 0"
+
     def test_byte_identical_reruns(self, rps_file, tmp_path):
         args = ["run", "--game", rps_file, "--steps", "300", "--x0", "random",
                 "--seed", "11", "--emit-every", "50"]
@@ -385,19 +397,36 @@ class TestVerify:
         assert "HEDGE_NASH_TOL" in err and len(err.splitlines()) == 1
 
     def test_lp_failure_is_config_error(self, rps_file, capsys, monkeypatch):
+        # --support takes its verdict from the LP, so a failed LP is exit 2
         def broken(lp):
             raise LPError("LP solution violates A y = b by 0.1")
 
         monkeypatch.setattr(analysis, "solve_lp", broken)
-        assert main(["verify", "--game", rps_file, "--x", "uniform"]) == 2
+        assert main(["verify", "--game", rps_file, "--support", "0,1,2"]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: LP solution violates A y = b by 0.1"]
 
-    def test_cycling_simplex_is_config_error(self, capsys):
-        # phase 2 of this spread program revisits a basis with period 12
-        assert main(["verify", "--game", "random_uniform:40:5", "--x", "uniform"]) == 2
-        err = capsys.readouterr().err
-        assert err.splitlines() == ["error: iteration limit: 10150 pivots"]
+    def test_lp_failure_leaves_x_verdict_to_gap(self, rps_file, capsys, monkeypatch):
+        def broken(lp):
+            raise LPError("LP solution violates A y = b by 0.1")
+
+        monkeypatch.setattr(analysis, "solve_lp", broken)
+        assert main(["verify", "--game", rps_file, "--x", "uniform"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[2:] == [
+            "equalizer spread: unavailable (LP solution violates A y = b by 0.1)",
+            "verified"]
+
+    def test_cycling_simplex_leaves_verdict_to_gap(self, capsys):
+        # phase 2 of this spread program revisits a basis with period 12; the
+        # spread is informational and the uniform strategy's gap fails it
+        assert main(["verify", "--game", "random_uniform:40:5", "--x", "uniform"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[2:] == ["equalizer spread: unavailable (iteration limit: 10150 pivots)",
+                             "verification failed"]
 
     def test_mid_size_equalizer_spread_solves(self):
         # the pairwise spread program broke down on this game

@@ -133,34 +133,34 @@ def schedule_of(tmp_path, spec, rates=None):
 
 class TestSchedules:
     def test_power_two_thirds_valid(self):
-        assert parse_schedule("power:0.6666666666666666").validation.valid
+        assert parse_schedule("power:0.6666666666666666").valid
         assert DEFAULT_SCHEDULE.label == "power:0.666667"
 
     def test_power_too_flat_invalid(self):
-        v = parse_schedule("power:0.4").validation
+        v = parse_schedule("power:0.4")
         assert not v.valid and "diverges" in v.reason
 
     def test_power_too_steep_invalid(self):
-        assert not parse_schedule("power:1.5").validation.valid
+        assert not parse_schedule("power:1.5").valid
 
     def test_constant_invalid(self):
-        v = parse_schedule("constant:0.1").validation
+        v = parse_schedule("constant:0.1")
         assert not v.valid
         assert v.reason == "alpha_k does not tend to 0"
 
     def test_harmonic_valid(self):
         s = parse_schedule("harmonic")
-        assert s.validation.valid
+        assert s.valid
         rates = s.rates(4)
         assert rates[0] == 1.0 and rates[3] == pytest.approx(1 / 3)
 
     def test_custom_flagged(self, tmp_path):
-        v = schedule_of(tmp_path, "file", "0.5 0.25 0.125").validation
+        v = schedule_of(tmp_path, "file", "0.5 0.25 0.125")
         assert v.valid and "unverified-asymptotics" in v.flags
 
     def test_custom_nonpositive_invalid(self, tmp_path):
-        assert not schedule_of(tmp_path, "file", "0.5 0.0").validation.valid
-        assert not schedule_of(tmp_path, "file", "").validation.valid
+        assert not schedule_of(tmp_path, "file", "0.5 0.0").valid
+        assert not schedule_of(tmp_path, "file", "").valid
 
     def test_parse_schedule(self, tmp_path):
         power = parse_schedule("power:0.6667")
@@ -189,7 +189,7 @@ class TestSchedules:
         ids=["power", "custom", "custom-negative"])
     def test_overflowing_decimal_invalid(self, tmp_path, schedule):
         # a decimal past the float range reads as inf
-        assert not schedule_of(tmp_path, *schedule).validation.valid
+        assert not schedule_of(tmp_path, *schedule).valid
 
     @pytest.mark.parametrize("schedule", [
         ("power:-1e400",), ("constant:1e400",), ("constant:-1e400",), ("power:-1e3",),
@@ -211,9 +211,10 @@ class TestSchedules:
 
     def test_underflowing_rates_still_run_forced(self, hawk_dove_norm):
         # (k+1)^-1000 is 0.0 from k = 2 on; A_K stays positive
-        tr = run_trajectory(hawk_dove_norm, uniform_strategy(2),
-                            parse_schedule("power:1000"), 50, emit_every=1, force=True)
-        assert tr.forced
+        schedule = parse_schedule("power:1000")
+        tr = run_trajectory(hawk_dove_norm, uniform_strategy(2), schedule, 50,
+                            emit_every=1, force=True)
+        assert not schedule.valid
         assert all(r.weight_sum >= 1.0 and np.all(np.isfinite(r.xbar))
                    for r in tr.records)
 
@@ -233,7 +234,7 @@ class TestSchedules:
         # A_1 = 1e-300 + 1 rounds to 1, so A_1 - alpha_1 is 0 and Xbar^0
         # cannot be recovered from step 1; the rates pass validation
         schedule = schedule_of(tmp_path, "file", "1e-300 1 1 1 1 " * 30)
-        assert schedule.validation.valid
+        assert schedule.valid
         game = generate_game("random_uniform", 3, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -293,15 +294,15 @@ class TestRunTrajectory:
             assert np.max(np.abs(r.xbar - 1 / 3)) <= 1e-12
 
     def test_invalid_schedule_requires_force(self, identity2):
-        with pytest.raises(ScheduleError):
-            run_trajectory(identity2, uniform_strategy(2), parse_schedule("power:0.4"), 10)
-        tr = run_trajectory(identity2, uniform_strategy(2), parse_schedule("power:0.4"),
-                            10, force=True)
-        assert tr.forced
+        schedule = parse_schedule("power:0.4")
+        with pytest.raises(ScheduleError, match="diverges"):
+            run_trajectory(identity2, uniform_strategy(2), schedule, 10)
+        run_trajectory(identity2, uniform_strategy(2), schedule, 10, force=True)
+        assert not schedule.valid
 
     def test_valid_run_not_flagged(self, identity2):
-        tr = run_trajectory(identity2, uniform_strategy(2), POWER_23, 10)
-        assert not tr.forced
+        run_trajectory(identity2, uniform_strategy(2), POWER_23, 10)
+        assert POWER_23.valid
 
     def test_rejects_bad_inputs(self, identity2):
         with pytest.raises(GameError):

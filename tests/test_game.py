@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hedgenash import (
     GAME_KINDS,
     GameError,
+    SymmetricGame,
     decompose,
     generate_game,
     load_game,
@@ -40,6 +41,13 @@ class TestValidateGame:
     def test_negative_entry_flag(self):
         g = validate_game([[0, -1], [1, 0]])
         assert not g.normalized
+
+    def test_normalized_is_read_from_payoff(self):
+        payoff = validate_game([[0.0, 2.0], [1.0, 0.0]]).payoff
+        with pytest.raises(TypeError):
+            SymmetricGame(payoff=payoff, normalized=True)
+        assert not SymmetricGame(payoff=payoff).normalized
+        assert SymmetricGame(payoff=payoff / 2.0).normalized
 
     def test_non_square_rejected(self):
         with pytest.raises(GameError):
