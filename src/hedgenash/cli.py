@@ -146,8 +146,8 @@ _CONFIG_TYPES = {"game": str, "steps": int, "schedule": str, "x0": str,
                  "format": str}
 _RUN_DEFAULTS = {"x0": "uniform", "seed": 0, "emit_every": 1000, "force": False,
                  "out": "hedge_trace.csv", "format": "csv"}
-# The run flags, which parse to None unless given: extract --trace takes none.
-_RUN_FLAGS = ("schedule", "x0", "steps", "emit_every", "seed", "force")
+# The run flags extract shares, None unless given: extract --trace takes none.
+_RUN_FLAGS = ("schedule", "x0", "steps", "seed", "force")
 
 
 def _defaulted(config: dict) -> dict:
@@ -202,7 +202,7 @@ def cmd_run(args) -> int:
 
 def cmd_extract(args) -> int:
     if args.trace:
-        given = [f"--{flag.replace('_', '-')}" for flag in _RUN_FLAGS
+        given = [f"--{flag}" for flag in _RUN_FLAGS
                  if getattr(args, flag) is not None]
         if given:
             raise GameError(f"--trace takes no run flags, got {', '.join(given)}")
@@ -215,8 +215,9 @@ def cmd_extract(args) -> int:
     else:
         config = _defaulted(vars(args))
         game, schedule, x0 = _load_run(config)
-        trace = run_trajectory(game, x0, schedule, args.steps,
-                               emit_every=config["emit_every"], force=config["force"])
+        # extraction reads only the final record: emit K = 0 and the last step
+        trace = run_trajectory(game, x0, schedule, args.steps, emit_every=args.steps,
+                               force=config["force"])
     outcome = extract_certificate(game, trace)
     _print_json(outcome.to_dict(), args.out)
     return EXIT_OK if outcome.certificate is not None else EXIT_FAILED
@@ -358,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default power:2/3)")
         p.add_argument("--x0", help="uniform | random | csv:p1,p2,...")
         p.add_argument("--steps", type=_int_arg)
-        p.add_argument("--emit-every", type=_int_arg)
         p.add_argument("--seed", type=_int_arg)
         p.add_argument("--force", action="store_true", default=None,
                        help="run even if the schedule fails validation")
@@ -366,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a trajectory and write a trace + summary")
     p.add_argument("--game", help="game file or generator spec kind:n[:seed]")
     add_run_flags(p)
+    p.add_argument("--emit-every", type=_int_arg)
     p.add_argument("--out", default=_RUN_DEFAULTS["out"],
                    help="trace output path (default %(default)s)")
     p.add_argument("--format", choices=("csv", "jsonl"), default=_RUN_DEFAULTS["format"])

@@ -103,27 +103,27 @@ def parse_schedule(spec: str) -> Schedule:
     schedules these hold exactly when 1/2 < p <= 1 (the tail term behaves
     like alpha_k^2, a p-series with exponent 2p). Listed rates are only
     checked for finite positive values; their asymptotics cannot be
-    verified.
+    verified. The label is a spec that parses back to the same rates: P
+    and C written by repr, a file by its path.
     """
     arg = spec.partition(":")[2]
     if spec == "harmonic":
         return Schedule("harmonic", _harmonic_rates)
     if spec.startswith("power:"):
         p = parse_float(arg, f"schedule {spec!r}: ")
-        return Schedule(f"power:{p:g}",
+        return Schedule(f"power:{p!r}",
                         lambda count: np.arange(1, count + 1, dtype=float) ** -p,
                         _power_validation(p))
     if spec.startswith("constant:"):
         value = parse_float(arg, f"schedule {spec!r}: ")
         reason = "rates must be positive" if value <= 0 else "alpha_k does not tend to 0"
-        return Schedule(f"constant:{value:g}", lambda count: np.full(count, value),
+        return Schedule(f"constant:{value!r}", lambda count: np.full(count, value),
                         reason)
     if spec.startswith("file:"):
         values = tuple(parse_float(tok, f"schedule file {arg}: ")
                        for tok in Path(arg).read_text().split())
         reason = _listed_validation(values)
-        return Schedule(f"custom[{len(values)}]",
-                        lambda count: _listed_rates(values, count),
+        return Schedule(spec, lambda count: _listed_rates(values, count),
                         reason, () if reason else ("unverified-asymptotics",))
     raise ScheduleError(f"cannot parse schedule spec {spec!r}")
 
@@ -381,10 +381,10 @@ def _parse_located(parse, lines: list[str], path: Path, first: int):
                     f"({error})") from None
 
 
-# Steps per block of run_trajectory: at most _BLOCK_STEPS, and at most
-# _BLOCK_CELLS iterate entries. A block costs a fixed few dozen numpy calls,
-# small per step at 512 steps; 4096-step blocks raised peak memory by 6 MB
-# at n = 16.
+# Steps per block of run_trajectory: at most _BLOCK_STEPS, at most
+# _BLOCK_CELLS iterate entries, and no more than the run takes. A block
+# costs a fixed few dozen numpy calls, small per step at 512 steps;
+# 4096-step blocks raised peak memory by 6 MB at n = 16.
 _BLOCK_STEPS = 512
 _BLOCK_CELLS = 1 << 16
 
@@ -477,7 +477,7 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     trace = Trace(steps=np.empty(count, dtype=np.int64),
                   table=np.empty((count, lo + 2 * n)), avg_self_play=np.empty(count))
     emitted = 0
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // game.n))
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // game.n, k_max + 1))
     # row k of a block holds alpha_k, X^k, CX^k and the shifted logits;
     # step k writes X^{k+1} to row k + 1, and the last row starts the next block
     x_block = np.empty((block + 1, game.n))
@@ -599,13 +599,11 @@ class DiagnosticsReport:
 
 ENTROPY_CHECKS = (("entropy_alpha_convexity", POINTWISE_TOL),
                   ("entropy_upper_bound", POINTWISE_TOL),
-                  ("entropy_lower_bound", POINTWISE_TOL),
-                  ("log_growth_bound", ACCUMULATED_TOL))
+                  ("entropy_lower_bound", POINTWISE_TOL))
 
 # Samples drawn and evaluated per block: the (samples, rates, n) arrays stay
 # a few MB however many samples are asked for.
 _DIAG_CHUNK = 256
-_LOG_GROWTH_STEPS = 32
 
 
 def _draw_entropy_samples(rng: Xoshiro256StarStar, n: int, count: int):
@@ -646,24 +644,7 @@ def _entropy_violations(c: np.ndarray, xs, ys, alphas) -> tuple[float, ...]:
     convexity = re_mid - 0.5 * (re_at[:, lo] + re_at[:, hi])
     upper = re_at - (re_yx - alphas * drift + alphas * (np.exp(alphas) - 1.0))
     lower = (re_yx - alphas * drift) - re_at
-
-    # short trajectories for the accumulated bound, all samples at once
-    xk, log_xk = xs, log_x
-    weight = 0.0
-    accum = np.zeros_like(xs)
-    self_play = np.zeros(len(xs))
-    growth = 0.0
-    for k in range(_LOG_GROWTH_STEPS):
-        alpha = (k + 1) ** (-2.0 / 3.0)
-        cxk = xk @ c.T
-        weight += alpha
-        accum += alpha * xk
-        self_play += alpha * np.sum(xk * cxk, axis=-1)
-        xk = _hedge_map(log_xk, cxk, alpha)
-        log_xk = np.log(xk)
-        rhs = (accum / weight) @ c.T - (self_play / weight)[:, None]
-        growth = max(growth, float(np.max((log_xk - log_x) / weight - rhs)))
-    return (float(convexity.max()), float(upper.max()), float(lower.max()), growth)
+    return float(convexity.max()), float(upper.max()), float(lower.max())
 
 
 def diagnose_entropy_bounds(game: SymmetricGame, samples: int,
@@ -674,12 +655,12 @@ def diagnose_entropy_bounds(game: SymmetricGame, samples: int,
       * convexity of RE(Y, T_alpha(X)) in alpha (midpoint test);
       * the upper bound RE(Y,T(X)) <= RE(Y,X) - a(Y-X).CX + a(e^a - 1),
         valid for payoffs in [0, 1];
-      * the lower bound RE(Y,T(X)) >= RE(Y,X) - a(Y-X).CX;
-      * the telescoped logit growth bound along a short trajectory:
-        (ln X^{K+1}(i) - ln X^0(i))/A_K <= (C Xbar^K)_i - avg self-play.
+      * the lower bound RE(Y,T(X)) >= RE(Y,X) - a(Y-X).CX.
 
     Samples are drawn in blocks and each block is checked with batched
-    array operations; a given seed always checks the same samples.
+    array operations; a given seed always checks the same samples. The
+    bound these add up to along a run is checked on the run itself, as
+    diagnose_trajectory_identities' log_growth_bound.
     """
     if not game.normalized:
         raise GameError("entropy diagnostics assume payoffs in [0, 1]")
@@ -696,7 +677,8 @@ def diagnose_entropy_bounds(game: SymmetricGame, samples: int,
         for (name, tol), w in zip(ENTROPY_CHECKS, worst)])
 
 
-TRAJECTORY_CHECKS = ("log_ratio_identity", "payoff_floor_bound", "self_play_bound")
+TRAJECTORY_CHECKS = ("log_ratio_identity", "payoff_floor_bound", "self_play_bound",
+                     "log_growth_bound")
 
 
 def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace) -> DiagnosticsReport:
@@ -709,7 +691,11 @@ def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace) -> Diagnos
       * payoff floor (X^0, the K = 0 record): p_i - p_max >= (ln c + ln
         X^K(i))/A_{K-1}, c = X^0_min/X^0_max;
       * best-response bound (avg_self_play, a run in memory): X^K.p >= the
-        avg self-play to K - 1, (A_K avg_self_play - alpha_K X^K.CX^K)/A_{K-1}.
+        avg self-play to K - 1, (A_K avg_self_play - alpha_K X^K.CX^K)/A_{K-1};
+      * log-growth bound (X^0 and avg_self_play): (ln X^K(i) - ln
+        X^0(i))/A_{K-1} <= p_i - that avg self-play, the telescoped
+        multiplicative-weights bound ln(normalizer) >= sum_{k<K} alpha_k
+        X^k.CX^k.
 
     The report holds, in TRAJECTORY_CHECKS order, the checks whose inputs
     (named in parentheses) the trace holds. X^K entries below the smallest
@@ -742,6 +728,9 @@ def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace) -> Diagnos
             xcx = _row_dots(x, np.matmul(c, x[:, :, None])[:, :, 0])[:, None]
             self_play = (a_k * trace.avg_self_play[later, None] - alpha * xcx) / a_prev
             per_row["self_play_bound"] = self_play[:, 0] - _row_dots(x, cxbar)
+            if x0 is not None:
+                growth = (log_x - np.log(x0)) / a_prev - cxbar
+                per_row["log_growth_bound"] = np.fmax.reduce(growth, 1) + self_play[:, 0]
     # the largest violation over the snapshots, at least 0, a NaN one as inf
     return DiagnosticsReport(checks=[
         DiagnosticCheck(name, len(table),

@@ -45,7 +45,7 @@ class TestRun:
         assert out.exists()
         summary = json.loads((tmp_path / "trace.csv.summary.json").read_text())
         assert summary["schedule_valid"] is True
-        assert summary["schedule"] == "power:0.666667"
+        assert summary["schedule"] == "power:0.6666666666666666"
         assert summary["final_gap_avg"] <= 1e-12  # uniform fixed point on RPS
         assert summary["final_step"] == 500
         header = out.read_text().splitlines()[0]
@@ -154,7 +154,8 @@ class TestRun:
         assert rc == 2 and not out.exists()
         assert not (tmp_path / f"t.{fmt}.summary.json").exists()
         assert capsys.readouterr().err.splitlines() == [
-            "error: schedule custom[5] cancels at step 1: A_K - alpha_K is not positive"]
+            f"error: schedule file:{rates} cancels at step 1: "
+            "A_K - alpha_K is not positive"]
 
     def test_force_flags_summary(self, rps_file, tmp_path):
         out = tmp_path / "t.csv"
@@ -175,6 +176,33 @@ class TestRun:
             assert summary["forced"] is True
             assert summary["forced"] == (not summary["schedule_valid"])
             assert summary["schedule_reason"] == "alpha_k does not tend to 0"
+
+    @pytest.mark.parametrize("schedule", [None, "power:0.666667", "harmonic", "file"])
+    def test_summary_schedule_reruns_its_run(self, tmp_path, capsys, schedule):
+        # re-running with the summary's "schedule" writes the same bytes
+        if schedule == "file":
+            rates = tmp_path / "rates.txt"
+            rates.write_text(" ".join(repr(0.9 / (k + 1) ** 0.6) for k in range(2001)))
+            schedule = f"file:{rates}"
+        args = ["run", "--game", "random_uniform:4:1", "--steps", "2000",
+                "--emit-every", "500"]
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        flags = [] if schedule is None else ["--schedule", schedule]
+        assert main([*args, *flags, "--out", str(first)]) == 0
+        label = json.loads(Path(f"{first}.summary.json").read_text())["schedule"]
+        assert label == (schedule or "power:0.6666666666666666")
+        assert main([*args, "--schedule", label, "--out", str(again)]) == 0
+        capsys.readouterr()
+        assert first.read_bytes() == again.read_bytes()
+
+    def test_double_dash_emit_every_is_usage_error(self, capsys):
+        # argparse stores [] for a flag whose value is "--"
+        assert main(["run", "--game", "coordination:3", "--steps", "5",
+                     "--emit-every=--"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: argument --emit-every: expected one argument"]
 
     def test_byte_identical_reruns(self, rps_file, tmp_path):
         args = ["run", "--game", rps_file, "--steps", "300", "--x0", "random",
@@ -551,7 +579,7 @@ class TestExtract:
     # a file trace was run already: a run flag would change nothing
     @pytest.mark.parametrize("flags", [
         ["--schedule", "bogus"], ["--x0", "bogus"], ["--steps", "7"],
-        ["--emit-every", "3"], ["--seed", "0"], ["--force"],
+        ["--steps", "7", "--seed", "0"], ["--seed", "0"], ["--force"],
         ["--schedule", "power:0.5", "--x0", "uniform", "--steps", "7", "--force"]])
     def test_trace_refuses_run_flags(self, rps_file, tmp_path, capsys, flags):
         trace = tmp_path / "t.csv"
@@ -564,6 +592,28 @@ class TestExtract:
         given = ", ".join(f for f in flags if f.startswith("--"))
         assert captured.err.splitlines() == [
             f"error: --trace takes no run flags, got {given}"]
+
+    def test_in_memory_run_emits_first_and_last_step(self, monkeypatch, capsys):
+        # extraction reads only the final record, so no other is emitted
+        traces = []
+
+        def recorded(*args, **kwargs):
+            traces.append(run_trajectory(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "run_trajectory", recorded)
+        assert main(["extract", "--game", "coordination:3", "--steps", "2500"]) == 0
+        assert traces[0].steps.tolist() == [0, 2500]
+        assert json.loads(capsys.readouterr().out)["certificate"] is not None
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_emit_every_is_no_extract_flag(self, rps_file, tmp_path, capsys, trace):
+        source = (["--trace", str(tmp_path / "t.csv")] if trace else ["--steps", "50"])
+        rc = main(["extract", "--game", rps_file, *source, "--emit-every", "3"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: unrecognized arguments: --emit-every 3"]
 
     def test_missing_trace_and_steps(self, rps_file):
         assert main(["extract", "--game", rps_file]) == 2
@@ -586,8 +636,7 @@ class TestExtract:
         assert captured.err.splitlines() == [
             "error: unrecognized arguments: --criteria average_payoff,bogus"]
 
-    @pytest.mark.parametrize("flag", ["--steps", "--emit-every", "--seed", "--x0",
-                                      "--game"])
+    @pytest.mark.parametrize("flag", ["--steps", "--seed", "--x0", "--game"])
     def test_double_dash_value_is_usage_error(self, capsys, flag):
         # argparse stores [] for a flag whose value is "--"
         args = {"--game": "coordination:3", "--steps": "5", "--x0": "random"}

@@ -129,8 +129,9 @@ def assert_clean_exit(argv, tol):
         assert err.getvalue() == ""
 
 
-def run_flags(schedule_dir, schedule, x0, k, emit_every, seed, force):
-    flags = [f"--steps={k}", f"--emit-every={emit_every}", f"--seed={seed}", f"--x0={x0}"]
+def run_flags(schedule_dir, schedule, x0, k, seed, force):
+    """The flags run and extract share."""
+    flags = [f"--steps={k}", f"--seed={seed}", f"--x0={x0}"]
     if schedule is not None:
         flags.append("--schedule=" + schedule.replace("{dir}", str(schedule_dir)))
     return flags + ["--force"] * force
@@ -156,17 +157,17 @@ FUZZ = settings(max_examples=120, deadline=None,
 def test_run_exits_cleanly(schedule_dir, tmp_path, game, schedule, x0, k, emit_every,
                            seed, force, tol):
     argv = ["run", f"--game={game}", f"--out={tmp_path / 'trace.csv'}",
-            *run_flags(schedule_dir, schedule, x0, k, emit_every, seed, force)]
+            f"--emit-every={emit_every}",
+            *run_flags(schedule_dir, schedule, x0, k, seed, force)]
     assert_clean_exit(argv, tol)
 
 
 @FUZZ
-@given(game=game_specs, schedule=schedules, x0=vectors, k=steps,
-       emit_every=emit_intervals, seed=seeds, force=st.booleans(), tol=tolerances)
-def test_extract_exits_cleanly(schedule_dir, game, schedule, x0, k, emit_every, seed,
-                               force, tol):
+@given(game=game_specs, schedule=schedules, x0=vectors, k=steps, seed=seeds,
+       force=st.booleans(), tol=tolerances)
+def test_extract_exits_cleanly(schedule_dir, game, schedule, x0, k, seed, force, tol):
     argv = ["extract", f"--game={game}",
-            *run_flags(schedule_dir, schedule, x0, k, emit_every, seed, force)]
+            *run_flags(schedule_dir, schedule, x0, k, seed, force)]
     assert_clean_exit(argv, tol)
 
 

@@ -134,7 +134,7 @@ def schedule_of(tmp_path, spec, rates=None):
 class TestSchedules:
     def test_power_two_thirds_valid(self):
         assert parse_schedule("power:0.6666666666666666").valid
-        assert DEFAULT_SCHEDULE.label == "power:0.666667"
+        assert DEFAULT_SCHEDULE.label == "power:0.6666666666666666"
 
     def test_power_too_flat_invalid(self):
         v = parse_schedule("power:0.4")
@@ -171,7 +171,7 @@ class TestSchedules:
         assert constant.label == "constant:0.1"
         assert np.array_equal(constant.rates(3), [0.1, 0.1, 0.1])
         listed = schedule_of(tmp_path, "file", "1.0 0.5\n0.25\n")
-        assert listed.label == "custom[3]"
+        assert listed.label == f"file:{tmp_path / 'rates.txt'}"
         assert np.array_equal(listed.rates(3), [1.0, 0.5, 0.25])
         with pytest.raises(ScheduleError):
             parse_schedule("exponential:2")
@@ -238,8 +238,8 @@ class TestSchedules:
         game = generate_game("random_uniform", 3, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ScheduleError, match="custom\\[150\\] cancels at step 1: "
-                                                    "A_K - alpha_K is not positive"):
+            with pytest.raises(ScheduleError, match=re.escape(
+                    f"{schedule.label} cancels at step 1: A_K - alpha_K is not positive")):
                 run_trajectory(game, uniform_strategy(3), schedule, 4, force=force)
             # past the first block too: 1e-300 then 1 at step 130
             monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 64)
@@ -427,7 +427,7 @@ class TestDiagnostics:
         assert report.all_passed
         names = {c.name for c in report.checks}
         assert names == {"entropy_alpha_convexity", "entropy_upper_bound",
-                         "entropy_lower_bound", "log_growth_bound"}
+                         "entropy_lower_bound"}
 
     def test_entropy_suite_rps(self, rps_norm):
         assert diagnose_entropy_bounds(rps_norm, 200, seed=3).all_passed
@@ -438,7 +438,7 @@ class TestDiagnostics:
 
     def test_zero_samples_vacuous(self, identity2):
         report = diagnose_entropy_bounds(identity2, 0, seed=0)
-        assert report.all_passed and len(report.checks) == 4
+        assert report.all_passed and len(report.checks) == 3
         assert all(c.samples == 0 and c.max_violation == 0.0 for c in report.checks)
 
     def test_requires_normalized_game(self, rps_nonneg):
@@ -456,7 +456,7 @@ class TestDiagnostics:
                             100, emit_every=10)
         report = diagnose_trajectory_identities(rps_norm, tr)
         assert [c.name for c in report.checks] == ["payoff_floor_bound",
-                                                   "self_play_bound"]
+                                                   "self_play_bound", "log_growth_bound"]
         assert report.all_passed
 
     def test_file_traces_lack_logits(self, tmp_path, hawk_dove_norm):
@@ -472,4 +472,4 @@ class TestDiagnostics:
     def test_report_serializes(self, identity2):
         payload = diagnose_entropy_bounds(identity2, 10, seed=0).to_dict()
         assert payload["all_passed"] is True
-        assert len(payload["checks"]) == 4
+        assert len(payload["checks"]) == 3

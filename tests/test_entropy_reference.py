@@ -14,7 +14,7 @@ from hedgenash import (
     hedge_step,
     normalize_payoffs,
 )
-from hedgenash.dynamics import ACCUMULATED_TOL, ALPHA_GRID, POINTWISE_TOL
+from hedgenash.dynamics import ALPHA_GRID, POINTWISE_TOL
 
 
 def reference_hedge_step(game, x, alpha):
@@ -28,13 +28,13 @@ def _re_on_support(p, q, mask):
 
 
 def reference_entropy_violations(game, samples, seed):
-    """One sample at a time, one rate at a time: the four worst violations
-    in the order convexity, upper bound, lower bound, log growth."""
+    """One sample at a time, one rate at a time: the three worst violations
+    in the order convexity, upper bound, lower bound."""
     rng = Xoshiro256StarStar(seed)
     c = game.payoff
     n = game.n
     viol = {"entropy_alpha_convexity": 0.0, "entropy_upper_bound": 0.0,
-            "entropy_lower_bound": 0.0, "log_growth_bound": 0.0}
+            "entropy_lower_bound": 0.0}
 
     for _ in range(samples):
         x = rng.interior_point(n)
@@ -69,33 +69,12 @@ def reference_entropy_violations(game, samples, seed):
             viol["entropy_lower_bound"] = max(
                 viol["entropy_lower_bound"],
                 (re_yx - a * drift) - re_t)
-
-        logits = log_x.copy()
-        xk = x.copy()
-        weight = 0.0
-        accum = np.zeros(n)
-        self_play = 0.0
-        for k in range(32):
-            alpha = (k + 1) ** (-2.0 / 3.0)
-            cxk = c @ xk
-            weight += alpha
-            accum += alpha * xk
-            self_play += alpha * float(xk @ cxk)
-            logits += alpha * cxk
-            w = np.exp(logits - logits.max())
-            xk = w / w.sum()
-            log_next = np.log(xk)
-            rhs = c @ (accum / weight) - self_play / weight
-            lhs = (log_next - log_x) / weight
-            viol["log_growth_bound"] = max(viol["log_growth_bound"],
-                                           float(np.max(lhs - rhs)))
     return viol
 
 
 TOLERANCES = {"entropy_alpha_convexity": POINTWISE_TOL,
               "entropy_upper_bound": POINTWISE_TOL,
-              "entropy_lower_bound": POINTWISE_TOL,
-              "log_growth_bound": ACCUMULATED_TOL}
+              "entropy_lower_bound": POINTWISE_TOL}
 
 
 def normalized(kind, n, seed):

@@ -283,6 +283,10 @@ def identities_loop(game, trace, checks):
             self_play = (r.weight_sum * r.avg_self_play - r.alpha * xcx) / a_prev
             viol["self_play_bound"] = max(viol["self_play_bound"],
                                           self_play - float(r.x @ cxbar))
+        if "log_growth_bound" in checks:
+            growth = (log_x - np.log(trace.x0)) / a_prev - cxbar
+            viol["log_growth_bound"] = max(viol["log_growth_bound"],
+                                           float(growth.max()) + self_play)
     return [(name, len(later), viol[name], ACCUMULATED_TOL) for name in checks]
 
 
@@ -299,6 +303,33 @@ def test_identities_match_per_record_loop(kind, n):
             got = [(c.name, c.samples, c.max_violation, c.tolerance) for c in report.checks]
             assert got == identities_loop(game, trace, checks)
             assert all(type(c.max_violation) is float for c in report.checks)
+
+
+@pytest.mark.parametrize("spec", ["power:0.6666666666666666", "harmonic",
+                                  "constant:0.3", "power:0.4", "constant:5"])
+def test_log_growth_bound_holds_under_each_schedule(spec):
+    # the bound holds along any run, forced schedules included
+    for kind in GAME_KINDS:
+        for n in (2, 8):
+            game = generate_game(kind, n, 1)
+            for x0 in (uniform_strategy(n), Xoshiro256StarStar(n).interior_point(n)):
+                trace = run_trajectory(game, x0, parse_schedule(spec), 2000,
+                                       emit_every=1, force=True)
+                growth = diagnose_trajectory_identities(game, trace).checks[-1]
+                assert growth.name == "log_growth_bound" and growth.passed
+
+
+def test_raised_self_play_fails_log_growth_bound():
+    # the uniform start is a rest point of the coordination game, where the
+    # bound holds with equality
+    game = generate_game("coordination", 4, 0)
+    trace = run_trajectory(game, uniform_strategy(4), DEFAULT_SCHEDULE, 600,
+                           emit_every=1)
+    assert diagnose_trajectory_identities(game, trace).all_passed
+    trace.avg_self_play[300] += 1e-6
+    checks = {c.name: c for c in diagnose_trajectory_identities(game, trace).checks}
+    assert not checks["log_growth_bound"].passed
+    assert checks["log_ratio_identity"].passed and checks["payoff_floor_bound"].passed
 
 
 WIRE_CHECKS = ("log_ratio_identity", "payoff_floor_bound")
