@@ -182,9 +182,194 @@ _WIRE_SCALARS = ("alpha", "A_K", "gap_avg", "gap_iter", "avg_step_norm")
 # What a malformed record raises while its columns are parsed.
 _UNREADABLE = (ValueError, TypeError, KeyError, OverflowError)
 
-# Rows formatted per tolist() call by the writers: the Python floats of a
-# chunk take several times the bytes of its rows.
-_WRITE_CHUNK = 512
+# Values (rows x columns) formatted per chunk by the writers: at any n a
+# chunk's integer temporaries are 64 KB each, and its slots and text 256 KB;
+# twice the values made the 64-bit products three times as slow per value.
+_WRITE_CHUNK = 1 << 13
+
+
+# ---------------------------------------------------------------------------
+# Trace text: the digits of a float from integer arithmetic
+# ---------------------------------------------------------------------------
+# A normal float is v = m * 2**e with a 53-bit m. Scaled by 10**t = 5**t *
+# 2**t so that v * 10**t lies in [1e16, 1e17), it is m * 5**t / 2**s with
+# s = -(e + t), whose floor and remainder are exact in two 64-bit limbs. 5**27
+# is the largest power of 5 below 2**64, so the values settled this way run
+# from 1e-11 (t = 27) up to 2**51 (s = 1).
+_POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)
+_POW10 = np.array([10 ** k for k in range(19)], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFF_FFFF)
+
+# A value's text is laid out in a 32-byte slot, NUL where a position is
+# unused, and the first _TEXT bytes are written:
+#   0 sign, 1 first digit or the 0 of "0.", 2 the point, 3-5 the zeros after
+#   "0.", 7 the first digit after them, 8-23 the other 16 digits, 24-27 the
+#   exponent ("e-05").
+# The first word of a slot is looked up from the sign, the zeros after
+# "0.", the point and the first digit; the exponent from the exponent.
+_TEXT = 28
+_QUADS = sum(                            # "0000".."9999", one uint32 each
+    (np.arange(10_000, dtype=np.uint32) // 10 ** (3 - k) % 10 + 48) << 8 * k
+    for k in range(4)).astype("<u4")
+_HEADS = np.array([[45 * sign, 48 if zeros else 48 + lead, 46 * point,
+                    48 * (zeros > 1), 48 * (zeros > 2), 48 * (zeros > 3), 0,
+                    (48 + lead) if zeros else 0]
+                   for sign in (0, 1) for zeros in range(5) for point in (0, 1)
+                   for lead in range(10)], dtype=np.uint8).view("<u8")[:, 0]
+_EXPONENTS = np.frombuffer(b"".join(                 # x = -99..99; fixed from -4
+    f"e{x:+03d}".encode().ljust(8, b"\0") if x < -4 else bytes(8)
+    for x in range(-99, 100)), dtype="<u8")
+_KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _mul_shift(a: np.ndarray, b: np.ndarray, shift: np.ndarray):
+    """floor(a * b / 2**shift) and the remainder a * b mod 2**shift, exact,
+    for uint64 arrays with a < 2**53, b < 2**63 and 1 <= shift <= 62: the
+    product is formed in two 64-bit limbs from 32-bit halves."""
+    a_hi, a_lo = a >> 32, a & _LOW32
+    b_hi, b_lo = b >> 32, b & _LOW32
+    low = a_lo * b_lo
+    mid = a_lo * b_hi + a_hi * b_lo
+    lo = low + (mid << 32)
+    hi = a_hi * b_hi + (mid >> 32) + (lo < low)
+    return (hi << (64 - shift)) | (lo >> shift), lo & ((1 << shift) - 1)
+
+
+def _most_zeros(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The most trailing decimal zeros, at most 17, of an integer in [low,
+    high] (0 where the interval holds none)."""
+    zeros = np.zeros(len(low), dtype=np.int64)
+    rows = np.flatnonzero(high // 10 * 10 >= low)
+    for k in range(1, 18):
+        zeros[rows] = k
+        rows = rows[high[rows] // _POW10[k + 1] * _POW10[k + 1] >= low[rows]]
+        if not rows.size:
+            break
+    return zeros
+
+
+def _decimal_digits(values: np.ndarray, shortest: bool):
+    """Each float64 value as (d, x, zeros, settled): v is d * 10**(x - 16)
+    to the digits kept, d is a 17-digit integer with ``zeros`` trailing
+    zeros. The digits are v correctly rounded to 17 significant digits, as
+    '%.17g' writes them, or with ``shortest`` the fewest digits that read
+    back as v, the nearest to v of those, as repr writes them. ``settled``
+    is False where the integer path does not decide them: zero, a
+    subnormal, not finite, outside [1e-11, 2**51), a rounding tie, or with
+    ``shortest`` a power of two (its lower gap is half its upper); d, x and
+    zeros are placeholders there.
+
+    With vr = v * 10**t = V + f (f the fraction), the 17-digit d rounds vr.
+    The values that read back as v lie between vr -+ half an ulp, which
+    is 5**t / 2**(s + 1) at this scale. Both bounds, (2m -+ 1) 5**t /
+    2**(s + 1), are odd numbers over at least 4, never integers, so the
+    integers in [low, high] are those that read back as v. The shortest
+    digits are a multiple of 10**r in it for the largest r, the nearer to
+    vr of the multiples on either side of it."""
+    bits = values.view(np.uint64)
+    biased = (bits >> 52 & 0x7FF).astype(np.int64)
+    m = bits & np.uint64((1 << 52) - 1) | np.uint64(1 << 52)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guess = np.floor(np.log10(np.abs(values)))       # X, or one off it
+    settled = (guess >= -11) & (biased <= 1073)           # NaN compares False
+    t = np.where(settled, 16 - guess, 16).astype(np.int64)
+    s = np.where(settled, 1075 - biased, 52) - t
+    whole, rem = _mul_shift(m, _POW5[t], s.view(np.uint64))
+    # the guess is one off next to a power of 10: rescale those values
+    off = (whole >= 10 ** 17).astype(np.int64) - (whole < 10 ** 16)
+    if off.any():
+        wrong = np.flatnonzero(off)
+        t[wrong] -= off[wrong]
+        s[wrong] += off[wrong]
+        lost = wrong[(t[wrong] > 27) | (s[wrong] < 1) | (s[wrong] > 62)]
+        settled[lost], t[lost], s[lost] = False, 16, 36
+        whole[wrong], rem[wrong] = _mul_shift(m[wrong], _POW5[t[wrong]],
+                                              s[wrong].view(np.uint64))
+    shift = s.view(np.uint64)
+    half = np.uint64(1) << shift - 1
+    if shortest:
+        p5 = _POW5[t]
+        settled &= m != np.uint64(1 << 52)
+        high = whole + ((rem << 1) + p5 >> shift + 1)
+        low = whole + (((rem << 1) - p5).view(np.int64) >> s + 1).view(np.uint64) + 1
+        zeros = _most_zeros(low, high)
+        p = _POW10[zeros]
+        below = whole // p * p
+        twice = whole - below << 1                        # 2 (vr - below) = twice + 2f
+        nearer_below = (twice + 1 < p) | ((twice + 1 == p) & (rem < half))
+        tie = ((twice == p) & (rem == 0)) | ((twice + 1 == p) & (rem == half))
+        below_ok, above_ok = below >= low, below + p <= high
+        settled &= ~(tie & below_ok & above_ok)
+        d = np.where(above_ok & ~(nearer_below & below_ok), below + p, below)
+    else:
+        settled &= rem != half
+        d = whole + (rem > half)
+    carry = d >= 10 ** 17                                 # 10**17: one digit more
+    d = np.where(settled, np.where(carry, 10 ** 16, d), 10 ** 16)
+    x = np.where(settled, 16 - t + carry, 0)
+    if shortest:
+        zeros = np.minimum(zeros, 16)
+    else:
+        zeros = _most_zeros(d, d)
+    return d, x, zeros, settled
+
+
+def _format_values(values: np.ndarray, shortest: bool) -> np.ndarray:
+    """The text of each float64 value, as repr writes it (shortest) or as
+    '%.17g' does, in the first _TEXT bytes of a NUL-padded 32-byte slot.
+    Values the integer path does not settle are formatted by the %
+    conversion."""
+    d, x, zeros, settled = _decimal_digits(values, shortest)
+    slots = np.empty((len(values), 32), dtype=np.uint8)
+    words, quads = slots.view("<u8"), slots.view("<u4")
+    lead = (d // 10 ** 16).view(np.int64)
+    rest = d.view(np.int64) - lead * 10 ** 16             # int64: indices as they are
+    for col in (5, 4, 3, 2):
+        quad = rest // 10_000
+        quads[:, col] = _QUADS[rest - quad * 10_000]
+        rest = quad
+    kept = 16 - zeros                                     # digits after the first
+    wide = np.flatnonzero(x > 0)                          # x + 1 digits, then the point
+    digits = np.concatenate([(lead[wide, None] + 48).astype(np.uint8),
+                             slots[wide, 8:24]], axis=1)
+    words[:, 1] &= _KEEP[np.minimum(kept, 8)]
+    words[:, 2] &= _KEEP[np.maximum(kept - 8, 0)]
+    sci = x < -4
+    zeros_after = np.where(sci, 0, np.maximum(-x, 0))     # 0.000d: "0." then zeros
+    point = (zeros_after > 0) | (kept > 0) | (shortest & ~sci)
+    sign = (values.view(np.uint64) >> 63).astype(np.int64)
+    words[:, 0] = _HEADS[((sign * 5 + zeros_after) * 2 + point) * 10 + lead]
+    words[:, 3] = _EXPONENTS[x + 99]
+    if shortest:                                          # repr's "1.0"
+        words[:, 1] |= np.uint64(48) * (~sci & (x == 0) & (kept == 0))
+    _lay_out_integers(slots, wide, digits, x, kept, sign, shortest)
+    loose = np.flatnonzero(~settled)
+    if loose.size:
+        form = "%r" if shortest else "%.17g"
+        text = b"".join((form % v).encode().ljust(32, b"\0")
+                        for v in values[loose].tolist())
+        slots[loose] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 32)
+    return slots[:, :_TEXT]
+
+
+def _lay_out_integers(slots, rows, digits, x, kept, sign, shortest: bool) -> None:
+    """Re-lay the slots of rows, values of at least 10 in fixed notation:
+    their x + 1 leading digits, the point, then the digits kept after them.
+    digits holds each row's 17 digit characters."""
+    j = np.arange(19, dtype=np.int8)                      # int8: cheap broadcasts
+    q = x[rows, None].astype(np.int8)
+    last = kept[rows, None].astype(np.int8)               # the last digit kept
+    text = np.zeros((len(rows), 19), dtype=np.uint8)
+    text[:, 1:18] = digits
+    text *= j - 1 <= last                                 # after the point
+    np.copyto(text[:, :17], digits, where=j[:17] <= q)    # before it
+    fraction = last > q
+    text[j == q + 1] = 46 if shortest else 46 * fraction[:, 0]
+    if shortest:                                          # repr's "10.0"
+        text[(j == q + 2) & ~fraction] = 48
+    slots[rows, 0] = 45 * sign[rows]
+    slots[rows, 1:20] = text
+    slots[rows, 20:] = 0
 
 
 @dataclass
@@ -228,31 +413,49 @@ class Trace:
                         table[:, lo:lo + n], table[:, lo + n:], *extras))
 
     def csv_header(self) -> str:
-        xs = ",".join(f"X_{i + 1}" for i in range(self.n))
-        xbars = ",".join(f"Xbar_{i + 1}" for i in range(self.n))
-        return f"K,{','.join(_WIRE_SCALARS)},{xs},{xbars}"
+        return ",".join(_csv_names(self.n))
 
-    def _write(self, path, head: str, line: str) -> None:
-        """head, then each record formatted by the %-template line from K
-        and its wire row, a chunk of records at a time."""
+    def _write(self, path, head: str, line: str, shortest: bool) -> None:
+        """head, then one line per record: line with a NUL where each field
+        goes, K and then the wire row, each value written as repr writes it
+        (shortest) or as '%.17g' does. A chunk of lines is laid out as
+        bytes, the separators once and a NUL-padded slot per field, and
+        written with the NULs dropped."""
+        width = self.table.shape[1]
+        rows = max(1, min(_WRITE_CHUNK // width, len(self.steps)))
+        # the separator before each field, then the line's end
+        seps = line.encode().split(b"\0")
+        layout, starts = bytearray(), []
+        for sep, size in zip(seps, [20] + [_TEXT] * width):
+            layout += sep
+            starts.append(len(layout))
+            layout += bytes(size)
+        layout += seps[-1]
+        text = np.tile(np.frombuffer(layout, dtype=np.uint8), (rows, 1))
         with open(path, "w") as fh:
             fh.write(head)
-            for start in range(0, len(self.steps), _WRITE_CHUNK):
-                steps = self.steps[start:start + _WRITE_CHUNK].tolist()
-                rows = self.table[start:start + _WRITE_CHUNK].tolist()
-                fh.writelines(line % (k, *row) for k, row in zip(steps, rows))
+            for start in range(0, len(self.steps), rows):
+                table = self.table[start:start + rows]
+                chunk = text[:len(table)]
+                steps = self.steps[start:start + rows].astype("S20")   # NUL-padded
+                chunk[:, starts[0]:starts[0] + 20] = steps[:, None].view(np.uint8)
+                slots = _format_values(table.ravel(), shortest).reshape(
+                    len(table), width, _TEXT)
+                for c, at in enumerate(starts[1:]):
+                    chunk[:, at:at + _TEXT] = slots[:, c]
+                fh.write(chunk.tobytes().translate(None, b"\0").decode())
 
     def to_csv(self, path) -> None:
         self._write(path, self.csv_header() + "\n",
-                    "%d" + ",%.17g" * self.table.shape[1] + "\n")
+                    "\0" + ",\0" * self.table.shape[1] + "\n", shortest=False)
 
     def to_jsonl(self, path) -> None:
         """One JSON object per record: json writes a finite float as its
-        repr, which %r gives too, and every value of a trace is finite."""
-        scalars = ", ".join(f'"{name}": %r' for name in _WIRE_SCALARS)
-        vector = ", ".join(["%r"] * self.n)
-        self._write(path, "", f'{{"K": %d, {scalars}, "X": [{vector}], '
-                              f'"Xbar": [{vector}]}}\n')
+        repr, and every value of a trace is finite."""
+        scalars = ", ".join(f'"{name}": \0' for name in _WIRE_SCALARS)
+        vector = ", ".join(["\0"] * self.n)
+        self._write(path, "", f'{{"K": \0, {scalars}, "X": [{vector}], '
+                              f'"Xbar": [{vector}]}}\n', shortest=True)
 
     @classmethod
     def from_file(cls, path) -> "Trace":
@@ -260,7 +463,10 @@ class Trace:
         self-play payoff, which is not in the wire format, is None.
         A GameError names the file and the first bad line: one that does
         not parse as a record (K not an integer, a field missing or extra,
-        X or Xbar not n numbers), that holds a value that is not finite,
+        X or Xbar not n numbers, n counted from the CSV header's X_
+        columns), then a CSV header other than K, the wire scalars,
+        X_1..X_n and Xbar_1..Xbar_n in that order, then a record that holds
+        a value that is not finite,
         whose K is not above the K before it, or whose X or Xbar is not a
         probability vector (a negative entry, or a sum off 1 by more than
         OFF_SIMPLEX_TOL)."""
@@ -270,6 +476,7 @@ class Trace:
         # the file line of lines[0]: one past the line breaks stripped before it
         leading = text[:len(text) - len(text.lstrip())]
         first = len((leading + ".").splitlines())
+        header = None                                     # JSON lines have none
         if lines and lines[0].startswith("{"):
             body, parse = lines, _jsonl_columns
         else:
@@ -280,8 +487,17 @@ class Trace:
         if not body:
             raise GameError(f"trace file {path} contains no records")
         trace = cls(*_parse_located(parse, body, path, first))
+        if header is not None and header != _csv_names(trace.n):
+            raise GameError(f"{path}:{first - 1}: the CSV header is not K,"
+                            f"{','.join(_WIRE_SCALARS)},X_1..X_n,Xbar_1..Xbar_n")
         _check_records(trace, path, first)
         return trace
+
+
+def _csv_names(n: int) -> list[str]:
+    """The CSV header's column names for a trace of n strategies."""
+    return (["K", *_WIRE_SCALARS] + [f"X_{i + 1}" for i in range(n)]
+            + [f"Xbar_{i + 1}" for i in range(n)])
 
 
 def _check_records(trace: Trace, path: Path, first: int) -> None:
@@ -345,6 +561,10 @@ def _jsonl_columns(lines: list[str]):
                            dtype=float)
         xs = np.array([row["X"] for row in rows], dtype=float)
         xbars = np.array([row["Xbar"] for row in rows], dtype=float)
+        # every field is there, as the lookups above show: more is one extra
+        if any(len(row) != len(_WIRE_SCALARS) + 3 for row in rows):
+            raise ValueError("a record has a field other than K, "
+                             f"{', '.join(_WIRE_SCALARS)}, X and Xbar")
         if scalars.ndim != 2 or xs.ndim != 2 or xbars.shape != xs.shape:
             raise ValueError("a scalar field is not a number, or X and Xbar are "
                              "not lists of n numbers")
