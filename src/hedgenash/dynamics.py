@@ -12,7 +12,9 @@ memory; the trajectory identities are checked from the file's columns.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import json
 import math
 from collections.abc import Callable
@@ -29,7 +31,7 @@ from .game import (
     is_interior,
     parse_float,
 )
-from .rng import Xoshiro256StarStar
+from .rng import Xoshiro256StarStar, draw_below, nonzero_draws
 
 
 class ScheduleError(ValueError):
@@ -461,37 +463,137 @@ class Trace:
     def from_file(cls, path) -> "Trace":
         """Load an emitted trace (CSV or JSON-lines) as columns; the running
         self-play payoff, which is not in the wire format, is None.
-        A GameError names the file and the first bad line: one that does
-        not parse as a record (K not an integer, a field missing or extra,
-        X or Xbar not n numbers, n counted from the CSV header's X_
-        columns), then a CSV header other than K, the wire scalars,
-        X_1..X_n and Xbar_1..Xbar_n in that order, then a record that holds
-        a value that is not finite,
+        The file is read as UTF-8 a block at a time (see _stripped_lines),
+        its lines being those of its whole text stripped, and each block's
+        records are parsed and appended to a table that grows by half and
+        is trimmed once at the end: a read holds the table and one block.
+        A GameError names the file and the first bad line: one that is not
+        UTF-8 text or does not parse as a record (K not an integer, a field
+        missing or extra, X or Xbar not n numbers, n counted from the CSV
+        header's X_ columns or from the first JSON line), then a CSV header
+        other than K, the wire scalars, X_1..X_n and Xbar_1..Xbar_n in that
+        order, then a record that holds a value that is not finite,
         whose K is not above the K before it, or whose X or Xbar is not a
         probability vector (a negative entry, or a sum off 1 by more than
         OFF_SIMPLEX_TOL)."""
         path = Path(path)
-        text = path.read_text()
-        lines = text.strip().splitlines()
-        # the file line of lines[0]: one past the line breaks stripped before it
-        leading = text[:len(text) - len(text.lstrip())]
-        first = len((leading + ".").splitlines())
-        header = None                                     # JSON lines have none
-        if lines and lines[0].startswith("{"):
-            body, parse = lines, _jsonl_columns
-        else:
-            header = lines[0].split(",") if lines else []
-            n = sum(1 for name in header if name.startswith("X_"))
-            body, first = lines[1:], first + 1
-            parse = functools.partial(_csv_columns, n=n)
-        if not body:
+        with contextlib.closing(_stripped_lines(path)) as blocks:
+            first, lines = next(blocks, (1, []))
+            header = None                                 # JSON lines have none
+            if lines and lines[0].startswith("{"):
+                parse = _jsonl_columns
+            else:
+                header = lines[0].split(",") if lines else []
+                n = sum(1 for name in header if name.startswith("X_"))
+                lines, first = lines[1:], first + 1
+                parse = functools.partial(_csv_columns, n=n)
+            steps, table, rows = np.empty(0, dtype=np.int64), None, 0
+            for number, lines in itertools.chain([(first, lines)], blocks):
+                if not lines:
+                    continue
+                new_steps, new_table = _parse_located(parse, lines, path, number)
+                if table is None:
+                    table = np.empty((0, new_table.shape[1]))
+                    if header is None:  # later JSON lines must hold the first one's n
+                        parse = functools.partial(
+                            _jsonl_columns, n=(table.shape[1] - len(_WIRE_SCALARS)) // 2)
+                end = rows + len(new_steps)
+                if end > len(steps):    # resize reallocs, in place where it can
+                    size = max(end, len(steps) * 3 // 2)
+                    steps.resize(size, refcheck=False)
+                    table.resize((size, table.shape[1]), refcheck=False)
+                steps[rows:end], table[rows:end] = new_steps, new_table
+                rows = end
+        if not rows:
             raise GameError(f"trace file {path} contains no records")
-        trace = cls(*_parse_located(parse, body, path, first))
+        steps.resize(rows, refcheck=False)
+        table.resize((rows, table.shape[1]), refcheck=False)
+        trace = cls(steps, table)
         if header is not None and header != _csv_names(trace.n):
             raise GameError(f"{path}:{first - 1}: the CSV header is not K,"
                             f"{','.join(_WIRE_SCALARS)},X_1..X_n,Xbar_1..Xbar_n")
         _check_records(trace, path, first)
         return trace
+
+
+# Bytes read per block by Trace.from_file, before the block is cut after its
+# last line feed: a block's lines, JSON objects and parsed rows stay near a
+# MB whatever the size of the file.
+_READ_BLOCK = 1 << 17
+
+
+def _text_blocks(path: Path):
+    """The file's lines a block at a time, as (number, lines) with lines[0]
+    on file line ``number``. Blocks of about _READ_BLOCK bytes are cut after
+    their last line feed, decoded as UTF-8 and split by str.splitlines. No
+    UTF-8 sequence holds a line feed and a CRLF ends at one, so no line
+    break is split between blocks, and the lines are those of the whole
+    text: splitlines breaks where universal newlines do, and at \\v, \\f,
+    \\x1c-\\x1e, \\x85, \\u2028 and \\u2029 as well. A byte that is not
+    UTF-8 is a GameError naming its line, raised once the lines before it
+    and then its own, with U+FFFD for the byte, are yielded as blocks."""
+    def chunks():
+        with open(path, "rb") as fh:
+            parts = []
+            while data := fh.read(_READ_BLOCK):
+                cut = data.rfind(b"\n") + 1
+                if cut:
+                    yield b"".join([*parts, data[:cut]])
+                    parts = []
+                parts.append(data[cut:])
+            yield b"".join(parts)
+
+    number = 1
+    for chunk in chunks():
+        try:
+            lines = chunk.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            lines = chunk.decode("utf-8", "replace").splitlines()
+            bad = len((chunk[:exc.start].decode("utf-8") + ".").splitlines()) - 1
+            yield number, lines[:bad]
+            yield number + bad, lines[bad:bad + 1]
+            raise GameError(f"{path}:{number + bad}: not UTF-8 text "
+                            f"(byte 0x{chunk[exc.start]:02x})") from None
+        yield number, lines
+        number += len(lines)
+
+
+def _blank(line: str) -> bool:
+    """Whether the line is empty or whitespace, all that str.strip takes."""
+    return not line or line.isspace()
+
+
+def _stripped_lines(path: Path):
+    """path.read_text().strip().splitlines() a block at a time, as
+    (number, lines): each list is non-empty, lines[0] is on file line
+    ``number`` and the others on the lines after it. The first line with
+    content is lstripped. A block is held back until a later one with
+    content shows that the block's last line with content is not the
+    file's last, which is rstripped, so a file of one block is parsed in
+    one piece. Of the whitespace-only lines after that line only the first
+    is held: if a line with content follows, that first one is interior
+    and the reader stops there, since it never parses as a record."""
+    held, at, ends = [], 0, 0       # through the last line with content (ends), one more
+    for number, lines in _text_blocks(path):
+        last = len(lines) - 1
+        while last >= 0 and _blank(lines[last]):
+            last -= 1
+        if last < 0:
+            if held and len(held) == ends and lines:
+                held.append(lines[0])
+            continue
+        if held:
+            yield at, held
+        else:                       # the file's first line with content
+            first = next(i for i, line in enumerate(lines) if not _blank(line))
+            lines = lines[first:]
+            lines[0] = lines[0].lstrip()
+            number, last = number + first, last - first
+        held, at, ends = lines[:last + 2], number, last + 1
+    if held:
+        lines = held[:ends]
+        lines[-1] = lines[-1].rstrip()
+        yield at, lines
 
 
 def _csv_names(n: int) -> list[str]:
@@ -545,9 +647,9 @@ def _csv_columns(lines: list[str], n: int):
 _JSONL_CHUNK = 256
 
 
-def _jsonl_columns(lines: list[str]):
-    """JSON lines as wire columns, like _csv_columns; n is the width of the
-    first record's X."""
+def _jsonl_columns(lines: list[str], n: int | None = None):
+    """JSON lines as wire columns, like _csv_columns; n, unless given, is
+    the width of the first record's X."""
     steps, tables = [], []
     for start in range(0, len(lines), _JSONL_CHUNK):
         chunk = lines[start:start + _JSONL_CHUNK]
@@ -568,6 +670,8 @@ def _jsonl_columns(lines: list[str]):
         if scalars.ndim != 2 or xs.ndim != 2 or xbars.shape != xs.shape:
             raise ValueError("a scalar field is not a number, or X and Xbar are "
                              "not lists of n numbers")
+        if n is not None and xs.shape[1] != n:
+            raise ValueError(f"X and Xbar hold {xs.shape[1]} numbers, expected {n}")
         steps += ks
         tables.append(np.hstack([scalars, xs, xbars]))
     # np.vstack raises a ValueError if chunk widths differ
@@ -826,20 +930,68 @@ ENTROPY_CHECKS = (("entropy_alpha_convexity", POINTWISE_TOL),
 _DIAG_CHUNK = 256
 
 
-def _draw_entropy_samples(rng: Xoshiro256StarStar, n: int, count: int):
-    """Draw count (X, Y, alpha grid) samples in the generator's fixed order.
-    Grids are padded to a common width by repeating their largest rate,
-    which adds no new value to any check."""
-    xs = np.empty((count, n))
-    ys = np.empty((count, n))
-    grids = []
-    for s in range(count):
-        xs[s] = rng.interior_point(n)
-        support_size = 1 + rng.randint(n) if rng.random() < 0.3 else None
-        ys[s] = rng.simplex_point(n, support_size)
-        grids.append(sorted(set(ALPHA_GRID) | {rng.uniform(0.0, 2.0) for _ in range(10)}))
-    width = max(len(g) for g in grids)
-    return xs, ys, np.array([g + g[-1:] * (width - len(g)) for g in grids])
+def _draw_entropy_samples(rng: Xoshiro256StarStar, n: int, count: int,
+                          ahead: list[int]):
+    """Draw count (X, Y, alpha grid) samples bit for bit as this loop would,
+    one sample at a time:
+
+        x = rng.interior_point(n)
+        size = 1 + rng.randint(n) if rng.random() < 0.3 else None
+        y = rng.simplex_point(n, size)
+        grid = sorted(set(ALPHA_GRID) | {rng.uniform(0.0, 2.0) for _ in range(10)})
+
+    The outputs are read from ``ahead`` (those an earlier block left), then
+    from one bulk draw of 2n + 11 a sample, about what a sample takes (n
+    for X, n + 1 on average for the support and Y, one for the branch and
+    ten for the grid), then from draws of that many more as needed; the
+    unread ones are returned after the samples. X and Y are normalized a
+    row length at a time, which sums each row as its own vector sum does.
+    Grids are sorted at once and padded to a common width by repeating
+    their largest rate, which adds no new value to any check. (np.unique
+    is not used: its first call imports numpy.ma, a MB of modules.)"""
+    per_sample = 2 * n + 11
+    stream = ahead + rng._draw(max(0, count * per_sample - len(ahead)))
+    at = 0
+
+    def take(k: int) -> list[int]:
+        nonlocal at
+        if at + k > len(stream):
+            stream.extend(rng._draw(max(at + k - len(stream), per_sample)))
+        at += k
+        return stream[at - k:at]
+
+    # X rows, then Y rows: each row's draws, its length and its columns
+    x_draws, y_draws, sizes, y_columns, rates = [], [], [], [], []
+    for _ in range(count):
+        x_draws += nonzero_draws(take, n)
+        size = 1 + draw_below(take, n) if (take(1)[0] >> 11) * 2.0**-53 < 0.3 else n
+        if size < n:
+            free = list(range(n))
+            y_columns += sorted(free.pop(draw_below(take, len(free))) for _ in range(size))
+        else:
+            y_columns += range(n)
+        y_draws += nonzero_draws(take, size)
+        sizes.append(size)
+        rates += take(10)
+    sizes = np.array([n] * count + sizes)
+    u = np.array([-math.log(v * 2.0**-53) for v in x_draws + y_draws])
+    starts = np.cumsum(sizes) - sizes
+    sums = np.empty(len(sizes))
+    for size in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == size)
+        sums[rows] = u[starts[rows, None] + np.arange(size)].sum(axis=1)
+    points = np.zeros((2 * count, n))
+    points[np.repeat(np.arange(2 * count), sizes), list(range(n)) * count + y_columns] = (
+        u / np.repeat(sums, sizes))
+    uniform = 2.0 * ((np.array(rates, dtype=np.uint64) >> 11) * 2.0**-53)
+    grids = np.sort(np.hstack([np.tile(ALPHA_GRID, (count, 1)), uniform.reshape(count, 10)]),
+                    axis=1)
+    repeats = grids[:, 1:] == grids[:, :-1]       # a rate drawn twice, or on ALPHA_GRID
+    for row in np.flatnonzero(repeats.any(axis=1)):
+        unique = sorted(set(grids[row].tolist()))
+        grids[row] = unique + unique[-1:] * (grids.shape[1] - len(unique))
+    width = grids.shape[1] - repeats.sum(axis=1).min()
+    return points[:count], points[count:], grids[:, :width], stream[at:]
 
 
 def _re_on_support(y, q) -> np.ndarray:
@@ -888,8 +1040,10 @@ def diagnose_entropy_bounds(game: SymmetricGame, samples: int,
         raise GameError(f"samples must be >= 0, got {samples}")
     rng = Xoshiro256StarStar(seed)
     worst = [0.0] * len(ENTROPY_CHECKS)
+    ahead: list[int] = []
     for start in range(0, samples, _DIAG_CHUNK):
-        block = _draw_entropy_samples(rng, game.n, min(_DIAG_CHUNK, samples - start))
+        *block, ahead = _draw_entropy_samples(rng, game.n,
+                                              min(_DIAG_CHUNK, samples - start), ahead)
         worst = [max(w, v) for w, v in
                  zip(worst, _entropy_violations(game.payoff, *block))]
     return DiagnosticsReport(checks=[

@@ -15,6 +15,26 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+def nonzero_draws(draw, count: int) -> list[int]:
+    """The first count nonzero 53-bit values (v >> 11) of the outputs that
+    draw(k) returns k at a time, as a draw-by-draw rejection of zeros takes
+    them."""
+    values = []
+    while len(values) < count:
+        values += [v >> 11 for v in draw(count - len(values)) if v >> 11]
+    return values
+
+
+def draw_below(draw, n: int) -> int:
+    """Uniform integer in [0, n) from the outputs of draw(1), by rejection,
+    bias-free."""
+    limit = _MASK64 - (_MASK64 + 1) % n
+    while True:
+        v, = draw(1)
+        if v <= limit:
+            return v % n
+
+
 def _splitmix64(state: int) -> tuple[int, int]:
     state = (state + 0x9E3779B97F4A7C15) & _MASK64
     z = state
@@ -78,11 +98,7 @@ class Xoshiro256StarStar:
         """Uniform integer in [0, n) by rejection, bias-free."""
         if n <= 0:
             raise ValueError("n must be positive")
-        limit = _MASK64 - (_MASK64 + 1) % n
-        while True:
-            v = self.next_u64()
-            if v <= limit:
-                return v % n
+        return draw_below(self._draw, n)
 
     def doubles(self, count: int) -> np.ndarray:
         return np.array([(v >> 11) * 2.0**-53 for v in self._draw(count)])
@@ -92,12 +108,7 @@ class Xoshiro256StarStar:
 
     def interior_point(self, n: int) -> np.ndarray:
         """Random point in the interior of the n-simplex (Dirichlet(1))."""
-        # the first n nonzero draws of the stream, as a draw-by-draw
-        # rejection of zeros takes them
-        draws = []
-        while len(draws) < n:
-            draws += [v >> 11 for v in self._draw(n - len(draws)) if v >> 11]
-        u = np.array([-math.log(v * 2.0**-53) for v in draws])
+        u = np.array([-math.log(v * 2.0**-53) for v in nonzero_draws(self._draw, n)])
         return u / u.sum()
 
     def simplex_point(self, n: int, support_size: int | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""The batched entropy diagnostics and the Hedge map against their former
-per-sample loops, kept here as the reference implementations."""
+"""The batched entropy diagnostics, their bulk sampler and the Hedge map
+against their former per-sample loops, kept here as the reference
+implementations."""
 
 import math
 
@@ -14,7 +15,7 @@ from hedgenash import (
     hedge_step,
     normalize_payoffs,
 )
-from hedgenash.dynamics import ALPHA_GRID, POINTWISE_TOL
+from hedgenash.dynamics import _DIAG_CHUNK, ALPHA_GRID, POINTWISE_TOL
 
 
 def reference_hedge_step(game, x, alpha):
@@ -117,3 +118,72 @@ def test_hedge_step_is_bitwise_unchanged():
             alpha = float(rng.uniform(1e-3, 4.0))
             assert np.array_equal(hedge_step(game, x, alpha),
                                   reference_hedge_step(game, x, alpha))
+
+
+def reference_entropy_samples(rng, n, count):
+    """The per-sample draw loop: count (X, Y, alpha grid) samples, the
+    grids padded to a common width by repeating their largest rate."""
+    xs = np.empty((count, n))
+    ys = np.empty((count, n))
+    grids = []
+    for s in range(count):
+        xs[s] = rng.interior_point(n)
+        support_size = 1 + rng.randint(n) if rng.random() < 0.3 else None
+        ys[s] = rng.simplex_point(n, support_size)
+        grids.append(sorted(set(ALPHA_GRID) | {rng.uniform(0.0, 2.0) for _ in range(10)}))
+    width = max(len(g) for g in grids)
+    return xs, ys, np.array([g + g[-1:] * (width - len(g)) for g in grids])
+
+
+def assert_bulk_matches_reference(make_rng, n, samples):
+    """The blocks diagnose_entropy_bounds draws, bulk and one sample at a
+    time from generators made alike, bit for bit."""
+    bulk, reference, ahead = make_rng(), make_rng(), []
+    for start in range(0, samples, _DIAG_CHUNK):
+        count = min(_DIAG_CHUNK, samples - start)
+        *got, ahead = dynamics._draw_entropy_samples(bulk, n, count, ahead)
+        for a, b in zip(got, reference_entropy_samples(reference, n, count)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("samples", [1, 255, 256, 257, 1000])
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_bulk_samples_match_per_sample_loop(n, samples):
+    for seed in range(20):
+        assert_bulk_matches_reference(lambda: Xoshiro256StarStar(seed), n, samples)
+
+
+class Scripted(Xoshiro256StarStar):
+    """The outputs ``head``, then the seeded stream's."""
+
+    def __init__(self, seed, head):
+        super().__init__(seed)
+        self.head = list(head)
+
+    def _draw(self, count):
+        out, self.head = self.head[:count], self.head[count:]
+        return out + super()._draw(count - len(out))
+
+    def next_u64(self):
+        return self._draw(1)[0]
+
+
+# n = 3: X's first draw is 0 after the shift and is skipped; the branch is
+# taken; randint(3) rejects 2**64 - 1 and then gives 1 (support size 2);
+# randint(3) = 0 and randint(2) = 1 choose strategies 0 and 2; then Y's two
+# draws. The grid's ten draws, past the 2n + 11 of the bulk draw, give 0.5
+# twice and 0.0, both on ALPHA_GRID: a grid of 12 rates.
+BIG = [k * 0x9E3779B97F4A7C15 % 2 ** 64 for k in range(1, 13)]
+HEAD = [5, *BIG[:3], 1 << 11, 2 ** 64 - 1, 4, 0, 1, *BIG[3:5],
+        2 ** 62, 5, 2 ** 62, *BIG[5:]]
+
+
+@pytest.mark.parametrize("samples", [1, 2, 300])
+def test_bulk_samples_take_a_rejection_and_a_zero_draw(samples):
+    reference = Scripted(4, HEAD)
+    xs, ys, grids = reference_entropy_samples(reference, 3, 1)
+    assert not reference.head                     # the script was read through
+    assert ys[0, 1] == 0.0 and ys[0, 0] > 0.0 and ys[0, 2] > 0.0
+    assert np.array_equal(xs[0], Scripted(4, HEAD[1:4]).interior_point(3))
+    assert grids.shape == (1, 12) and (np.diff(grids[0]) > 0).all()
+    assert_bulk_matches_reference(lambda: Scripted(4, HEAD), 3, samples)
