@@ -464,39 +464,41 @@ class Trace:
         """Load an emitted trace (CSV or JSON-lines) as columns; the running
         self-play payoff, which is not in the wire format, is None.
         The file is read as UTF-8 a block at a time (see _stripped_lines),
-        its lines being those of its whole text stripped, and each block's
-        records are parsed and appended to a table that grows by half and
-        is trimmed once at the end: a read holds the table and one block.
-        A GameError names the file and the first bad line: one that is not
-        UTF-8 text or does not parse as a record (K not an integer, a field
-        missing or extra, X or Xbar not n numbers, n counted from the CSV
-        header's X_ columns or from the first JSON line), then a CSV header
-        other than K, the wire scalars, X_1..X_n and Xbar_1..Xbar_n in that
-        order, then a record that holds a value that is not finite,
-        whose K is not above the K before it, or whose X or Xbar is not a
-        probability vector (a negative entry, or a sum off 1 by more than
-        OFF_SIMPLEX_TOL)."""
+        its lines being those of its whole text stripped. n is the number
+        of the CSV header's X_ columns or the length of the first JSON
+        record's X; then each block's records are parsed and appended to a
+        table that grows by half and is trimmed once at the end: a read
+        holds the table and one block. A GameError names the file and the
+        first bad line, with its own error at any block size: a line that
+        is not UTF-8 text or does not parse as a record (K not an integer,
+        a field missing or extra, a JSON value not a JSON number, X or Xbar
+        not n numbers), then a CSV header other than K, the wire scalars,
+        X_1..X_n and Xbar_1..Xbar_n in that order, then a record that holds
+        a value that is not finite, whose K is below 0 or not above the K
+        before it, or whose X or Xbar is not a probability vector (a
+        negative entry, or a sum off 1 by more than OFF_SIMPLEX_TOL)."""
         path = Path(path)
         with contextlib.closing(_stripped_lines(path)) as blocks:
             first, lines = next(blocks, (1, []))
             header = None                                 # JSON lines have none
             if lines and lines[0].startswith("{"):
+                # n is the length of the first record's X; a record whose X
+                # is not a list fails at any n
+                x = _parse_located(_jsonl_rows, lines[:1], path, first)[0].get("X")
+                n = len(x) if type(x) is list else 0
                 parse = _jsonl_columns
             else:
                 header = lines[0].split(",") if lines else []
                 n = sum(1 for name in header if name.startswith("X_"))
                 lines, first = lines[1:], first + 1
-                parse = functools.partial(_csv_columns, n=n)
-            steps, table, rows = np.empty(0, dtype=np.int64), None, 0
+                parse = _csv_columns
+            parse = functools.partial(parse, n=n)
+            steps = np.empty(0, dtype=np.int64)
+            table, rows = np.empty((0, len(_WIRE_SCALARS) + 2 * n)), 0
             for number, lines in itertools.chain([(first, lines)], blocks):
                 if not lines:
                     continue
                 new_steps, new_table = _parse_located(parse, lines, path, number)
-                if table is None:
-                    table = np.empty((0, new_table.shape[1]))
-                    if header is None:  # later JSON lines must hold the first one's n
-                        parse = functools.partial(
-                            _jsonl_columns, n=(table.shape[1] - len(_WIRE_SCALARS)) // 2)
                 end = rows + len(new_steps)
                 if end > len(steps):    # resize reallocs, in place where it can
                     size = max(end, len(steps) * 3 // 2)
@@ -604,14 +606,15 @@ def _csv_names(n: int) -> list[str]:
 
 def _check_records(trace: Trace, path: Path, first: int) -> None:
     """Raise a GameError naming the first record that holds a value that
-    is not finite, is out of order, or whose X or Xbar is not a
-    probability vector; the first record is on line ``first``."""
+    is not finite, whose K is negative or not above the K before it, or
+    whose X or Xbar is not a probability vector; the first record is on
+    line ``first``."""
     steps, table, n = trace.steps, trace.table, trace.n
     vectors = table[:, len(_WIRE_SCALARS):].reshape(len(table), 2, n)
     finite = np.isfinite(table).all(axis=1)
     simplex = ((vectors >= 0.0).all(axis=2)
                & (np.abs(vectors.sum(axis=2) - 1.0) <= OFF_SIMPLEX_TOL))
-    ordered = np.r_[True, steps[1:] > steps[:-1]]
+    ordered = np.r_[steps[0] >= 0, steps[1:] > steps[:-1]]
     good = finite & ordered & simplex.all(axis=1)
     if good.all():
         return
@@ -620,8 +623,9 @@ def _check_records(trace: Trace, path: Path, first: int) -> None:
     if not finite[row]:
         raise GameError(where + "record has a non-finite value")
     if not ordered[row]:
-        raise GameError(where + f"K = {steps[row]} after K = {steps[row - 1]}; "
-                        "K must strictly increase")
+        raise GameError(where + (f"K = {steps[row]}; K must be >= 0" if row == 0 else
+                                 f"K = {steps[row]} after K = {steps[row - 1]}; "
+                                 "K must strictly increase"))
     side = int(np.argmin(simplex[row]))
     vector = vectors[row, side]
     found = (f"min {vector.min():.17g}, sum {vector.sum():.17g}" if n
@@ -641,50 +645,51 @@ def _csv_columns(lines: list[str], n: int):
     return steps, table[:, 1:]
 
 
-# JSON lines parsed per json.loads call: the parsed dicts and lists take
-# several times the bytes of the table they fill, so they are built and
-# dropped a chunk at a time.
-_JSONL_CHUNK = 256
+def _jsonl_rows(lines: list[str]) -> list:
+    """The JSON value of each line, decoded in one json.loads call."""
+    rows = json.loads("[" + ",".join(lines) + "]")
+    if len(rows) != len(lines):
+        raise ValueError("a line holds more than one JSON value")
+    return rows
 
 
-def _jsonl_columns(lines: list[str], n: int | None = None):
-    """JSON lines as wire columns, like _csv_columns; n, unless given, is
-    the width of the first record's X."""
-    steps, tables = [], []
-    for start in range(0, len(lines), _JSONL_CHUNK):
-        chunk = lines[start:start + _JSONL_CHUNK]
-        rows = json.loads("[" + ",".join(chunk) + "]")
-        if len(rows) != len(chunk):
-            raise ValueError("a line holds more than one JSON value")
-        ks = [row["K"] for row in rows]
-        if any(type(k) is not int for k in ks):
-            raise ValueError("K is not an integer")
-        scalars = np.array([[row[key] for key in _WIRE_SCALARS] for row in rows],
-                           dtype=float)
-        xs = np.array([row["X"] for row in rows], dtype=float)
-        xbars = np.array([row["Xbar"] for row in rows], dtype=float)
-        # every field is there, as the lookups above show: more is one extra
-        if any(len(row) != len(_WIRE_SCALARS) + 3 for row in rows):
-            raise ValueError("a record has a field other than K, "
-                             f"{', '.join(_WIRE_SCALARS)}, X and Xbar")
-        if scalars.ndim != 2 or xs.ndim != 2 or xbars.shape != xs.shape:
-            raise ValueError("a scalar field is not a number, or X and Xbar are "
-                             "not lists of n numbers")
-        if n is not None and xs.shape[1] != n:
-            raise ValueError(f"X and Xbar hold {xs.shape[1]} numbers, expected {n}")
-        steps += ks
-        tables.append(np.hstack([scalars, xs, xbars]))
-    # np.vstack raises a ValueError if chunk widths differ
-    return np.array(steps, dtype=np.int64), np.vstack(tables)
+def _jsonl_columns(lines: list[str], n: int):
+    """JSON lines as wire columns, like _csv_columns: each line a record
+    with an integer K and, as JSON numbers, the wire scalars and the n
+    entries each of a list X and a list Xbar."""
+    rows = _jsonl_rows(lines)
+    ks = [row["K"] for row in rows]
+    if any(type(k) is not int for k in ks):
+        raise ValueError("K is not an integer")
+    try:        # every row is a dict, as the lookup of K shows
+        values = list(itertools.chain.from_iterable(
+            [row[key] for key in _WIRE_SCALARS] + row["X"] + row["Xbar"] for row in rows))
+    except TypeError:
+        raise ValueError("X and Xbar are not both lists") from None
+    # bool, str, None and lists are out: float() would take the first two
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError("a value is not a JSON number")
+    # every field is there, as the lookups above show: more is one extra
+    if any(len(row) != len(_WIRE_SCALARS) + 3 for row in rows):
+        raise ValueError("a record has a field other than K, "
+                         f"{', '.join(_WIRE_SCALARS)}, X and Xbar")
+    for row in rows:
+        if len(row["X"]) != n or len(row["Xbar"]) != n:
+            # one count if the two agree, else X's and then Xbar's
+            held = dict.fromkeys([len(row["X"]), len(row["Xbar"])])
+            raise ValueError(f"X and Xbar hold {' and '.join(map(str, held))} numbers, "
+                             f"expected {n}")
+    table = np.fromiter(values, dtype=float, count=len(values))
+    return np.array(ks, dtype=np.int64), table.reshape(len(rows), -1)
 
 
 def _parse_located(parse, lines: list[str], path: Path, first: int):
     """parse(lines), or a GameError naming the first line that does not
     parse; lines[0] is line ``first`` of the file. Whether a record parses
-    depends on no line after it, so that line ends the shortest failing
-    prefix, which bisection finds. The error quoted is the line's own when
-    it fails alone, so its positions are within the line; otherwise (a
-    width that differs from earlier records) it is the prefix's."""
+    depends on no other line (its width n is fixed before any record is
+    parsed), so that line ends the shortest failing prefix, which
+    bisection finds, and fails alone: the error quoted is the line's own,
+    its positions within the line, whatever block the line is read in."""
     try:
         return parse(lines)
     except _UNREADABLE as exc:

@@ -79,13 +79,7 @@ class Xoshiro256StarStar:
         return out
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        r = s1 * 5 & _MASK64
-        t = s1 << 17 & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        self._s = [s0 ^ s3, s1 ^ s2, s2 ^ t, (s3 << 45 | s3 >> 19) & _MASK64]
-        return ((r << 7 | r >> 57) & _MASK64) * 9 & _MASK64
+        return self._draw(1)[0]
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 bits of precision."""

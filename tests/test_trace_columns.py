@@ -195,13 +195,13 @@ def narrowed(fmt, line):
 @pytest.mark.parametrize("edit, own_error", [
     (garbled, {"csv": "could not convert string 'x'",
                "jsonl": "Expecting ',' delimiter: line 1 column "}),
-    (narrowed, {"csv": "fields, expected 14", "jsonl": "inhomogeneous shape"}),
+    (narrowed, {"csv": "fields, expected 14",
+                "jsonl": "X and Xbar hold 3 numbers, expected 4"}),
 ])
 def test_error_names_file_line_after_leading_blank_lines(trace_file, edit, own_error):
     # lines are numbered from the file, not from its stripped text, and a
-    # line that fails alone is quoted with its own error, whose positions
-    # are within that line; a JSON line that is only too narrow for the
-    # records before it keeps the error of the prefix that failed
+    # bad line is quoted with its own error, whose positions are within
+    # that line; a JSON line too narrow for the first record's n is one
     fmt, path = trace_file
     lines = path.read_text().splitlines()
     bad = 4 if fmt == "jsonl" else 5               # the record on file line 7 or 8

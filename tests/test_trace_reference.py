@@ -288,13 +288,13 @@ def test_early_records_survive_later_blocks(tmp_path, monkeypatch):
         assert_matches_reference(trace, emitted(reference, emit_every), tmp_path)
 
 
-@pytest.mark.parametrize("chunk", [1, 4])
+@pytest.mark.parametrize("block", [1, 64])
 def test_malformed_jsonl_line_matches_reference_across_chunks(tmp_path, monkeypatch,
-                                                             chunk):
-    # JSON lines are parsed a chunk at a time: a bad line past the first
-    # chunk, or a width that differs only from an earlier chunk's, must
+                                                             block):
+    # JSON lines are parsed a block at a time: a bad line past the first
+    # block, or a width that differs only from an earlier block's, must
     # still fail at the reference's line
-    monkeypatch.setattr(dynamics, "_JSONL_CHUNK", chunk)
+    monkeypatch.setattr(dynamics, "_READ_BLOCK", block)
     test_malformed_line_matches_reference(tmp_path, "jsonl")
     path = tmp_path / "trace.jsonl"
     run_trajectory(generate_game("random_uniform", 4, 0), uniform_strategy(4),

@@ -2,8 +2,9 @@
 reader it replaced, kept here as the reference, with the block cut down to
 1, 7 and 64 bytes: every line separator, stripped blank lines and spaces,
 CRLF, a BOM, a JSONL width change and the malformed records give the same
-columns bit for bit, or a GameError at the same line. Also the error for a
-file that is not UTF-8, and the memory a read holds."""
+columns bit for bit, or the same GameError. Also the errors for a file
+that is not UTF-8, a JSON value that is not a JSON number and a negative K,
+and the memory a read holds."""
 
 import functools
 import json
@@ -38,7 +39,9 @@ def whole_file_read(path):
     first = len((leading + ".").splitlines())
     header = None
     if lines and lines[0].startswith("{"):
-        body, parse = lines, dynamics._jsonl_columns
+        # every case's first record is well formed: n is the length of its X
+        n = len(json.loads(lines[0])["X"])
+        body, parse = lines, functools.partial(dynamics._jsonl_columns, n=n)
     else:
         header = lines[0].split(",") if lines else []
         n = sum(1 for name in header if name.startswith("X_"))
@@ -100,8 +103,7 @@ def narrowed(line):
 
 
 def cases(fmt, text):
-    """(name, file text) pairs; the names of JSONL width changes start with
-    'width'."""
+    """(name, file text) pairs."""
     lines = text.splitlines()
     yield "plain", text
     yield "blank lines and spaces around", "\n \n\t  \n   " + text + "  \n\n \t\n  "
@@ -144,15 +146,7 @@ def test_blocks_read_as_the_whole_file(tmp_path, monkeypatch, fmt, block):
     path = tmp_path / f"trace.{fmt}"
     for name, text in cases(fmt, base_text(tmp_path, fmt)):
         path.write_bytes(text.encode())
-        want, got = outcome(whole_file_read, path), outcome(Trace.from_file, path)
-        if name.startswith("width") and block < len(text):
-            # a record whose width differs from an earlier block's fails
-            # alone, with its own error: the same line, a message that
-            # names the width
-            location = rf"{re.escape(str(path))}:\d+: unreadable trace record \("
-            assert re.match(location, want)[0] == re.match(location, got)[0], name
-        else:
-            assert got == want, name
+        assert outcome(Trace.from_file, path) == outcome(whole_file_read, path), name
 
 
 @pytest.mark.parametrize("block", [7, dynamics._READ_BLOCK])
@@ -161,14 +155,11 @@ def test_width_change_past_the_first_block_names_the_width(tmp_path, monkeypatch
     lines = base_text(tmp_path, "jsonl").splitlines()
     path = tmp_path / "trace.jsonl"
     path.write_text("\n".join(lines[:6] + [narrowed(line) for line in lines[6:]]) + "\n")
+    # n is fixed by the first record: one error, whatever the block size
     with pytest.raises(GameError) as info:
         Trace.from_file(path)
-    if block == 7:
-        assert str(info.value) == (f"{path}:7: unreadable trace record "
-                                   "(X and Xbar hold 2 numbers, expected 3)")
-    else:   # one block, parsed in one piece as before
-        assert str(info.value).startswith(f"{path}:7: unreadable trace record (")
-        assert "inhomogeneous shape" in str(info.value)
+    assert str(info.value) == (f"{path}:7: unreadable trace record "
+                               "(X and Xbar hold 2 numbers, expected 3)")
 
 
 def test_non_utf8_trace_names_file_and_line(tmp_path, capsys):
@@ -214,3 +205,53 @@ def test_read_holds_the_table_and_one_block(tmp_path, fmt):
     assert np.array_equal(loaded.table, trace.table)
     assert np.array_equal(loaded.steps, trace.steps)
     assert peak <= 2.5 * loaded.table.nbytes + 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("block", [7, dynamics._READ_BLOCK])
+@pytest.mark.parametrize("line", [1, 8])
+@pytest.mark.parametrize("field", ["alpha", "gap_avg", "X", "Xbar"])
+@pytest.mark.parametrize("value", ["0.48", "١", True, None, [0.5]],
+                         ids=["string", "Arabic-Indic digit", "bool", "null", "list"])
+def test_json_value_must_be_a_json_number(tmp_path, monkeypatch, block, line, field,
+                                          value):
+    # float() takes the strings and the bool, and null read as NaN: each
+    # is a record that does not parse, in a scalar or in X or Xbar, in the
+    # first record (which fixes n) or past the first block
+    monkeypatch.setattr(dynamics, "_READ_BLOCK", block)
+    lines = base_text(tmp_path, "jsonl").splitlines()
+    record = json.loads(lines[line - 1])
+    if field in ("X", "Xbar"):
+        record[field] = [value] + record[field][1:]
+    else:
+        record[field] = value
+    lines[line - 1] = json.dumps(record)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GameError) as info:
+        Trace.from_file(path)
+    assert str(info.value) == (f"{path}:{line}: unreadable trace record "
+                               "(a value is not a JSON number)")
+
+
+@pytest.mark.parametrize("field, value", [("X", 0.5), ("Xbar", "0.2, 0.3, 0.5"),
+                                          ("X", {"0": 1.0})])
+def test_json_x_and_xbar_must_be_lists(tmp_path, field, value):
+    lines = base_text(tmp_path, "jsonl").splitlines()
+    lines[7] = json.dumps({**json.loads(lines[7]), field: value})
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GameError) as info:
+        Trace.from_file(path)
+    assert str(info.value) == (f"{path}:8: unreadable trace record "
+                               "(X and Xbar are not both lists)")
+
+
+@pytest.mark.parametrize("fmt, line", [("csv", 2), ("jsonl", 1)])
+def test_negative_k_names_its_line(tmp_path, capsys, fmt, line):
+    # K = -3, -2, ...: strictly increasing, but a run starts at K = 0
+    trace = run_trajectory(generate_game("random_uniform", 3, 1), uniform_strategy(3),
+                           DEFAULT_SCHEDULE, 12, emit_every=1)
+    path = tmp_path / f"trace.{fmt}"
+    getattr(Trace(trace.steps - 3, trace.table), f"to_{fmt}")(path)
+    assert main(["extract", "--game", GAME, "--trace", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}: K = -3; K must be >= 0\n"
