@@ -4,17 +4,23 @@ Standard form here means: decision variables y >= 0, equality constraints
 A y = b, objective d.y minimized. Callers convert inequalities by adding
 slack variables, and maximize d.y by minimizing -d.y.
 
-The solver is a two-phase tableau simplex with Bland's anti-cycling rule;
-each pivot is one rank-1 update of the dense tableau. The programs it serves
-are the payoff-spread programs of ``analysis``: n + m + 1 rows for an n x n
-game and a carrier of m strategies (2n + 1 on the full carrier), so each
-pivot is O(n^2) work. They come from ``min_equalizer_gap``,
-``find_equalizer`` and ``verify_support``; extraction solves a candidate's
-indifference system instead, and reaches the LP only when that system is
-singular and consistent. Degeneracy (most right-hand sides are 0) is
-handled by Bland's rule alone. Numerical breakdown, and a phase that cycles
-until it reaches ``PIVOT_CAP``, are reported as an ``LPError``, never as an
-unchecked result or a hang.
+The solver is a two-phase tableau simplex; each pivot is one rank-1 update
+of the dense tableau. The entering column has the most negative reduced
+cost, and the leaving row comes from the lexicographic ratio test (Dantzig,
+Orden and Wolfe 1955): ratio ties are broken by the rows of the basis
+inverse, which phase 1's artificial columns hold at every pivot. Those rows
+are independent, so the choice is unique, and in exact arithmetic
+degeneracy (most right-hand sides are 0) cannot make phase 1 cycle. The
+pivots that drive leftover artificials out before phase 2 can void that
+guarantee there, and round-off can void it anywhere; ``PIVOT_CAP`` is the
+backstop. The programs it serves are the payoff-spread programs of ``analysis``: n + m + 1
+rows for an n x n game and a carrier of m strategies (2n + 1 on the full
+carrier), so each pivot is O(n^2) work. They come from
+``min_equalizer_gap``, ``find_equalizer`` and ``verify_support``;
+extraction solves a candidate's indifference system instead, and reaches
+the LP only when that system is singular and consistent. Numerical
+breakdown, and a phase that reaches ``PIVOT_CAP``, are reported as an
+``LPError``, never as an unchecked result or a hang.
 """
 
 from __future__ import annotations
@@ -26,8 +32,7 @@ import numpy as np
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 # Pivots allowed per phase, per row plus column of the program. Solves in
-# the test suite need at most 7.3 and in the benchmark 2.4; a phase that
-# reaches the cap is cycling on round-off ties.
+# the test suite need at most 1.7 and in the benchmark 0.8.
 PIVOT_CAP = 50
 
 
@@ -71,44 +76,27 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_entering(reduced: np.ndarray, allowed: int) -> int | None:
-    for j in range(allowed):
-        if reduced[j] < -PIVOT_TOL:
-            return j
-    return None
-
-
-def _bland_leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None:
-    best_ratio = None
-    best_row = None
-    for i in range(tableau.shape[0]):
-        coef = tableau[i, col]
-        if coef > PIVOT_TOL:
-            ratio = tableau[i, -1] / coef
-            if best_ratio is None or ratio < best_ratio - PIVOT_TOL or (
-                abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best_row]
-            ):
-                best_ratio = ratio
-                best_row = i
-    return best_row
-
-
 def _run_simplex(tableau: np.ndarray, basis: np.ndarray, reduced: np.ndarray,
-                 n_cols: int, limit: int) -> str:
-    """Minimize with Bland's rule, in at most ``limit`` pivots. Mutates
-    tableau/basis/reduced in place."""
-    pivots = 0
-    while (col := _bland_entering(reduced, n_cols)) is not None:
-        row = _bland_leaving(tableau, basis, col)
-        if row is None:
+                 c: int, limit: int) -> str:
+    """Minimize in at most ``limit`` pivots. Mutates tableau/basis/reduced in
+    place. Only the ``c`` original columns enter; the leaving row is the
+    lexicographic minimum, rhs first, of [B^-1 | rhs] / pivot entry over the
+    rows whose pivot entry exceeds ``PIVOT_TOL``, B^-1 being the artificial
+    block ``tableau[:, c:-1]``."""
+    for pivots in range(limit + 1):
+        col = int(np.argmin(reduced[:c]))
+        if reduced[col] >= -PIVOT_TOL:
+            return "optimal"
+        rows = np.flatnonzero(tableau[:, col] > PIVOT_TOL)
+        if rows.size == 0:
             return "unbounded"
         if pivots == limit:
             raise LPError(f"iteration limit: {limit} pivots")
+        keys = tableau[rows, c:] / tableau[rows, col, None]  # lexsort's last key leads
+        row = int(rows[np.lexsort(keys.T)[0]])
         _pivot(tableau, basis, row, col)
         reduced -= reduced[col] * tableau[row, :-1]
         reduced[col] = 0.0
-        pivots += 1
-    return "optimal"
 
 
 def solve_lp(lp: StandardFormLP) -> LPResult:
@@ -127,38 +115,28 @@ def solve_lp(lp: StandardFormLP) -> LPResult:
     basis = np.arange(c, c + r)
     reduced = np.zeros(c + r)
     reduced[:c] = -a.sum(axis=0)
-    status = _run_simplex(tableau, basis, reduced, c + r, limit)
+    status = _run_simplex(tableau, basis, reduced, c, limit)
     if status != "optimal":  # phase 1 is bounded below by 0: only round-off gets here
         raise LPError(f"phase 1 reported {status} (numerical breakdown)")
-    residual = sum(tableau[i, -1] for i in range(r) if basis[i] >= c)
-    if residual > FEAS_TOL:
+    if tableau[basis >= c, -1].sum() > FEAS_TOL:
         return LPResult(status="infeasible")
 
     # Drive artificials out of the basis; drop rows that stay artificial
     # (they are redundant constraints satisfied with value 0).
     keep = np.ones(r, dtype=bool)
-    for i in range(r):
-        if basis[i] >= c:
-            pivot_col = None
-            for j in range(c):
-                if abs(tableau[i, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col is None:
-                keep[i] = False
-            else:
-                _pivot(tableau, basis, i, pivot_col)
+    for i in np.flatnonzero(basis >= c):
+        cols = np.flatnonzero(np.abs(tableau[i, :c]) > PIVOT_TOL)
+        if cols.size:
+            _pivot(tableau, basis, i, cols[0])
+        else:
+            keep[i] = False
     tableau = tableau[keep]
     basis = basis[keep]
 
-    # Phase 2 over original columns only.
-    tableau = np.hstack([tableau[:, :c], tableau[:, -1:]])
-    reduced = d.copy()
-    for i, var in enumerate(basis):
-        if abs(d[var]) > 0.0:
-            reduced -= d[var] * tableau[i, :-1]
+    # Phase 2: the artificial columns stay, as B^-1 for the ratio test.
+    cost = np.concatenate([d, np.zeros(r)])
+    reduced = cost - cost[basis] @ tableau[:, :-1]
     reduced[basis] = 0.0
-
     status = _run_simplex(tableau, basis, reduced, c, limit)
     if status == "unbounded":
         return LPResult(status="unbounded")

@@ -446,15 +446,18 @@ class TestVerify:
             "equalizer spread: unavailable (LP solution violates A y = b by 0.1)",
             "verified"]
 
-    def test_cycling_simplex_leaves_verdict_to_gap(self, capsys):
-        # phase 2 of this spread program revisits a basis with period 12; the
-        # spread is informational and the uniform strategy's gap fails it
+    def test_bland_cycling_spread_is_numeric(self, capsys):
+        # under Bland's rule with tolerance ties, phase 2 of this spread
+        # program revisits a basis with period 12; the lexicographic ratio
+        # test solves it, and the uniform strategy's gap fails the verdict
         assert main(["verify", "--game", "random_uniform:40:5", "--x", "uniform"]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
         lines = captured.out.splitlines()
-        assert lines[2:] == ["equalizer spread: unavailable (iteration limit: 10150 pivots)",
-                             "verification failed"]
+        assert lines[3] == "verification failed"
+        label, spread = lines[2].split(": ")
+        assert label == "equalizer spread"
+        assert float(spread) == pytest.approx(0.0935471516845554, abs=1e-9)
 
     def test_mid_size_equalizer_spread_solves(self):
         # the pairwise spread program broke down on this game

@@ -47,7 +47,8 @@ class TestSolveLP:
         assert res.objective_value == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_instance_terminates(self):
-        # multiple basic solutions hit the same vertex; Bland must not cycle
+        # multiple basic solutions hit the same vertex; the lexicographic
+        # ratio test must not cycle
         a = [[1, 1, 1, 0], [1, 0, 0, 1]]
         res = solve(a, [1, 1], [-1, 0, 0, 0])
         assert res.status == "optimal"
@@ -111,12 +112,15 @@ class TestSolveLP:
         with pytest.raises(LPError, match="iteration limit: 0 pivots"):
             solve([[1, 1]], [1], [-1, 0])
 
-    def test_cycling_spread_program_stops_at_cap(self):
-        # random_uniform:40:5 cycles under Bland's rule with tolerance ties;
-        # 81 rows + 122 columns gives a cap of 50 * 203 pivots per phase
+    def test_bland_cycling_spread_program_solves(self):
+        # phase 2 of this full-carrier program (81 rows, 122 columns) cycles
+        # under Bland's rule with ratio ties taken within PIVOT_TOL; the
+        # lexicographic ratio test solves it
         game = generate_game("random_uniform", 40, 5)
-        with pytest.raises(LPError, match="iteration limit: 10150 pivots"):
-            min_equalizer_gap(game)
+        res = solve_lp(_spread_lp(game.payoff, list(range(40))))
+        assert res.status == "optimal"
+        # min_equalizer_gap recomputes the spread from its strategy
+        assert min_equalizer_gap(game)[1] == pytest.approx(res.objective_value, abs=1e-12)
 
     def test_residual_violation_raises_lperror(self):
         lp = StandardFormLP(a=np.array([[1.0, 1.0]]), b=np.array([1.0]),

@@ -6,7 +6,7 @@ scipy is a test-only dependency: the module is skipped without it.
 import numpy as np
 import pytest
 
-from hedgenash import LPError, generate_game, min_equalizer_gap, validate_game
+from hedgenash import generate_game, min_equalizer_gap, validate_game
 from hedgenash.analysis import best_subequalizer
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -43,24 +43,24 @@ def games():
             yield f"centred:{n}:{seed}", validate_game(uniform.payoff - 0.5)
 
 
-# Known simplex breakdown: on one carrier of this game Bland's rule pivots on
-# a 1.2e-9 round-off residue and the solution misses A y = b by 0.06. It must
-# end as a typed LPError; the marker goes once the simplex is stabilised.
-BREAKDOWN = pytest.mark.xfail(raises=LPError, strict=True,
-                              reason="simplex pivots on a round-off residue")
+GAMES = [pytest.param(game, id=name) for name, game in games()]
 
-GAMES = [pytest.param(game, id=name,
-                      marks=BREAKDOWN if name == "centred:14:0" else ())
-         for name, game in games()]
+# Full-carrier programs of 65 to 101 rows. Under Bland's rule with ratio
+# ties taken within PIVOT_TOL, 17 of these 36 games failed this test, 8 of
+# them on the full carrier.
+LARGE = [pytest.param(generate_game("random_uniform", n, seed),
+                      id=f"random_uniform:{n}:{seed}")
+         for n in (32, 40, 50) for seed in range(12)]
 
 
-@pytest.mark.parametrize("game", GAMES)
-def test_spreads_match_highs(game):
-    x, spread = min_equalizer_gap(game)
+def assert_spreads_match(game, carriers):
+    """min_equalizer_gap, and best_subequalizer on ``carriers`` random
+    carriers, against HiGHS to 1e-9."""
+    spread = min_equalizer_gap(game)[1]
     assert spread == pytest.approx(highs_spread(game.payoff, list(range(game.n))),
                                    abs=1e-9)
     rng = np.random.default_rng(game.n)
-    for _ in range(4):
+    for _ in range(carriers):
         m = int(rng.integers(1, game.n + 1))
         carrier = sorted(int(i) for i in rng.choice(game.n, size=m, replace=False))
         expected = highs_spread(game.payoff, carrier)
@@ -68,3 +68,13 @@ def test_spreads_match_highs(game):
         assert (solved is None) == (expected is None), carrier
         if solved is not None:
             assert solved[1] == pytest.approx(expected, abs=1e-9), carrier
+
+
+@pytest.mark.parametrize("game", GAMES)
+def test_spreads_match_highs(game):
+    assert_spreads_match(game, carriers=4)
+
+
+@pytest.mark.parametrize("game", LARGE)
+def test_large_spreads_match_highs(game):
+    assert_spreads_match(game, carriers=2)
