@@ -45,6 +45,7 @@ from .game import (
     normalize_payoffs,
     parse_float,
     parse_int,
+    read_file,
     save_game,
     uniform_strategy,
 )
@@ -187,7 +188,7 @@ def cmd_run(args) -> int:
     if not args.config and not args.game:
         raise GameError("--game is required without --config")
     if args.config:
-        configs = json.loads(Path(args.config).read_text())
+        configs = read_file(args.config, json.loads)
         if not isinstance(configs, list):
             raise GameError("--config must hold a JSON list of run configs")
         runs = [_check_config(index, config) for index, config in enumerate(configs)]

@@ -30,6 +30,7 @@ from .game import (
     as_strategy,
     is_interior,
     parse_float,
+    read_file,
 )
 from .rng import Xoshiro256StarStar, draw_below, nonzero_draws
 
@@ -45,17 +46,22 @@ class ScheduleError(ValueError):
 @dataclass(frozen=True)
 class Schedule:
     """A learning-rate schedule: its label, ``rates(count)`` giving
-    alpha_0..alpha_{count-1}, why it fails the convergence hypotheses
-    (None when it meets them) and its flags. Built by ``parse_schedule``."""
+    alpha_0..alpha_{count-1} and why it fails the convergence hypotheses
+    (None when it meets them). Built by ``parse_schedule``."""
 
     label: str
     rates: Callable[[int], np.ndarray]
     reason: str | None = None
-    flags: tuple[str, ...] = ()
 
     @property
     def valid(self) -> bool:
         return self.reason is None
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """A valid file: schedule's asymptotics cannot be verified."""
+        listed = self.valid and self.label.startswith("file:")
+        return ("unverified-asymptotics",) if listed else ()
 
 
 def _power_validation(p: float) -> str | None:
@@ -123,10 +129,9 @@ def parse_schedule(spec: str) -> Schedule:
                         reason)
     if spec.startswith("file:"):
         values = tuple(parse_float(tok, f"schedule file {arg}: ")
-                       for tok in Path(arg).read_text().split())
-        reason = _listed_validation(values)
+                       for tok in read_file(arg).split())
         return Schedule(spec, lambda count: _listed_rates(values, count),
-                        reason, () if reason else ("unverified-asymptotics",))
+                        _listed_validation(values))
     raise ScheduleError(f"cannot parse schedule spec {spec!r}")
 
 
@@ -463,8 +468,8 @@ class Trace:
     def from_file(cls, path) -> "Trace":
         """Load an emitted trace (CSV or JSON-lines) as columns; the running
         self-play payoff, which is not in the wire format, is None.
-        The file is read as UTF-8 a block at a time (see _stripped_lines),
-        its lines being those of its whole text stripped. n is the number
+        Its lines are those of its whole text stripped, which
+        _stripped_lines reads as UTF-8 a block at a time. n is the number
         of the CSV header's X_ columns or the length of the first JSON
         record's X; then each block's records are parsed and appended to a
         table that grows by half and is trimmed once at the end: a read
@@ -518,84 +523,51 @@ class Trace:
         return trace
 
 
-# Bytes read per block by Trace.from_file, before the block is cut after its
-# last line feed: a block's lines, JSON objects and parsed rows stay near a
-# MB whatever the size of the file.
+# Bytes read per block by Trace.from_file, before the block is read on to
+# the end of its line: a block's lines, JSON objects and parsed rows stay
+# near a MB whatever the size of the file.
 _READ_BLOCK = 1 << 17
-
-
-def _text_blocks(path: Path):
-    """The file's lines a block at a time, as (number, lines) with lines[0]
-    on file line ``number``. Blocks of about _READ_BLOCK bytes are cut after
-    their last line feed, decoded as UTF-8 and split by str.splitlines. No
-    UTF-8 sequence holds a line feed and a CRLF ends at one, so no line
-    break is split between blocks, and the lines are those of the whole
-    text: splitlines breaks where universal newlines do, and at \\v, \\f,
-    \\x1c-\\x1e, \\x85, \\u2028 and \\u2029 as well. A byte that is not
-    UTF-8 is a GameError naming its line, raised once the lines before it
-    and then its own, with U+FFFD for the byte, are yielded as blocks."""
-    def chunks():
-        with open(path, "rb") as fh:
-            parts = []
-            while data := fh.read(_READ_BLOCK):
-                cut = data.rfind(b"\n") + 1
-                if cut:
-                    yield b"".join([*parts, data[:cut]])
-                    parts = []
-                parts.append(data[cut:])
-            yield b"".join(parts)
-
-    number = 1
-    for chunk in chunks():
-        try:
-            lines = chunk.decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            lines = chunk.decode("utf-8", "replace").splitlines()
-            bad = len((chunk[:exc.start].decode("utf-8") + ".").splitlines()) - 1
-            yield number, lines[:bad]
-            yield number + bad, lines[bad:bad + 1]
-            raise GameError(f"{path}:{number + bad}: not UTF-8 text "
-                            f"(byte 0x{chunk[exc.start]:02x})") from None
-        yield number, lines
-        number += len(lines)
-
-
-def _blank(line: str) -> bool:
-    """Whether the line is empty or whitespace, all that str.strip takes."""
-    return not line or line.isspace()
 
 
 def _stripped_lines(path: Path):
     """path.read_text().strip().splitlines() a block at a time, as
-    (number, lines): each list is non-empty, lines[0] is on file line
-    ``number`` and the others on the lines after it. The first line with
-    content is lstripped. A block is held back until a later one with
-    content shows that the block's last line with content is not the
-    file's last, which is rstripped, so a file of one block is parsed in
-    one piece. Of the whitespace-only lines after that line only the first
-    is held: if a line with content follows, that first one is interior
-    and the reader stops there, since it never parses as a record."""
-    held, at, ends = [], 0, 0       # through the last line with content (ends), one more
-    for number, lines in _text_blocks(path):
-        last = len(lines) - 1
-        while last >= 0 and _blank(lines[last]):
-            last -= 1
-        if last < 0:
-            if held and len(held) == ends and lines:
-                held.append(lines[0])
-            continue
-        if held:
-            yield at, held
-        else:                       # the file's first line with content
-            first = next(i for i, line in enumerate(lines) if not _blank(line))
-            lines = lines[first:]
-            lines[0] = lines[0].lstrip()
-            number, last = number + first, last - first
-        held, at, ends = lines[:last + 2], number, last + 1
+    (number, lines): each list is non-empty and lines[0] is on file line
+    ``number``. A block is about _READ_BLOCK bytes read on to a line feed,
+    decoded as UTF-8 and split by str.splitlines: no UTF-8 sequence holds a
+    line feed and a CRLF ends at one, so the lines are the whole text's.
+    Only the last line with content is held, with at most one blank line
+    after it: a later line with content makes that one interior, and the
+    reader stops there, as a blank line parses as no record, so the lines
+    after it need no numbers. A byte that is not UTF-8 is a GameError naming
+    its line, raised once the lines before it are yielded: its line ends in
+    U+FFFD, which is content."""
+    held, at = [], 1        # from the last line with content on, and its number
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_READ_BLOCK) + fh.readline(), b""):
+            try:            # the decoded block is not kept beside its lines
+                lines, bad = chunk.decode("utf-8").splitlines(), None
+            except UnicodeDecodeError as exc:
+                bad = exc.start
+                lines = (chunk[:bad].decode("utf-8") + "\ufffd").splitlines()
+            if held:
+                lines[:0] = held
+            else:                   # drop the blank lines before the first content
+                first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+                del lines[:first]
+                at += first
+                if not lines:
+                    continue
+                lines[0] = lines[0].lstrip()
+            last = len(lines) - 1   # lines[0] has content
+            while not lines[last].strip():
+                last -= 1
+            if last:
+                yield at, lines[:last]
+            held, at = lines[last:last + 2], at + last
+            if bad is not None:
+                raise GameError(f"{path}:{at}: not UTF-8 text (byte 0x{chunk[bad]:02x})")
     if held:
-        lines = held[:ends]
-        lines[-1] = lines[-1].rstrip()
-        yield at, lines
+        yield at, [held[0].rstrip()]
 
 
 def _csv_names(n: int) -> list[str]:

@@ -197,13 +197,33 @@ def save_game(game: SymmetricGame, path, fmt: str = "json") -> None:
         raise GameError(f"unknown game format {fmt!r}")
 
 
+def read_file(path, parse=str):
+    """parse(text), the file's text decoded as UTF-8; parse is str or reads
+    JSON. A byte that is not UTF-8, or text that is not JSON, is a GameError
+    naming the file and the line."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise GameError(f"{path}:{line}: not UTF-8 text "
+                        f"(byte 0x{data[exc.start]:02x})") from None
+    except json.JSONDecodeError as exc:   # lines as splitlines breaks them, not json
+        lines = (exc.doc[:exc.pos] + ".").splitlines()
+        raise GameError(f"{path}:{len(lines)}: not JSON ({exc.msg} at column "
+                        f"{len(lines[-1])})") from None
+
+
 def load_game(path) -> SymmetricGame:
     """Load a game from JSON ({"n": ..., "payoff": [[...]]}, n optional and
     a JSON integer, each payoff entry a JSON number) or plain text (n, read
     by parse_int, then the rows, read by parse_float)."""
-    text = Path(path).read_text().strip()
-    if text.startswith("{"):
-        payload = json.loads(text)
+    # a JSON object, or the tokens of a text game
+    payload = read_file(path, lambda text: json.loads(text) if text.lstrip()[:1] == "{"
+                        else text.split())
+    if type(payload) is dict:
+        if "payoff" not in payload:
+            raise GameError(f"{path}: the game JSON has no \"payoff\"")
         payoff = payload["payoff"]
         for i, row in enumerate(payoff if isinstance(payoff, list) else []):
             for j, v in enumerate(row if isinstance(row, list) else []):
@@ -216,7 +236,7 @@ def load_game(path) -> SymmetricGame:
         if n != game.n:
             raise GameError(f"declared n={n} but matrix is {game.n}x{game.n}")
         return game
-    tokens = text.split()
+    tokens = payload
     if not tokens:
         raise GameError("empty game file")
     n = parse_int(tokens[0], "text game file dimension n: ")

@@ -368,6 +368,51 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert rc == 2 and len(err) == 1 and named in err[0]
 
+    @pytest.mark.parametrize("name, data, flag, where", [
+        ("game.json", b'\xff{"payoff": [[1, 0], [0, 1]]}', "--game",
+         "1: not UTF-8 text (byte 0xff)"),
+        ("game.txt", b"2\n1 0\n0 \xfe1\n", "--game", "3: not UTF-8 text (byte 0xfe)"),
+        ("rates.txt", b"0.5 0.25\r\n0.125 \xe2\x80\n", "--schedule",
+         "2: not UTF-8 text (byte 0xe2)"),
+        ("batch.json", b'[\n\n{"game": "\xc3("}]', "--config",
+         "3: not UTF-8 text (byte 0xc3)"),
+    ], ids=["game JSON", "text game", "schedule file", "config"])
+    def test_non_utf8_file_names_path_and_line(self, tmp_path, capsys, name, data, flag,
+                                               where):
+        path = tmp_path / name
+        path.write_bytes(data)
+        value = {"--schedule": f"file:{path}"}.get(flag, str(path))
+        argv = ["run", flag, value]
+        if flag != "--config":
+            argv += ["--steps", "10", "--out", str(tmp_path / "t.csv")]
+        if flag == "--schedule":
+            argv += ["--game", "random_uniform:3:1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}:{where}\n"
+
+    @pytest.mark.parametrize("name, text, flag, line, message", [
+        ("batch.json", "[\n  {\"game\": x}]", "--config", 2, "Expecting value at column 12"),
+        ("batch.json", "", "--config", 1, "Expecting value at column 1"),
+        ("batch.json", "[\r {\"game\": x}]", "--config", 2, "Expecting value at column 11"),
+        ("game.json", '\n{"payoff": [[1, 0], [0, 1]],}', "--game", 2,
+         "Expecting property name enclosed in double quotes at column 29"),
+    ], ids=["config", "empty config", "CR line end", "game JSON"])
+    def test_bad_json_names_path_and_line(self, tmp_path, capsys, name, text, flag, line,
+                                          message):
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ["run", flag, str(path)]
+        if flag == "--game":
+            argv += ["--steps", "10", "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}:{line}: not JSON ({message})\n"
+
+    def test_game_json_without_payoff_names_file_and_key(self, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_text('{"n": 2, "payofff": [[1, 0], [0, 1]]}')
+        assert main(["verify", "--game", str(path), "--x", "uniform"]) == 2
+        assert capsys.readouterr().err == f'error: {path}: the game JSON has no "payoff"\n'
+
 
 class TestVerify:
     def test_uniform_on_rps_passes(self, rps_file, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -157,6 +158,17 @@ class TestSchedules:
     def test_custom_flagged(self, tmp_path):
         v = schedule_of(tmp_path, "file", "0.5 0.25 0.125")
         assert v.valid and "unverified-asymptotics" in v.flags
+
+    @pytest.mark.parametrize("spec, rates, flags", [
+        ("file", "0.5 0.25", ("unverified-asymptotics",)), ("file", "0.5 0", ()),
+        ("file", "", ()), ("harmonic", None, ()), ("power:0.6", None, ()),
+        ("power:0.4", None, ()), ("constant:0.1", None, ())])
+    def test_flags_follow_label_and_validity(self, tmp_path, spec, rates, flags):
+        # a valid file: schedule is flagged, as its asymptotics are unchecked;
+        # flags is derived, not a field that can be set
+        schedule = schedule_of(tmp_path, spec, rates)
+        assert schedule.flags == flags
+        assert "flags" not in {field.name for field in dataclasses.fields(schedule)}
 
     def test_custom_nonpositive_invalid(self, tmp_path):
         assert not schedule_of(tmp_path, "file", "0.5 0.0").valid

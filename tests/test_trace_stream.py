@@ -115,6 +115,7 @@ def cases(fmt, text):
         yield f"separator {sep!r}", sep.join(lines) + sep
         yield f"separator {sep!r} around", sep * 3 + sep.join(lines) + sep * 2
     yield "spaces after the last line", text[:-1] + "\xa0\u3000\x1f\t"
+    yield "200 whitespace-only lines after the last", text + " \t\n\u3000\r\n" * 100
     yield "blank run, then a bad record", "\n" * 150 + "\n".join(
         lines[:6] + [lines[6][:-7] + "x"] + lines[7:]) + "\n"
     yield "NBSP and ideographic space around", "\xa0\n\u3000" + text + "\xa0\n\u3000"
