@@ -659,27 +659,20 @@ def _parse_located(parse, lines: list[str], path: Path, first: int):
     """parse(lines), or a GameError naming the first line that does not
     parse; lines[0] is line ``first`` of the file. Whether a record parses
     depends on no other line (its width n is fixed before any record is
-    parsed), so that line ends the shortest failing prefix, which
-    bisection finds, and fails alone: the error quoted is the line's own,
-    its positions within the line, whatever block the line is read in."""
+    parsed), so a failing block holds a line that fails alone; the first
+    such line is named with its own error, its positions within the line,
+    whatever block the line is read in."""
     try:
         return parse(lines)
     except _UNREADABLE as exc:
         error = exc
-    good, bad = 0, len(lines)          # prefix lengths that parse / fail
-    while bad - good > 1:
-        mid = (good + bad) // 2
+    for number, line in enumerate(lines, first):
         try:
-            parse(lines[:mid])
-            good = mid
+            parse([line])
         except _UNREADABLE as exc:
-            bad, error = mid, exc
-    try:
-        parse(lines[bad - 1:bad])
-    except _UNREADABLE as exc:
-        error = exc
-    raise GameError(f"{path}:{first + bad - 1}: unreadable trace record "
-                    f"({error})") from None
+            error = exc
+            break
+    raise GameError(f"{path}:{number}: unreadable trace record ({error})") from None
 
 
 # Steps per block of run_trajectory: at most _BLOCK_STEPS, at most

@@ -8,7 +8,6 @@ numpy vectors on the probability simplex, validated by the helpers here.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -56,6 +55,9 @@ class SymmetricGame:
         return float(self.payoff.min()) >= 0.0 and float(self.payoff.max()) <= 1.0
 
     def digest(self) -> str:
+        # imported here, its one use: hashlib maps OpenSSL's libcrypto, which
+        # added 3.6 MB to the peak RSS of every process that imports hedgenash
+        import hashlib
         return hashlib.sha1(np.ascontiguousarray(self.payoff).tobytes()).hexdigest()[:16]
 
 
@@ -217,35 +219,39 @@ def read_file(path, parse=str):
 def load_game(path) -> SymmetricGame:
     """Load a game from JSON ({"n": ..., "payoff": [[...]]}, n optional and
     a JSON integer, each payoff entry a JSON number) or plain text (n, read
-    by parse_int, then the rows, read by parse_float)."""
+    by parse_int, then the rows, read by parse_float). An error about the
+    file's content is a GameError that reads ``PATH: message``."""
     # a JSON object, or the tokens of a text game
     payload = read_file(path, lambda text: json.loads(text) if text.lstrip()[:1] == "{"
                         else text.split())
-    if type(payload) is dict:
-        if "payoff" not in payload:
-            raise GameError(f"{path}: the game JSON has no \"payoff\"")
-        payoff = payload["payoff"]
-        for i, row in enumerate(payoff if isinstance(payoff, list) else []):
-            for j, v in enumerate(row if isinstance(row, list) else []):
-                if type(v) not in (int, float):     # numpy reads "1_0" and true
-                    raise GameError(f"payoff[{i}][{j}] = {v!r} is not a JSON number")
-        game = validate_game(payoff)
-        n = payload.get("n", game.n)
-        if type(n) is not int:                  # JSON 2.5, "2" and true are no n
-            raise GameError(f"declared n={n!r} is not a JSON integer")
-        if n != game.n:
-            raise GameError(f"declared n={n} but matrix is {game.n}x{game.n}")
-        return game
-    tokens = payload
-    if not tokens:
-        raise GameError("empty game file")
-    n = parse_int(tokens[0], "text game file dimension n: ")
-    if n < 2:
-        raise GameError(f"text game file declares n={n}; a game needs at least 2 "
-                        "pure strategies")
-    values = tokens[1:]
-    if len(values) != n * n:
-        raise GameError(f"expected {n * n} payoff entries, found {len(values)}")
-    matrix = np.array([parse_float(v, "text game file entry: ")
-                       for v in values]).reshape(n, n)
-    return validate_game(matrix)
+    try:
+        if type(payload) is dict:
+            if "payoff" not in payload:
+                raise GameError("the game JSON has no \"payoff\"")
+            payoff = payload["payoff"]
+            for i, row in enumerate(payoff if isinstance(payoff, list) else []):
+                for j, v in enumerate(row if isinstance(row, list) else []):
+                    if type(v) not in (int, float):     # numpy reads "1_0" and true
+                        raise GameError(f"payoff[{i}][{j}] = {v!r} is not a JSON number")
+            game = validate_game(payoff)
+            n = payload.get("n", game.n)
+            if type(n) is not int:                  # JSON 2.5, "2" and true are no n
+                raise GameError(f"declared n={n!r} is not a JSON integer")
+            if n != game.n:
+                raise GameError(f"declared n={n} but matrix is {game.n}x{game.n}")
+            return game
+        tokens = payload
+        if not tokens:
+            raise GameError("empty game file")
+        n = parse_int(tokens[0], "text game file dimension n: ")
+        if n < 2:
+            raise GameError(f"text game file declares n={n}; a game needs at least 2 "
+                            "pure strategies")
+        values = tokens[1:]
+        if len(values) != n * n:
+            raise GameError(f"expected {n * n} payoff entries, found {len(values)}")
+        matrix = np.array([parse_float(v, "text game file entry: ")
+                           for v in values]).reshape(n, n)
+        return validate_game(matrix)
+    except GameError as exc:
+        raise GameError(f"{path}: {exc}") from None

@@ -376,7 +376,32 @@ class TestRun:
          "2: not UTF-8 text (byte 0xe2)"),
         ("batch.json", b'[\n\n{"game": "\xc3("}]', "--config",
          "3: not UTF-8 text (byte 0xc3)"),
-    ], ids=["game JSON", "text game", "schedule file", "config"])
+        # a game file's content errors name the file too: PATH: message
+        ("game.json", b'{"n": 3, "payoff": [[1, 0], [0, 1]]}', "--game",
+         " declared n=3 but matrix is 2x2"),
+        ("game.json", b'{"n": 2.0, "payoff": [[1, 0], [0, 1]]}', "--game",
+         " declared n=2.0 is not a JSON integer"),
+        ("game.json", b'{"payoff": [[1, true], [0, 1]]}', "--game",
+         " payoff[0][1] = True is not a JSON number"),
+        ("game.json", b'{"payoff": [[1%s, 0], [0, 1]]}' % (b"0" * 400), "--game",
+         " payoff matrix is not rectangular numeric data: int too large to convert "
+         "to float"),
+        ("game.json", b'{"payoff": []}', "--game",
+         " payoff matrix must be square, got shape (0,)"),
+        ("game.json", b'{"payoff": [[1]]}', "--game",
+         " game needs at least 2 pure strategies"),
+        ("game.txt", b"2.0\n1 0\n0 1\n", "--game",
+         " text game file dimension n: invalid int value: '2.0'"),
+        ("game.txt", b"2\n1 0\n0 x\n", "--game",
+         " text game file entry: could not convert string to float: 'x'"),
+        ("game.txt", b"2\n1 0 0\n1 0\n", "--game", " expected 4 payoff entries, found 5"),
+        ("game.txt", b" \n\n", "--game", " empty game file"),
+        ("game.txt", b"1\n1\n", "--game",
+         " text game file declares n=1; a game needs at least 2 pure strategies"),
+    ], ids=["game JSON", "text game", "schedule file", "config", "declared n",
+            "fractional n", "boolean entry", "huge entry", "empty matrix",
+            "one strategy", "text n", "text entry", "entry count", "empty text game",
+            "text n below two"])
     def test_non_utf8_file_names_path_and_line(self, tmp_path, capsys, name, data, flag,
                                                where):
         path = tmp_path / name
@@ -758,7 +783,7 @@ class TestUsage:
         (["--x0", "csv:\u0660.\u0665,\u0660.\u0665"],
          "start vector entry: could not convert string to float: '\u0660.\u0665'"),
         (["--game", "game.txt"],
-         "text game file entry: could not convert string to float: '1_0'"),
+         "game.txt: text game file entry: could not convert string to float: '1_0'"),
     ])
     def test_decimals_are_ascii(self, tmp_path, monkeypatch, capsys, flags, message):
         (tmp_path / "rates.txt").write_text("1_0 \u0663 1e-1")
@@ -776,7 +801,7 @@ class TestUsage:
         assert main(["verify", "--game", str(path), "--support", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.splitlines() == [
-            "error: payoff[0][0] = '1_0' is not a JSON number"]
+            f"error: {path}: payoff[0][0] = '1_0' is not a JSON number"]
 
     def test_parser_built_once_keeps_no_values_between_calls(self, tmp_path, capsys):
         assert cli.build_parser() is cli.build_parser()

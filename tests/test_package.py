@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +52,38 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert "extract:" in capsys.readouterr().out
+
+
+# The library pipeline in a fresh interpreter. hashlib maps OpenSSL's
+# libcrypto, 3.6 MB of RSS, so only SymmetricGame.digest imports it; the
+# digests printed last are output of run summaries and oracle, and must not
+# change.
+LIBRARY_PIPELINE = """
+import sys
+import hedgenash as hn
+game = hn.generate_game("random_uniform", 4, 0)
+trace = hn.run_trajectory(game, hn.uniform_strategy(4), hn.DEFAULT_SCHEDULE, 500,
+                          emit_every=100)
+hn.extract_certificate(game, trace)
+hn.enumerate_symmetric_equilibria(game)
+hn.min_equalizer_gap(game)
+hn.diagnose_entropy_bounds(game, 20, 0)
+hn.diagnose_trajectory_identities(game, trace)
+hn.save_game(game, sys.argv[1])
+hn.load_game(sys.argv[1])
+assert "_hashlib" not in sys.modules, "a library call imported hashlib"
+print(hn.generate_game("random_uniform", 3, 0).digest(),
+      hn.generate_game("zero_sum_symmetric", 5, 1).digest())
+"""
+
+
+def test_library_pipeline_leaves_openssl_unmapped(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", LIBRARY_PIPELINE, str(tmp_path / "g.json")]
+    result = subprocess.run(argv, env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["6b2d89e16b37a8ca", "c406a8bf296c445d"]
 
 
 def _unused_imports(path: Path) -> list[str]:
