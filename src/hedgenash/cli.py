@@ -74,15 +74,16 @@ def _load_game_spec(spec: str) -> SymmetricGame:
                     f"nor kind:n[:seed] with kind in {GAME_KINDS}")
 
 
-def _parse_x0(spec: str, n: int, seed: int) -> np.ndarray:
+def _parse_x0(spec: str, n: int, seed: int, name: str = "start") -> np.ndarray:
+    """The vector of run's --x0 or, with ``name`` "--x", of verify's --x."""
     if spec == "uniform":
         return uniform_strategy(n)
     if spec == "random":
         return Xoshiro256StarStar(seed).interior_point(n)
     if spec.startswith("csv:"):
-        return np.array([parse_float(tok, "start vector entry: ")
+        return np.array([parse_float(tok, f"{name} vector entry: ")
                          for tok in spec[4:].split(",")])
-    raise GameError(f"cannot parse start spec {spec!r}; "
+    raise GameError(f"cannot parse {name} spec {spec!r}; "
                     "expected uniform | random | csv:p1,p2,...")
 
 
@@ -151,6 +152,13 @@ _RUN_DEFAULTS = {"x0": "uniform", "seed": 0, "emit_every": 1000, "force": False,
 _RUN_FLAGS = ("schedule", "x0", "steps", "seed", "force")
 
 
+def _refuse_run_flags(args, keys, owner: str) -> None:
+    """A usage error naming each of the run flags ``keys`` that was given."""
+    given = [f"--{key.replace('_', '-')}" for key in keys if getattr(args, key) is not None]
+    if given:
+        raise GameError(f"{owner} takes no run flags, got {', '.join(given)}")
+
+
 def _defaulted(config: dict) -> dict:
     """``config`` with each null setting at its default."""
     return {**_RUN_DEFAULTS, **{k: v for k, v in config.items() if v is not None}}
@@ -188,6 +196,7 @@ def cmd_run(args) -> int:
     if not args.config and not args.game:
         raise GameError("--game is required without --config")
     if args.config:
+        _refuse_run_flags(args, _CONFIG_TYPES, "--config")
         configs = read_file(args.config, json.loads)
         if not isinstance(configs, list):
             raise GameError("--config must hold a JSON list of run configs")
@@ -203,10 +212,7 @@ def cmd_run(args) -> int:
 
 def cmd_extract(args) -> int:
     if args.trace:
-        given = [f"--{flag}" for flag in _RUN_FLAGS
-                 if getattr(args, flag) is not None]
-        if given:
-            raise GameError(f"--trace takes no run flags, got {', '.join(given)}")
+        _refuse_run_flags(args, _RUN_FLAGS, "--trace")
         game = _load_game_spec(args.game)
         trace = Trace.from_file(args.trace)
         if trace.n != game.n:
@@ -242,7 +248,7 @@ def cmd_verify(args) -> int:
         print(f"gap: {cert.gap:.17g} (game units {cert.game_units_gap:.17g})")
         return EXIT_OK
 
-    x = _parse_x0(args.x, game.n, args.seed)
+    x = _parse_x0(args.x, game.n, args.seed, "--x")
     if x.size != game.n:
         raise GameError(f"strategy has length {x.size}, game has n={game.n}")
     with np.errstate(over="ignore"):           # a sum past the float range is inf
@@ -368,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", help="game file or generator spec kind:n[:seed]")
     add_run_flags(p)
     p.add_argument("--emit-every", type=_int_arg)
-    p.add_argument("--out", default=_RUN_DEFAULTS["out"],
-                   help="trace output path (default %(default)s)")
-    p.add_argument("--format", choices=("csv", "jsonl"), default=_RUN_DEFAULTS["format"])
+    p.add_argument("--out", help=f"trace output path (default {_RUN_DEFAULTS['out']})")
+    p.add_argument("--format", choices=("csv", "jsonl"),
+                   help=f"trace format (default {_RUN_DEFAULTS['format']})")
     p.add_argument("--config", help="JSON list of run configs, run in order")
     p.set_defaults(func=cmd_run)
 

@@ -55,10 +55,15 @@ class SymmetricGame:
         return float(self.payoff.min()) >= 0.0 and float(self.payoff.max()) <= 1.0
 
     def digest(self) -> str:
-        # imported here, its one use: hashlib maps OpenSSL's libcrypto, which
-        # added 3.6 MB to the peak RSS of every process that imports hedgenash
-        import hashlib
-        return hashlib.sha1(np.ascontiguousarray(self.payoff).tobytes()).hexdigest()[:16]
+        # CPython's built-in SHA-1, which hashlib itself falls back to without
+        # OpenSSL: importing hashlib maps OpenSSL's libcrypto, 3.6 MB of RSS in
+        # every run and oracle. The digest is the same; the built-in is slower
+        # (57 ms against 6 ms on an n = 1000 payoff), paid once per command.
+        try:
+            from _sha1 import sha1
+        except ImportError:                    # a build without the built-in hashes
+            from hashlib import sha1
+        return sha1(np.ascontiguousarray(self.payoff).tobytes()).hexdigest()[:16]
 
 
 def validate_game(matrix, *, scale: float = 1.0) -> SymmetricGame:

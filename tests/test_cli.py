@@ -335,6 +335,39 @@ class TestRun:
         assert capsys.readouterr().err.splitlines() == [
             f"error: unrecognized arguments: --jobs {jobs}"]
 
+    # --config holds every setting of its runs: a run flag would be ignored
+    @pytest.mark.parametrize("flags, given", [
+        (["--steps", "99999", "--game", "zero_sum_symmetric:9:0", "--format", "jsonl",
+          "--schedule", "harmonic"], "--game, --steps, --schedule, --format"),
+        (["--x0", "uniform"], "--x0"),
+        (["--seed", "0"], "--seed"),
+        (["--force"], "--force"),
+        (["--emit-every", "1000"], "--emit-every"),
+        (["--out", "hedge_trace.csv"], "--out"),
+        (["--format", "csv"], "--format"),
+    ])
+    def test_config_refuses_run_flags(self, tmp_path, monkeypatch, capsys, flags, given):
+        (tmp_path / "c.json").write_text(json.dumps([
+            {"game": "random_uniform:3", "steps": 10, "out": "a.csv"}]))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "c.json", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --config takes no run flags, got {given}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_out_and_format_defaults(self, tmp_path, monkeypatch, capsys):
+        assert main(["run", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "trace output path (default hedge_trace.csv)" in help_text
+        assert "trace format (default csv)" in help_text
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--game", "random_uniform:3", "--steps", "10"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["trace"], summary["format"]) == ("hedge_trace.csv", "csv")
+        assert (tmp_path / "hedge_trace.csv").read_text().startswith("K,alpha,")
+
     def test_unknown_config_key_is_config_error(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "c.json").write_text(json.dumps([
             {"game": "random_uniform:3", "steps": 10, "emit_evry": 1, "out": "u.csv"}]))
@@ -763,6 +796,15 @@ class TestUsage:
          "game spec 'random_uniform:3:1_0': invalid int value: '1_0'"),
         (["verify", "--game", "random_uniform:3", "--support", "0,\u0663"],
          "--support: invalid int value: '\u0663'"),
+        # verify --x is read as run --x0 is, and its errors name the flag
+        (["run", "--game", "random_uniform:3", "--steps", "10", "--x0", "foo"],
+         "cannot parse start spec 'foo'; expected uniform | random | csv:p1,p2,..."),
+        (["run", "--game", "random_uniform:3", "--steps", "10", "--x0", "csv:"],
+         "start vector entry: could not convert string to float: ''"),
+        (["verify", "--game", "random_uniform:3:0", "--x", "foo"],
+         "cannot parse --x spec 'foo'; expected uniform | random | csv:p1,p2,..."),
+        (["verify", "--game", "random_uniform:3:0", "--x", "csv:"],
+         "--x vector entry: could not convert string to float: ''"),
     ])
     def test_argparse_error_is_one_line(self, capsys, argv, message):
         assert main(argv) == 2

@@ -1,10 +1,12 @@
 import ast
+import hashlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hedgenash
@@ -54,13 +56,19 @@ def test_readme_library_example_runs(capsys):
     assert "extract:" in capsys.readouterr().out
 
 
-# The library pipeline in a fresh interpreter. hashlib maps OpenSSL's
-# libcrypto, 3.6 MB of RSS, so only SymmetricGame.digest imports it; the
-# digests printed last are output of run summaries and oracle, and must not
-# change.
-LIBRARY_PIPELINE = """
-import sys
+# The library pipeline, then run and oracle, in a fresh interpreter.
+# hashlib maps OpenSSL's libcrypto, 3.6 MB of RSS, so SymmetricGame.digest
+# takes CPython's built-in _sha1 and imports hashlib only on a build without
+# it ("fallback" stands one in). The digests printed last are output of run
+# summaries and oracle, and must not change.
+PIPELINE = """
+import contextlib, io, json, sys
+fallback = sys.argv[2] == "fallback"
+if fallback:
+    sys.modules["_sha1"] = None
 import hedgenash as hn
+from hedgenash.cli import main
+work = sys.argv[1]
 game = hn.generate_game("random_uniform", 4, 0)
 trace = hn.run_trajectory(game, hn.uniform_strategy(4), hn.DEFAULT_SCHEDULE, 500,
                           emit_every=100)
@@ -69,21 +77,45 @@ hn.enumerate_symmetric_equilibria(game)
 hn.min_equalizer_gap(game)
 hn.diagnose_entropy_bounds(game, 20, 0)
 hn.diagnose_trajectory_identities(game, trace)
-hn.save_game(game, sys.argv[1])
-hn.load_game(sys.argv[1])
-assert "_hashlib" not in sys.modules, "a library call imported hashlib"
-print(hn.generate_game("random_uniform", 3, 0).digest(),
-      hn.generate_game("zero_sum_symmetric", 5, 1).digest())
+hn.save_game(game, f"{work}/g.json")
+hn.load_game(f"{work}/g.json")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["run", "--game", "random_uniform:3:0", "--steps", "100",
+                 "--out", f"{work}/t.csv"]) == 0
+    assert main(["oracle", "--game", "zero_sum_symmetric:5:1",
+                 "--out", f"{work}/o.json"]) == 0
+assert ("hashlib" in sys.modules) == fallback, "digest took the other sha1"
+assert fallback or "_hashlib" not in sys.modules, "a command mapped OpenSSL"
+print(json.load(open(f"{work}/t.csv.summary.json"))["game_digest"],
+      json.load(open(f"{work}/o.json"))["game_digest"])
 """
 
 
-def test_library_pipeline_leaves_openssl_unmapped(tmp_path):
+def _pipeline(tmp_path, mode: str) -> list[str]:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-c", LIBRARY_PIPELINE, str(tmp_path / "g.json")]
+    argv = [sys.executable, "-c", PIPELINE, str(tmp_path), mode]
     result = subprocess.run(argv, env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["6b2d89e16b37a8ca", "c406a8bf296c445d"]
+    return result.stdout.split()
+
+
+def test_library_pipeline_leaves_openssl_unmapped(tmp_path):
+    assert _pipeline(tmp_path, "builtin") == ["6b2d89e16b37a8ca", "c406a8bf296c445d"]
+
+
+def test_digest_without_builtin_sha1_falls_back_to_hashlib(tmp_path):
+    assert _pipeline(tmp_path, "fallback") == ["6b2d89e16b37a8ca", "c406a8bf296c445d"]
+
+
+@pytest.mark.parametrize("kind", hedgenash.GAME_KINDS)
+def test_digest_is_hashlib_sha1(kind):
+    for n, seed in [(2, 0), (3, 1), (8, 2)]:
+        payoff = hedgenash.generate_game(kind, n, seed).payoff
+        for game in (hedgenash.SymmetricGame(payoff), hedgenash.SymmetricGame(payoff.T)):
+            expected = hashlib.sha1(np.ascontiguousarray(game.payoff).tobytes())
+            assert game.digest() == expected.hexdigest()[:16]
+        assert not game.payoff.flags.c_contiguous      # the transposed payoff
 
 
 def _unused_imports(path: Path) -> list[str]:
