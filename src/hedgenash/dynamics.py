@@ -86,14 +86,6 @@ def _listed_validation(values: tuple[float, ...]) -> str | None:
     return None
 
 
-def _harmonic_rates(count: int) -> np.ndarray:
-    out = np.empty(count)
-    out[0] = 1.0
-    if count > 1:
-        out[1:] = 1.0 / np.arange(1, count, dtype=float)
-    return out
-
-
 def _listed_rates(values: tuple[float, ...], count: int) -> np.ndarray:
     if count > len(values):
         raise ScheduleError(f"custom schedule has {len(values)} rates, {count} needed")
@@ -116,7 +108,8 @@ def parse_schedule(spec: str) -> Schedule:
     """
     arg = spec.partition(":")[2]
     if spec == "harmonic":
-        return Schedule("harmonic", _harmonic_rates)
+        return Schedule("harmonic",
+                        lambda count: 1.0 / np.maximum(np.arange(count, dtype=float), 1.0))
     if spec.startswith("power:"):
         p = parse_float(arg, f"schedule {spec!r}: ")
         return Schedule(f"power:{p!r}",
@@ -262,15 +255,18 @@ def _decimal_digits(values: np.ndarray, shortest: bool):
     '%.17g' writes them, or with ``shortest`` the fewest digits that read
     back as v, the nearest to v of those, as repr writes them. ``settled``
     is False where the integer path does not decide them: zero, a
-    subnormal, not finite, outside [1e-11, 2**51), a rounding tie, or with
-    ``shortest`` a power of two (its lower gap is half its upper); d, x and
-    zeros are placeholders there.
+    subnormal, not finite, outside [1e-11, 2**51), a rounding tie, with
+    ``shortest`` a power of two (its lower gap is half its upper), or beside
+    a power of ten, where one multiplication misses [10**16, 10**17) or
+    rounds up to 10**17; d, x and zeros are placeholders there.
 
-    With vr = v * 10**t = V + f (f the fraction), the 17-digit d rounds vr.
-    The values that read back as v lie between vr -+ half an ulp, which
-    is 5**t / 2**(s + 1) at this scale. Both bounds, (2m -+ 1) 5**t /
-    2**(s + 1), are odd numbers over at least 4, never integers, so the
-    integers in [low, high] are those that read back as v. The shortest
+    t = 16 - floor(log10|v|), one off beside a power of ten; where v is
+    settled, t is in 1..27 and s in 1..62, so _POW5[t] and the shifts are
+    defined. With vr = v * 10**t = V + f (f the fraction), the 17-digit d
+    rounds vr. The values that read back as v lie between vr -+ half an
+    ulp, which is 5**t / 2**(s + 1) at this scale. Both bounds, (2m -+ 1)
+    5**t / 2**(s + 1), are odd numbers over at least 4, never integers, so
+    the integers in [low, high] are those that read back as v. The shortest
     digits are a multiple of 10**r in it for the largest r, the nearer to
     vr of the multiples on either side of it."""
     bits = values.view(np.uint64)
@@ -281,21 +277,11 @@ def _decimal_digits(values: np.ndarray, shortest: bool):
     settled = (guess >= -11) & (biased <= 1073)           # NaN compares False
     t = np.where(settled, 16 - guess, 16).astype(np.int64)
     s = np.where(settled, 1075 - biased, 52) - t
-    whole, rem = _mul_shift(m, _POW5[t], s.view(np.uint64))
-    # the guess is one off next to a power of 10: rescale those values
-    off = (whole >= 10 ** 17).astype(np.int64) - (whole < 10 ** 16)
-    if off.any():
-        wrong = np.flatnonzero(off)
-        t[wrong] -= off[wrong]
-        s[wrong] += off[wrong]
-        lost = wrong[(t[wrong] > 27) | (s[wrong] < 1) | (s[wrong] > 62)]
-        settled[lost], t[lost], s[lost] = False, 16, 36
-        whole[wrong], rem[wrong] = _mul_shift(m[wrong], _POW5[t[wrong]],
-                                              s[wrong].view(np.uint64))
-    shift = s.view(np.uint64)
+    shift, p5 = s.view(np.uint64), _POW5[t]
+    whole, rem = _mul_shift(m, p5, shift)
+    settled &= (whole >= 10 ** 16) & (whole < 10 ** 17)  # the guess was X
     half = np.uint64(1) << shift - 1
     if shortest:
-        p5 = _POW5[t]
         settled &= m != np.uint64(1 << 52)
         high = whole + ((rem << 1) + p5 >> shift + 1)
         low = whole + (((rem << 1) - p5).view(np.int64) >> s + 1).view(np.uint64) + 1
@@ -311,12 +297,10 @@ def _decimal_digits(values: np.ndarray, shortest: bool):
     else:
         settled &= rem != half
         d = whole + (rem > half)
-    carry = d >= 10 ** 17                                 # 10**17: one digit more
-    d = np.where(settled, np.where(carry, 10 ** 16, d), 10 ** 16)
-    x = np.where(settled, 16 - t + carry, 0)
-    if shortest:
-        zeros = np.minimum(zeros, 16)
-    else:
+    settled &= d < 10 ** 17                               # 10**17: one digit more
+    d = np.where(settled, d, 10 ** 16)
+    x = np.where(settled, 16 - t, 0)
+    if not shortest:
         zeros = _most_zeros(d, d)
     return d, x, zeros, settled
 
@@ -763,14 +747,11 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     accum = np.zeros_like(x0)
     weight = 0.0
     self_play_sum = 0.0
-    # past k_max, an emission interval emits K = 0 and k_max alone, as
-    # k_max + 1 does, whose multiples fit an index
-    every = min(emit_every, k_max + 1)
-    count = k_max // every + 1 + (k_max % every != 0)
+    # the emitted steps: the multiples of emit_every below k_max, then k_max;
+    # an interval past k_max emits what k_max does, which fits an int64
+    steps = np.append(np.arange(0, k_max, min(emit_every, k_max)), k_max)
     lo, n = len(_WIRE_SCALARS), game.n
-    trace = Trace(steps=np.empty(count, dtype=np.int64),
-                  table=np.empty((count, lo + 2 * n)), avg_self_play=np.empty(count))
-    emitted = 0
+    trace = Trace(steps, np.empty((len(steps), lo + 2 * n)), np.empty(len(steps)))
     block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // game.n, k_max + 1))
     # row k of a block holds alpha_k, X^k, CX^k and the shifted logits;
     # step k writes X^{k+1} to row k + 1, and the last row starts the next block
@@ -823,14 +804,10 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
         self_plays = _running_sum(self_play_sum, rates * xcx)
         accum, weight, self_play_sum = accums[-1], weights[-1], self_plays[-1]
 
-        # the emitted rows: every multiple of emit_every, and k_max
-        e = np.arange(-start % every, size, every)
-        if start + size > k_max and k_max % every:
-            e = np.append(e, size - 1)
-        rows = slice(emitted, emitted + len(e))
-        emitted += len(e)
+        # the emitted steps of this block: their trace rows, then e, their block rows
+        rows = slice(*np.searchsorted(steps, (start, start + size)))
+        e = steps[rows] - start
         table = trace.table[rows]
-        trace.steps[rows] = start + e
         table[:, 0], table[:, 1] = rates[e], weights[e]
         table[:, lo:lo + n] = xs[e]
         xbar = table[:, lo + n:]
@@ -840,7 +817,7 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
         table[:, 3] = cxs[e].max(axis=1) - xcx[e]
         # ||Xbar^K - Xbar^{K-1}||, Xbar^{K-1} recovered from step K's sums;
         # K = 0 has no predecessor and reads 0
-        moved = start + e > 0
+        moved = steps[rows] > 0
         prev = e[moved]
         diff = xbar[moved] - ((accums[prev] - terms[prev])
                               / prev_weights[prev, None])

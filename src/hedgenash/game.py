@@ -67,7 +67,7 @@ class SymmetricGame:
 
 
 def validate_game(matrix, *, scale: float = 1.0) -> SymmetricGame:
-    """Validate a square, finite payoff matrix."""
+    """Validate a square, finite payoff matrix whose max - min is finite."""
     try:
         c = np.array(matrix, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: a huge int
@@ -78,6 +78,8 @@ def validate_game(matrix, *, scale: float = 1.0) -> SymmetricGame:
         raise GameError("game needs at least 2 pure strategies")
     if not np.all(np.isfinite(c)):
         raise GameError("payoff matrix contains non-finite entries")
+    if not np.isfinite(float(c.max()) - float(c.min())):    # Python floats: no warning
+        raise GameError("payoff entries span more than the float range")
     c.setflags(write=False)
     return SymmetricGame(payoff=c, scale=scale)
 

@@ -471,6 +471,21 @@ class TestRun:
         assert main(["verify", "--game", str(path), "--x", "uniform"]) == 2
         assert capsys.readouterr().err == f'error: {path}: the game JSON has no "payoff"\n'
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--steps", "10", "--out", "t.csv"], ["diagnose", "--samples", "5"],
+        ["verify", "--support", "0,1"], ["verify", "--x", "uniform"]],
+        ids=["run", "diagnose", "verify support", "verify x"])
+    def test_game_whose_payoff_range_overflows(self, tmp_path, monkeypatch, capsys, argv):
+        # every entry is finite, max - min is not: one error naming the file,
+        # no RuntimeWarning from the normalization or the spread program
+        monkeypatch.chdir(tmp_path)
+        Path("big.json").write_text('{"payoff": [[1e308, -1e308], [0, 1]]}')
+        assert main([argv[0], "--game", "big.json", *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: big.json: payoff entries span more than "
+                                "the float range\n")
+        assert not Path("t.csv").exists()
+
 
 class TestVerify:
     def test_uniform_on_rps_passes(self, rps_file, capsys):

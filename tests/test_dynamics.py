@@ -155,6 +155,14 @@ class TestSchedules:
         rates = s.rates(4)
         assert rates[0] == 1.0 and rates[3] == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 1000, 1_000_007])
+    def test_harmonic_rates_bit_for_bit(self, count):
+        # alpha_0 = 1, then 1/k as one division each: the bits of the loop
+        expected = np.array([1.0] + [1.0 / k for k in range(1, count)])[:count]
+        rates = parse_schedule("harmonic").rates(count)
+        assert rates.dtype == np.float64
+        assert rates.tobytes() == expected.tobytes()
+
     def test_custom_flagged(self, tmp_path):
         v = schedule_of(tmp_path, "file", "0.5 0.25 0.125")
         assert v.valid and "unverified-asymptotics" in v.flags

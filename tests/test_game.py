@@ -18,6 +18,7 @@ from hedgenash import (
     uniform_strategy,
     validate_game,
 )
+from hedgenash.analysis import _spread_lp, min_equalizer_gap
 from hedgenash.game import (
     GENERATOR_MAX_N,
     SUPPORT_TOL,
@@ -60,6 +61,24 @@ class TestValidateGame:
             validate_game([[1, np.nan], [0, 1]])
         with pytest.raises(GameError):
             validate_game([[1, np.inf], [0, 1]])
+
+    def test_range_past_the_float_range_rejected(self):
+        # every entry is finite, but max - min is not: normalize_payoffs and
+        # the spread program's shift would overflow
+        with pytest.raises(GameError, match="payoff entries span more than the float range"):
+            validate_game([[1e308, -1e308], [0, 1]])
+
+    def test_range_just_under_the_float_maximum(self, tmp_path):
+        path = tmp_path / "near.json"
+        path.write_text('{"payoff": [[8e307, -8e307], [0, 1]]}')
+        game = load_game(path)
+        out, a, b = normalize_payoffs(game)
+        assert out.payoff.tolist() == [[1.0, 0.0], [0.5, 0.5]]
+        assert a == 1 / 1.6e308 and b == 0.5
+        # the spread program's data, shifted by -min(C, 0), is finite
+        assert np.isfinite(_spread_lp(game.payoff, [0, 1]).a).all()
+        x, spread = min_equalizer_gap(out)
+        assert np.allclose(x, [0.5, 0.5]) and abs(spread) <= 1e-12
 
     def test_too_small_rejected(self):
         with pytest.raises(GameError):

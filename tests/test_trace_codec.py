@@ -75,6 +75,28 @@ def test_edge_values_take_both_paths(shortest):
     assert settled[[EDGES.index(v) for v in (0.1, 2 / 3, 1e-5, 1234.5)]].all()
 
 
+# Doubles beside a power of ten, where the one multiplication by 10**t, t =
+# 16 - floor(log10|v|), misses [1e16, 1e17) or rounds up to 1e17: the double
+# just below each power from 1e-11 to 1e15 but 1 and 10, and 1e-11, 1e-7 and
+# 1e-6, which lie just below their powers
+BESIDE_TEN = [*(float(np.nextafter(float(f"1e{k}"), 0.0)) for k in range(-11, 16)
+                if k not in (0, 1)), 1e-11, 1e-7, 1e-6]
+BESIDE_TEN = [*BESIDE_TEN, *(-v for v in BESIDE_TEN)]
+
+
+@pytest.mark.parametrize("shortest", [False, True])
+def test_values_beside_a_power_of_ten_are_left_to_percent(shortest):
+    assert not _decimal_digits(np.array(BESIDE_TEN), shortest)[3].any()
+
+
+def test_values_beside_a_power_of_ten_match():
+    assert_fields_match([w for v in BESIDE_TEN for w in neighbours(v)])
+    # every double within 20 ulps of a power of ten, whichever path it takes
+    powers = np.array([float(f"1e{k}") for k in range(-13, 18)])
+    around = (powers.view(np.int64)[:, None] + np.arange(-20, 21)).view(np.float64).ravel()
+    assert_fields_match(np.concatenate([around, -around]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
 def test_raw_bit_patterns(patterns):

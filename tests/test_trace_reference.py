@@ -172,7 +172,7 @@ def test_matches_reference_across_blocks(tmp_path, monkeypatch, kind, n, k_max):
     game = generate_game(kind, n, 5)
     x0 = np.random.default_rng(n).dirichlet(np.ones(n)) * 0.9 + 0.1 / n
     reference = reference_records(game, x0, DEFAULT_SCHEDULE, k_max)
-    for emit_every in (1, 7, 1000, k_max):
+    for emit_every in (1, 7, 1000, k_max, k_max + 1, 2 ** 70):
         trace = run_trajectory(game, x0, DEFAULT_SCHEDULE, k_max, emit_every=emit_every)
         assert_matches_reference(trace, emitted(reference, emit_every), tmp_path)
 
