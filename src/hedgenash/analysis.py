@@ -1,9 +1,15 @@
 """Equilibrium quality measures, equalizer/subequalizer programs, support
 verification, and a brute-force support-enumeration oracle for small games.
 
-All tolerances are on the normalized payoff scale. The certificate
+Gaps and spreads are measured in the game's own payoffs, and the
+tolerances they are held to are read in its payoff unit
+(``SymmetricGame.payoff_unit``): 1 while the payoff range max - min lies in
+[2^-4, 2^4], as for every normalized game, else the power of two nearest
+the range. The certificate
 tolerance (default 1e-8) defines "exact" equilibrium throughout and can be
-overridden with the HEDGE_NASH_TOL environment variable.
+overridden with the HEDGE_NASH_TOL environment variable (for ``verify``,
+with ``--tol``); both are read in that unit, so a game scaled by a power
+of two gets the same certificates.
 """
 
 from __future__ import annotations
@@ -91,6 +97,13 @@ def well_supported_eps(game: SymmetricGame, x) -> float:
     return float(cx.max() - cx[supported].min())
 
 
+def within_tolerance(game: SymmetricGame, value: float, tol: float | None = None) -> bool:
+    """Whether a gap or a payoff spread ``value`` on ``game`` is within ``tol``
+    (default: the certificate tolerance) in the game's payoff unit: the one
+    certificate test."""
+    return value <= (certificate_tolerance() if tol is None else tol) * game.payoff_unit
+
+
 def make_certificate(game: SymmetricGame, x, method: str,
                      tol: float | None = None) -> EquilibriumCertificate | None:
     """The certificate of ``x``, clipped at 0 and renormalized, or None when
@@ -98,7 +111,7 @@ def make_certificate(game: SymmetricGame, x, method: str,
     x = np.clip(np.asarray(x, dtype=float), 0.0, None)
     x = as_strategy(x / x.sum())
     gap = epsilon_gap(game, x)
-    if gap > (certificate_tolerance() if tol is None else tol):
+    if not within_tolerance(game, gap, tol):
         return None
     return EquilibriumCertificate(
         strategy=x,
@@ -173,13 +186,13 @@ def best_subequalizer(game: SymmetricGame, carrier) -> tuple[np.ndarray, float] 
     n = game.n
     if carrier[0] < 0 or carrier[-1] >= n:
         raise GameError(f"carrier indices out of range for n={n}")
-    result = solve_lp(_spread_lp(game.payoff, carrier))
+    result = solve_lp(_spread_lp(game.payoff / game.payoff_unit, carrier))
     if result.status != "optimal":
         return None
     x = np.zeros(n)
     x[carrier] = np.clip(result.solution[:len(carrier)], 0.0, None)
     x /= x.sum()
-    return x, float(result.objective_value)
+    return x, float(result.objective_value) * game.payoff_unit
 
 
 def verify_support(game: SymmetricGame, candidate_support,
@@ -193,24 +206,23 @@ def verify_support(game: SymmetricGame, candidate_support,
     candidate's system, which gives the same verdict at the certificate
     tolerance."""
     result = best_subequalizer(game, candidate_support)
-    if result is None:
+    if result is None or not within_tolerance(game, result[1], tol):
         return None
-    x, eps = result
-    tol = certificate_tolerance() if tol is None else tol
-    return None if eps > tol else make_certificate(game, x, method="support_lp", tol=tol)
+    return make_certificate(game, result[0], method="support_lp", tol=tol)
 
 
-def _equalizing_solution(c: np.ndarray, carrier: list[int]):
+def _equalizing_solution(game: SymmetricGame, carrier: list[int]):
     """Least-squares solution of the indifference system on a support
     (every supported payoff equal, entries summing to 1), the null space of
     the system for a consistent degenerate family (empty at full rank, and
     when the residual exceeds INDIFFERENCE_TOL: the system is inconsistent),
-    and the residual."""
+    and the residual. The payoff rows are in the game's payoff unit, the
+    scale of the sum row."""
     m = len(carrier)
     cols = np.array(carrier)
-    sub = c[np.ix_(cols, cols)]
+    sub = game.payoff[np.ix_(cols, cols)]
     a = np.zeros((m, m))
-    a[: m - 1] = sub[1:] - sub[0]
+    a[: m - 1] = (sub[1:] - sub[0]) / game.payoff_unit
     a[m - 1] = 1.0
     b = np.zeros(m)
     b[m - 1] = 1.0
@@ -235,8 +247,6 @@ def enumerate_symmetric_equilibria(game: SymmetricGame) -> list[EquilibriumCerti
     n = game.n
     if n > ORACLE_MAX_N:
         raise GameError(f"support enumeration limited to n <= {ORACLE_MAX_N}, got n={n}")
-    tol = certificate_tolerance()
-    c = game.payoff
     found: list[EquilibriumCertificate] = []
 
     def consider(x_full: np.ndarray) -> None:
@@ -246,7 +256,7 @@ def enumerate_symmetric_equilibria(game: SymmetricGame) -> list[EquilibriumCerti
         total = x.sum()
         if not np.isfinite(total) or abs(total - 1.0) > 1e-7:
             return
-        cert = make_certificate(game, x / total, method="support_enumeration", tol=tol)
+        cert = make_certificate(game, x / total, method="support_enumeration")
         if cert is not None and all(np.max(np.abs(seen.strategy - cert.strategy)) > 1e-7
                                     for seen in found):
             found.append(cert)
@@ -254,7 +264,7 @@ def enumerate_symmetric_equilibria(game: SymmetricGame) -> list[EquilibriumCerti
     for size in range(1, n + 1):
         for carrier in itertools.combinations(range(n), size):
             carrier = list(carrier)
-            sol, null, residual = _equalizing_solution(c, carrier)
+            sol, null, residual = _equalizing_solution(game, carrier)
             if residual > INDIFFERENCE_TOL:
                 continue
             x_full = np.zeros(n)

@@ -18,11 +18,11 @@ import numpy as np
 from .analysis import (
     certificate_tolerance,
     enumerate_symmetric_equilibria,
-    epsilon_gap,
+    make_certificate,
     min_equalizer_gap,
     parse_tolerance,
     verify_support,
-    well_supported_eps,
+    within_tolerance,
 )
 from .dynamics import (
     DEFAULT_SCHEDULE,
@@ -232,13 +232,13 @@ def cmd_extract(args) -> int:
 
 def cmd_verify(args) -> int:
     game = _load_game_spec(args.game)
-    tol = args.tol if args.tol is not None else certificate_tolerance()
+    tol = args.tol if args.tol is not None else certificate_tolerance()   # printed
     if (args.x is None) == (args.support is None):
         raise GameError("exactly one of --x or --support is required")
 
     if args.support is not None:
         candidate = [parse_int(tok, "--support: ") for tok in args.support.split(",")]
-        cert = verify_support(game, candidate, tol=tol)
+        cert = verify_support(game, candidate, tol=args.tol)
         if cert is None:
             print(f"support {candidate}: no equilibrium certificate "
                   f"(subequalizer infeasible or spread > {tol:g})")
@@ -257,18 +257,19 @@ def cmd_verify(args) -> int:
         raise GameError(
             f"vector is off the simplex beyond {OFF_SIMPLEX_TOL:g} (sum {total:.17g}, "
             f"min {x.min():.17g}); refusing to renormalize silently")
-    x = np.clip(x, 0.0, None)
-    x = x / x.sum()
-    gap = epsilon_gap(game, x)
-    ws = well_supported_eps(game, x)
+    cert = make_certificate(game, x, "verify --x", tol=np.inf)   # its evidence, at any gap
+    if cert is None:                           # a NaN gap: payoff sums past the float range
+        raise GameError("the strategy's gap is not a number (its payoffs overflow)")
     # the spread is informational: the verdict is the gap's alone
     try:
         spread = f"{min_equalizer_gap(game)[1]:.17g}"
     except LPError as exc:
         spread = f"unavailable ({exc})"
-    passed = gap <= tol
-    print(f"gap: {gap:.17g} (game units {denormalize_gap(game, gap):.17g})")
-    print(f"well-supported at eps={tol:g}: {ws <= tol} (eps* = {ws:.17g})")
+    passed = within_tolerance(game, cert.gap, args.tol)
+    ws = cert.well_supported_eps
+    print(f"gap: {cert.gap:.17g} (game units {cert.game_units_gap:.17g})")
+    print(f"well-supported at eps={tol:g}: {within_tolerance(game, ws, args.tol)} "
+          f"(eps* = {ws:.17g})")
     print(f"equalizer spread: {spread}")
     print("verified" if passed else "verification failed")
     return EXIT_OK if passed else EXIT_FAILED

@@ -45,7 +45,7 @@ def _verify_prefix(game: SymmetricGame, candidate: list[int]) -> EquilibriumCert
     INDIFFERENCE_TOL rules every certificate out; at full rank its one
     solution is the only one to check. Only a singular, consistent system,
     whose solutions form a family, goes to the LP."""
-    sol, null, residual = _equalizing_solution(game.payoff, candidate)
+    sol, null, residual = _equalizing_solution(game, candidate)
     if residual > INDIFFERENCE_TOL:
         return None
     if null.shape[0]:
@@ -79,25 +79,20 @@ def extract_certificate(game: SymmetricGame, trace: Trace) -> ExtractionOutcome:
     error and the sweep goes on."""
     scores = _scores(game, trace.final)
     attempts: list[dict] = []
-    verified: dict[frozenset, EquilibriumCertificate | LPError | None] = {}
     for criterion in CRITERIA:
         s = scores[criterion]
         order = sorted(range(game.n), key=lambda i: (-s[i], i))
         for m in range(1, game.n + 1):
             candidate = order[:m]
-            key = frozenset(candidate)  # criteria often share prefixes
-            if key not in verified:
-                try:
-                    verified[key] = _verify_prefix(game, candidate)
-                except LPError as exc:
-                    verified[key] = exc
-            cert = verified[key]
-            attempt = {"criterion": criterion, "m": m, "support": candidate,
-                       "verified": isinstance(cert, EquilibriumCertificate)}
-            if isinstance(cert, LPError):
-                attempt["error"] = str(cert)
-            attempts.append(attempt)
-            if attempt["verified"]:
+            try:
+                cert, error = _verify_prefix(game, candidate), None
+            except LPError as exc:
+                cert, error = None, str(exc)
+            attempts.append({"criterion": criterion, "m": m, "support": candidate,
+                             "verified": cert is not None})
+            if error is not None:
+                attempts[-1]["error"] = error
+            if cert is not None:
                 cert = replace(cert, method=f"extract:{criterion}:m={m}")
                 return ExtractionOutcome(certificate=cert, attempts=attempts)
     return ExtractionOutcome(certificate=None, attempts=attempts)

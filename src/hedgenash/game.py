@@ -9,8 +9,10 @@ numpy vectors on the probability simplex, validated by the helpers here.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,17 @@ class SymmetricGame:
     @property
     def normalized(self) -> bool:          # every payoff in [0, 1]
         return float(self.payoff.min()) >= 0.0 and float(self.payoff.max()) <= 1.0
+
+    @cached_property
+    def payoff_unit(self) -> float:
+        """The unit certificate tolerances are read in: 1 while the payoff
+        range max - min lies in [2^-4, 2^4] (or is 0), else the power of two
+        nearest the range, at most 2^1023. Dividing payoffs by a power of two
+        is exact, so a game scaled by 2^k gets the same verdicts."""
+        spread = float(self.payoff.max()) - float(self.payoff.min())
+        if spread == 0.0 or 2.0**-4 <= spread <= 2.0**4:
+            return 1.0
+        return 2.0 ** min(round(math.log2(spread)), 1023)
 
     def digest(self) -> str:
         # CPython's built-in SHA-1, which hashlib itself falls back to without

@@ -157,7 +157,7 @@ def test_criterion_6_extraction_matches_oracle(tmp_path):
         match = None
         for eq in oracle:
             if eq.support == cert.support:
-                sol, _, _ = _equalizing_solution(game.payoff, list(cert.support))
+                sol, _, _ = _equalizing_solution(game, list(cert.support))
                 projected = np.zeros(4)
                 projected[list(cert.support)] = sol
                 if float(np.max(np.abs(cert.strategy - projected))) <= 1e-6:

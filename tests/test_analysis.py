@@ -261,3 +261,38 @@ class TestEnumeration:
         assert len(certs) >= 1
         for c in certs:
             assert epsilon_gap(game, c.strategy) <= 1e-8
+
+
+RPS_ZERO_SUM = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+
+
+class TestPayoffUnit:
+    @pytest.mark.parametrize("spread, unit", [
+        (0.0, 1.0), (2.0**-4, 1.0), (1.0, 1.0), (2.0**4, 1.0), (0.05, 2.0**-4),
+        (17.0, 16.0), (1e-9, 2.0**-30), (1e11, 2.0**37), (1.6e308, 2.0**1023)])
+    def test_unit_of_a_payoff_range(self, spread, unit):
+        assert validate_game([[spread, 0.0], [0.0, 0.0]]).payoff_unit == unit
+
+    def test_tolerance_read_in_the_unit(self):
+        # a pure strategy of rock-paper-scissors has gap 2^-30 at this scale,
+        # half its payoff range: no certificate, as at scale 1
+        game = validate_game(RPS_ZERO_SUM * 2.0**-30)
+        assert make_certificate(game, E1, "probe") is None
+        assert make_certificate(validate_game(RPS_ZERO_SUM), E1, "probe") is None
+        assert make_certificate(game, uniform_strategy(3), "probe").gap == 0.0
+
+    def test_indifference_system_in_the_unit(self):
+        # at 1e11 a raw system's sum row fell below lstsq's rcond, so the
+        # "strategy" summed to 1e-21 and the oracle found nothing
+        game = validate_game(RPS_ZERO_SUM * 1e11)
+        sol, null, residual = analysis._equalizing_solution(game, [0, 1, 2])
+        assert np.allclose(sol, 1 / 3, atol=1e-12) and null.shape[0] == 0
+        certs = enumerate_symmetric_equilibria(game)
+        assert [c.support for c in certs] == [(0, 1, 2)]
+
+    def test_spread_program_near_the_float_range(self):
+        # the spread program solves payoff / 2^1023, so 4e307 reads as 0.44
+        # and not as a pivot of 4e307 beside tolerances of 1e-9
+        for scale in (1.0, 1e307):
+            cert = verify_support(validate_game([[4 * scale, -4 * scale], [0, 1]]), [0])
+            assert cert is not None and list(cert.strategy) == [1.0, 0.0]

@@ -522,6 +522,42 @@ class TestVerify:
         assert main(args) == 1
         assert main(args + ["--tol", "1e-4"]) == 0
 
+    def test_tol_is_read_in_the_payoff_unit(self, tmp_path, capsys):
+        # rock-paper-scissors times 1e-9: rock's gap, 1e-9, is half the
+        # payoff range, and the 1e-8 tolerance is read in its unit, 2^-30
+        path = tmp_path / "tiny.json"
+        save_game(validate_game(1e-9 * np.array([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])),
+                  path)
+        assert main(["verify", "--game", str(path), "--x", "csv:1,0,0"]) == 1
+        assert capsys.readouterr().out.splitlines()[3] == "verification failed"
+
+    @pytest.mark.parametrize("payoff, argv, line", [
+        ("[[8e307, -8e307], [0, 1]]", ["--support", "0,1"], "support: [0, 1]"),
+        ("[[8e307, -8e307], [0, 1]]", ["--x", "uniform"], "verified"),
+        ("[[4e307, -4e307], [0, 1]]", ["--support", "0"], "certificate strategy: [1.0, 0.0]")],
+        ids=["8e307 support", "8e307 x", "4e307 pure support"])
+    def test_payoffs_near_the_float_range(self, tmp_path, capsys, payoff, argv, line):
+        # the spread program solves payoff / 2^1023: no overflow in phase 1
+        # and no iteration limit
+        path = tmp_path / "wide.json"
+        path.write_text(f'{{"payoff": {payoff}}}')
+        assert main(["verify", "--game", str(path), *argv]) == 0
+        captured = capsys.readouterr()
+        assert line in captured.out.splitlines()
+        assert captured.err == ""
+
+    def test_gap_that_is_not_a_number_is_config_error(self, tmp_path, capsys):
+        # every payoff the largest double: the sums behind this strategy's
+        # gap overflow, and inf - inf is no gap to judge
+        path = tmp_path / "max.json"
+        path.write_text(json.dumps({"payoff": [[1.7976931348623157e308] * 5] * 5}))
+        x = "0.21552447048356196,0.11093009353909235,0.24956618609682735," \
+            "0.07409626181971563,0.34988298806080276"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["verify", "--game", str(path), "--x", f"csv:{x}"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the strategy's gap is not a number (its payoffs overflow)\n")
+
     # 1_0, an Arabic-Indic 3 and spaces are floats to Python, but no
     # tolerance: on normalized payoffs a tolerance of 1 verifies anything
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1_0", "\u0663", "0x10", " 1e-4",
