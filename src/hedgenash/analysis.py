@@ -25,7 +25,6 @@ from .game import (
     GameError,
     SymmetricGame,
     as_strategy,
-    denormalize_gap,
     parse_float,
     support,
 )
@@ -64,7 +63,6 @@ class EquilibriumCertificate:
     gap: float
     well_supported_eps: float
     method: str
-    game_units_gap: float
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -77,7 +75,6 @@ class EquilibriumCertificate:
             "gap": self.gap,
             "well_supported_eps": self.well_supported_eps,
             "method": self.method,
-            "game_units_gap": self.game_units_gap,
         }
 
 
@@ -118,7 +115,6 @@ def make_certificate(game: SymmetricGame, x, method: str,
         gap=gap,
         well_supported_eps=well_supported_eps(game, x),
         method=method,
-        game_units_gap=denormalize_gap(game, gap),
     )
 
 
@@ -137,13 +133,13 @@ def _spread_lp(payoff: np.ndarray, carrier: list[int]) -> StandardFormLP:
 
     Variables are [X on the carrier (m), u, l, one slack per inequality];
     the rows are the n + m inequalities and sum(X) = 1. Payoffs are shifted
-    by -min(C, 0) so that u, l >= 0 cuts nothing off: the shift moves every
-    (CX)_i by the same amount, so neither the spread nor the dominance
-    constraints change.
+    by -min(C), so that u, l >= 0 cuts nothing off and every entry lies in
+    [0, max - min]: the shift moves every (CX)_i by the same amount, so
+    neither the spread nor the dominance constraints change.
     """
     n, m = payoff.shape[0], len(carrier)
     outside = [j for j in range(n) if j not in carrier]
-    cx = payoff[:, carrier] - min(float(payoff.min()), 0.0)  # (CX)_i = cx[i] @ X
+    cx = payoff[:, carrier] - float(payoff.min())        # (CX)_i = cx[i] @ X
     inequalities = np.vstack([
         np.column_stack([cx[carrier], -np.ones(m), np.zeros(m)]),    # (CX)_i <= u
         np.column_stack([-cx[carrier], np.zeros(m), np.ones(m)]),    # l <= (CX)_i

@@ -39,7 +39,6 @@ from .game import (
     GameError,
     SymmetricGame,
     decompose,
-    denormalize_gap,
     generate_game,
     load_game,
     normalize_payoffs,
@@ -132,7 +131,6 @@ def _run_one(config: dict, game: SymmetricGame, schedule, x0: np.ndarray) -> dic
         "final_step": final.step,
         "final_gap_avg": final.gap_avg,
         "final_gap_iter": final.gap_iter,
-        "final_gap_avg_game_units": denormalize_gap(game, final.gap_avg),
         "final_xbar": [float(v) for v in final.xbar],
         "wall_time_s": wall,
     }
@@ -245,7 +243,7 @@ def cmd_verify(args) -> int:
             return EXIT_FAILED
         print(f"certificate strategy: {[round(float(v), 12) for v in cert.strategy]}")
         print(f"support: {list(cert.support)}")
-        print(f"gap: {cert.gap:.17g} (game units {cert.game_units_gap:.17g})")
+        print(f"gap: {cert.gap:.17g}")
         return EXIT_OK
 
     x = _parse_x0(args.x, game.n, args.seed, "--x")
@@ -267,7 +265,7 @@ def cmd_verify(args) -> int:
         spread = f"unavailable ({exc})"
     passed = within_tolerance(game, cert.gap, args.tol)
     ws = cert.well_supported_eps
-    print(f"gap: {cert.gap:.17g} (game units {cert.game_units_gap:.17g})")
+    print(f"gap: {cert.gap:.17g}")
     print(f"well-supported at eps={tol:g}: {within_tolerance(game, ws, args.tol)} "
           f"(eps* = {ws:.17g})")
     print(f"equalizer spread: {spread}")

@@ -235,40 +235,32 @@ def _mul_shift(a: np.ndarray, b: np.ndarray, shift: np.ndarray):
     return (hi << (64 - shift)) | (lo >> shift), lo & ((1 << shift) - 1)
 
 
-def _most_zeros(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """The most trailing decimal zeros, at most 17, of an integer in [low,
-    high] (0 where the interval holds none)."""
-    zeros = np.zeros(len(low), dtype=np.int64)
-    rows = np.flatnonzero(high // 10 * 10 >= low)
+def _most_zeros(d: np.ndarray) -> np.ndarray:
+    """The trailing decimal zeros of each integer in d, at most 17."""
+    zeros = np.zeros(len(d), dtype=np.int64)
+    rows = np.flatnonzero(d // 10 * 10 == d)
     for k in range(1, 18):
         zeros[rows] = k
-        rows = rows[high[rows] // _POW10[k + 1] * _POW10[k + 1] >= low[rows]]
+        rows = rows[d[rows] // _POW10[k + 1] * _POW10[k + 1] == d[rows]]
         if not rows.size:
             break
     return zeros
 
 
-def _decimal_digits(values: np.ndarray, shortest: bool):
+def _decimal_digits(values: np.ndarray):
     """Each float64 value as (d, x, zeros, settled): v is d * 10**(x - 16)
     to the digits kept, d is a 17-digit integer with ``zeros`` trailing
     zeros. The digits are v correctly rounded to 17 significant digits, as
-    '%.17g' writes them, or with ``shortest`` the fewest digits that read
-    back as v, the nearest to v of those, as repr writes them. ``settled``
-    is False where the integer path does not decide them: zero, a
-    subnormal, not finite, outside [1e-11, 2**51), a rounding tie, with
-    ``shortest`` a power of two (its lower gap is half its upper), or beside
-    a power of ten, where one multiplication misses [10**16, 10**17) or
-    rounds up to 10**17; d, x and zeros are placeholders there.
+    '%.17g' writes them. ``settled`` is False where the integer path does
+    not decide them: zero, a subnormal, not finite, outside [1e-11, 2**51),
+    a rounding tie, or beside a power of ten, where one multiplication
+    misses [10**16, 10**17) or rounds up to 10**17; d, x and zeros are
+    placeholders there.
 
     t = 16 - floor(log10|v|), one off beside a power of ten; where v is
     settled, t is in 1..27 and s in 1..62, so _POW5[t] and the shifts are
-    defined. With vr = v * 10**t = V + f (f the fraction), the 17-digit d
-    rounds vr. The values that read back as v lie between vr -+ half an
-    ulp, which is 5**t / 2**(s + 1) at this scale. Both bounds, (2m -+ 1)
-    5**t / 2**(s + 1), are odd numbers over at least 4, never integers, so
-    the integers in [low, high] are those that read back as v. The shortest
-    digits are a multiple of 10**r in it for the largest r, the nearer to
-    vr of the multiples on either side of it."""
+    defined. With vr = v * 10**t = V + f (f the fraction, rem / 2**s), the
+    17-digit d rounds vr to the nearest integer."""
     bits = values.view(np.uint64)
     biased = (bits >> 52 & 0x7FF).astype(np.int64)
     m = bits & np.uint64((1 << 52) - 1) | np.uint64(1 << 52)
@@ -281,36 +273,19 @@ def _decimal_digits(values: np.ndarray, shortest: bool):
     whole, rem = _mul_shift(m, p5, shift)
     settled &= (whole >= 10 ** 16) & (whole < 10 ** 17)  # the guess was X
     half = np.uint64(1) << shift - 1
-    if shortest:
-        settled &= m != np.uint64(1 << 52)
-        high = whole + ((rem << 1) + p5 >> shift + 1)
-        low = whole + (((rem << 1) - p5).view(np.int64) >> s + 1).view(np.uint64) + 1
-        zeros = _most_zeros(low, high)
-        p = _POW10[zeros]
-        below = whole // p * p
-        twice = whole - below << 1                        # 2 (vr - below) = twice + 2f
-        nearer_below = (twice + 1 < p) | ((twice + 1 == p) & (rem < half))
-        tie = ((twice == p) & (rem == 0)) | ((twice + 1 == p) & (rem == half))
-        below_ok, above_ok = below >= low, below + p <= high
-        settled &= ~(tie & below_ok & above_ok)
-        d = np.where(above_ok & ~(nearer_below & below_ok), below + p, below)
-    else:
-        settled &= rem != half
-        d = whole + (rem > half)
+    settled &= rem != half
+    d = whole + (rem > half)
     settled &= d < 10 ** 17                               # 10**17: one digit more
     d = np.where(settled, d, 10 ** 16)
     x = np.where(settled, 16 - t, 0)
-    if not shortest:
-        zeros = _most_zeros(d, d)
-    return d, x, zeros, settled
+    return d, x, _most_zeros(d), settled
 
 
-def _format_values(values: np.ndarray, shortest: bool) -> np.ndarray:
-    """The text of each float64 value, as repr writes it (shortest) or as
-    '%.17g' does, in the first _TEXT bytes of a NUL-padded 32-byte slot.
-    Values the integer path does not settle are formatted by the %
-    conversion."""
-    d, x, zeros, settled = _decimal_digits(values, shortest)
+def _format_values(values: np.ndarray) -> np.ndarray:
+    """The text of each float64 value, as '%.17g' writes it, in the first
+    _TEXT bytes of a NUL-padded 32-byte slot. Values the integer path does
+    not settle are formatted by the % conversion."""
+    d, x, zeros, settled = _decimal_digits(values)
     slots = np.empty((len(values), 32), dtype=np.uint8)
     words, quads = slots.view("<u8"), slots.view("<u4")
     lead = (d // 10 ** 16).view(np.int64)
@@ -325,28 +300,24 @@ def _format_values(values: np.ndarray, shortest: bool) -> np.ndarray:
                              slots[wide, 8:24]], axis=1)
     words[:, 1] &= _KEEP[np.minimum(kept, 8)]
     words[:, 2] &= _KEEP[np.maximum(kept - 8, 0)]
-    sci = x < -4
-    zeros_after = np.where(sci, 0, np.maximum(-x, 0))     # 0.000d: "0." then zeros
-    point = (zeros_after > 0) | (kept > 0) | (shortest & ~sci)
+    zeros_after = np.where(x < -4, 0, np.maximum(-x, 0))  # 0.000d: "0." then zeros
+    point = (zeros_after > 0) | (kept > 0)
     sign = (values.view(np.uint64) >> 63).astype(np.int64)
     words[:, 0] = _HEADS[((sign * 5 + zeros_after) * 2 + point) * 10 + lead]
     words[:, 3] = _EXPONENTS[x + 99]
-    if shortest:                                          # repr's "1.0"
-        words[:, 1] |= np.uint64(48) * (~sci & (x == 0) & (kept == 0))
-    _lay_out_integers(slots, wide, digits, x, kept, sign, shortest)
+    _lay_out_integers(slots, wide, digits, x, kept, sign)
     loose = np.flatnonzero(~settled)
     if loose.size:
-        form = "%r" if shortest else "%.17g"
-        text = b"".join((form % v).encode().ljust(32, b"\0")
+        text = b"".join(("%.17g" % v).encode().ljust(32, b"\0")
                         for v in values[loose].tolist())
         slots[loose] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 32)
     return slots[:, :_TEXT]
 
 
-def _lay_out_integers(slots, rows, digits, x, kept, sign, shortest: bool) -> None:
+def _lay_out_integers(slots, rows, digits, x, kept, sign) -> None:
     """Re-lay the slots of rows, values of at least 10 in fixed notation:
-    their x + 1 leading digits, the point, then the digits kept after them.
-    digits holds each row's 17 digit characters."""
+    their x + 1 leading digits, the point if a digit is kept after them,
+    then those digits. digits holds each row's 17 digit characters."""
     j = np.arange(19, dtype=np.int8)                      # int8: cheap broadcasts
     q = x[rows, None].astype(np.int8)
     last = kept[rows, None].astype(np.int8)               # the last digit kept
@@ -354,10 +325,7 @@ def _lay_out_integers(slots, rows, digits, x, kept, sign, shortest: bool) -> Non
     text[:, 1:18] = digits
     text *= j - 1 <= last                                 # after the point
     np.copyto(text[:, :17], digits, where=j[:17] <= q)    # before it
-    fraction = last > q
-    text[j == q + 1] = 46 if shortest else 46 * fraction[:, 0]
-    if shortest:                                          # repr's "10.0"
-        text[(j == q + 2) & ~fraction] = 48
+    text[j == q + 1] = 46 * (last > q)[:, 0]
     slots[rows, 0] = 45 * sign[rows]
     slots[rows, 1:20] = text
     slots[rows, 20:] = 0
@@ -406,10 +374,10 @@ class Trace:
     def csv_header(self) -> str:
         return ",".join(_csv_names(self.n))
 
-    def _write(self, path, head: str, line: str, shortest: bool) -> None:
+    def _write(self, path, head: str, line: str) -> None:
         """head, then one line per record: line with a NUL where each field
-        goes, K and then the wire row, each value written as repr writes it
-        (shortest) or as '%.17g' does. A chunk of lines is laid out as
+        goes, K and then the wire row, each value written as '%.17g' writes
+        it. A chunk of lines is laid out as
         bytes, the separators once and a NUL-padded slot per field, and
         written with the NULs dropped."""
         width = self.table.shape[1]
@@ -430,7 +398,7 @@ class Trace:
                 chunk = text[:len(table)]
                 steps = self.steps[start:start + rows].astype("S20")   # NUL-padded
                 chunk[:, starts[0]:starts[0] + 20] = steps[:, None].view(np.uint8)
-                slots = _format_values(table.ravel(), shortest).reshape(
+                slots = _format_values(table.ravel()).reshape(
                     len(table), width, _TEXT)
                 for c, at in enumerate(starts[1:]):
                     chunk[:, at:at + _TEXT] = slots[:, c]
@@ -438,15 +406,16 @@ class Trace:
 
     def to_csv(self, path) -> None:
         self._write(path, self.csv_header() + "\n",
-                    "\0" + ",\0" * self.table.shape[1] + "\n", shortest=False)
+                    "\0" + ",\0" * self.table.shape[1] + "\n")
 
     def to_jsonl(self, path) -> None:
-        """One JSON object per record: json writes a finite float as its
-        repr, and every value of a trace is finite."""
+        """One JSON object per record, each value written as to_csv writes
+        it, '%.17g': every value of a trace is finite, and these digits read
+        back as the same double (but -0.0, whose "-0" reads back as 0.0)."""
         scalars = ", ".join(f'"{name}": \0' for name in _WIRE_SCALARS)
         vector = ", ".join(["\0"] * self.n)
         self._write(path, "", f'{{"K": \0, {scalars}, "X": [{vector}], '
-                              f'"Xbar": [{vector}]}}\n', shortest=True)
+                              f'"Xbar": [{vector}]}}\n')
 
     @classmethod
     def from_file(cls, path) -> "Trace":

@@ -38,15 +38,9 @@ class GameError(ValueError):
 
 @dataclass(frozen=True)
 class SymmetricGame:
-    """Immutable symmetric game. Construct via :func:`validate_game`.
-
-    ``scale`` records the factor of the positive-affine maps applied by
-    :func:`normalize_payoffs` (payoff = scale * original + a shift), so
-    payoff gaps on the normalized scale can be reported in original units.
-    """
+    """Immutable symmetric game. Construct via :func:`validate_game`."""
 
     payoff: np.ndarray
-    scale: float = 1.0
 
     @property
     def n(self) -> int:
@@ -79,7 +73,7 @@ class SymmetricGame:
         return sha1(np.ascontiguousarray(self.payoff).tobytes()).hexdigest()[:16]
 
 
-def validate_game(matrix, *, scale: float = 1.0) -> SymmetricGame:
+def validate_game(matrix) -> SymmetricGame:
     """Validate a square, finite payoff matrix whose max - min is finite."""
     try:
         c = np.array(matrix, dtype=float)
@@ -94,7 +88,7 @@ def validate_game(matrix, *, scale: float = 1.0) -> SymmetricGame:
     if not np.isfinite(float(c.max()) - float(c.min())):    # Python floats: no warning
         raise GameError("payoff entries span more than the float range")
     c.setflags(write=False)
-    return SymmetricGame(payoff=c, scale=scale)
+    return SymmetricGame(payoff=c)
 
 
 def normalize_payoffs(game: SymmetricGame) -> tuple[SymmetricGame, float, float]:
@@ -114,13 +108,7 @@ def normalize_payoffs(game: SymmetricGame) -> tuple[SymmetricGame, float, float]
     else:
         a, b = 1.0, -lo
         c = a * game.payoff + b
-    out = validate_game(c, scale=a * game.scale)
-    return out, a, b
-
-
-def denormalize_gap(game: SymmetricGame, gap: float) -> float:
-    """Convert a payoff gap on ``game``'s scale back to original units."""
-    return gap / game.scale
+    return validate_game(c), a, b
 
 
 def decompose(game: SymmetricGame) -> tuple[np.ndarray, np.ndarray]:

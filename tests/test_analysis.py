@@ -81,11 +81,16 @@ class TestCertificates:
         assert "game_digest" not in payload
 
     def test_game_units_gap(self):
+        # a gap is in the payoffs of the game it is measured on: normalizing
+        # by C' = a*C + b multiplies it by a
         raw = validate_game(np.array([[4.0, 0.0], [0.0, 4.0]]))
-        norm, _, _ = normalize_payoffs(raw)
+        norm, a, _ = normalize_payoffs(raw)
+        x = np.array([0.9, 0.1])
         # the strategy has gap 0.08: a certificate only at a loose tolerance
-        cert = make_certificate(norm, np.array([0.9, 0.1]), method="manual", tol=1.0)
-        assert cert.game_units_gap == pytest.approx(4.0 * cert.gap)
+        cert = make_certificate(norm, x, method="manual", tol=1.0)
+        assert a == 0.25
+        assert cert.gap == pytest.approx(a * epsilon_gap(raw, x))
+        assert "game_units_gap" not in cert.to_dict()
 
     def test_issued_only_within_tolerance(self):
         game = normalize_payoffs(validate_game([[4.0, 0.0], [0.0, 4.0]]))[0]

@@ -546,6 +546,29 @@ class TestVerify:
         assert line in captured.out.splitlines()
         assert captured.err == ""
 
+    @pytest.mark.parametrize("argv", [["--x", "csv:0.2,0.2,0.2,0.2,0.2"],
+                                      ["--support", "0,2,4"]])
+    def test_spec_and_saved_file_verify_alike(self, tmp_path, capsys, argv):
+        # gaps are in the game's own payoffs, which the file keeps
+        path = tmp_path / "zs.json"
+        assert main(["generate", "--kind", "zero_sum_symmetric", "--n", "5", "--seed", "1",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        rc = main(["verify", "--game", "zero_sum_symmetric:5:1", *argv])
+        from_spec = capsys.readouterr().out
+        assert main(["verify", "--game", str(path), *argv]) == rc
+        assert capsys.readouterr().out == from_spec
+        assert "game units" not in from_spec
+
+    def test_constant_game_at_the_float_maximum_has_spread_zero(self, tmp_path, capsys):
+        # the spread program shifts by the payoff minimum: every entry is 0
+        path = tmp_path / "max.json"
+        path.write_text(json.dumps({"payoff": [[1.7976931348623157e308] * 3] * 3}))
+        assert main(["verify", "--game", str(path), "--x", "csv:0.3,0.3,0.4"]) == 0
+        captured = capsys.readouterr()
+        assert "equalizer spread: 0" in captured.out.splitlines()
+        assert captured.err == ""
+
     def test_gap_that_is_not_a_number_is_config_error(self, tmp_path, capsys):
         # every payoff the largest double: the sums behind this strategy's
         # gap overflow, and inf - inf is no gap to judge

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import hedgenash.dynamics as dynamics
 from hedgenash import (
     DEFAULT_SCHEDULE,
+    GAME_KINDS,
     GameError,
     ScheduleError,
     Trace,
@@ -28,6 +29,7 @@ from hedgenash import (
 from hedgenash.dynamics import _re_on_support
 
 POWER_23 = DEFAULT_SCHEDULE
+SCHEDULES = ("harmonic", "power:0.55", "power:0.9")
 
 
 def direct_update(game, x, alpha):
@@ -388,14 +390,28 @@ class TestTraceIO:
             assert a.gap_avg == b.gap_avg
             assert b.avg_self_play is None
 
-    def test_jsonl_round_trip(self, tmp_path, hawk_dove_norm):
-        tr = run_trajectory(hawk_dove_norm, np.array([0.7, 0.3]), POWER_23,
-                            300, emit_every=50)
-        path = tmp_path / "trace.jsonl"
-        tr.to_jsonl(path)
-        back = Trace.from_file(path)
-        assert len(back.records) == len(tr.records)
-        assert np.array_equal(back.final.xbar, tr.final.xbar)
+    def test_jsonl_round_trip(self, tmp_path):
+        # both formats write each value as '%.17g', and every value reads back
+        # bit for bit, in JSONL too; the default schedule, then SCHEDULES
+        def seventeen_digits(token):
+            assert "%.17g" % float(token) == token, token
+            return float(token)
+
+        for kind in GAME_KINDS:
+            for n in (3, 8, 16):
+                game = generate_game(kind, n, 1)
+                for schedule in (POWER_23, *map(parse_schedule, SCHEDULES)):
+                    tr = run_trajectory(game, uniform_strategy(n), schedule, 1000,
+                                        emit_every=1)
+                    for fmt in ("csv", "jsonl"):
+                        path = tmp_path / f"trace.{fmt}"
+                        getattr(tr, f"to_{fmt}")(path)
+                        back = Trace.from_file(path)
+                        assert back.steps.tobytes() == tr.steps.tobytes()
+                        assert back.table.tobytes() == tr.table.tobytes(), (kind, n, schedule.label)
+                    with open(path) as lines:
+                        for line in lines:
+                            json.loads(line, parse_float=seventeen_digits)
 
     def test_empty_trace_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

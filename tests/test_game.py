@@ -128,9 +128,8 @@ class TestNormalizePayoffs:
     def test_affine_map_composes(self):
         g = validate_game(random_matrix(11, 3))
         out, a, _ = normalize_payoffs(g)
-        # payoff = scale * original + one shift for every entry
-        assert out.scale == a
-        assert np.ptp(out.payoff - out.scale * g.payoff) <= 1e-12
+        # payoff = a * original + one shift for every entry
+        assert np.ptp(out.payoff - a * g.payoff) <= 1e-12
 
 
 class TestDecompose:

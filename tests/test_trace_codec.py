@@ -1,5 +1,5 @@
-"""The trace writers' integer formatter against the % conversions it
-replaced: each value's field against '%.17g' and repr, and whole files
+"""The trace writers' integer formatter against the % conversion it
+replaced: each value's field against '%.17g', and whole files
 against the per-record reference writers, byte for byte. Also the checks
 Trace.from_file makes on a CSV header and on a JSON record's fields."""
 
@@ -34,16 +34,15 @@ from hedgenash.dynamics import _decimal_digits, _format_values
 TINY = sys.float_info.min
 
 
-def fields(values, shortest):
+def fields(values):
     """The formatter's text of each value."""
     return [bytes(slot).replace(b"\0", b"").decode()
-            for slot in _format_values(np.asarray(values, dtype=float), shortest)]
+            for slot in _format_values(np.asarray(values, dtype=float))]
 
 
 def assert_fields_match(values):
     values = np.asarray(values, dtype=float)
-    assert fields(values, shortest=False) == ["%.17g" % v for v in values.tolist()]
-    assert fields(values, shortest=True) == [repr(v) for v in values.tolist()]
+    assert fields(values) == ["%.17g" % v for v in values.tolist()]
 
 
 def neighbours(v):
@@ -63,10 +62,9 @@ EDGES = sorted({abs(float(v)) for v in [
 EDGES = [-0.0, *(-v for v in EDGES if v), *EDGES]
 
 
-@pytest.mark.parametrize("shortest", [False, True])
-def test_edge_values_take_both_paths(shortest):
+def test_edge_values_take_both_paths():
     assert_fields_match(EDGES)
-    settled = _decimal_digits(np.array(EDGES), shortest)[3]
+    settled = _decimal_digits(np.array(EDGES))[3]
     # zero, subnormals, values past 2**51 and ties go through %; the rest
     # does not
     assert settled.any() and not settled.all()
@@ -84,9 +82,8 @@ BESIDE_TEN = [*(float(np.nextafter(float(f"1e{k}"), 0.0)) for k in range(-11, 16
 BESIDE_TEN = [*BESIDE_TEN, *(-v for v in BESIDE_TEN)]
 
 
-@pytest.mark.parametrize("shortest", [False, True])
-def test_values_beside_a_power_of_ten_are_left_to_percent(shortest):
-    assert not _decimal_digits(np.array(BESIDE_TEN), shortest)[3].any()
+def test_values_beside_a_power_of_ten_are_left_to_percent():
+    assert not _decimal_digits(np.array(BESIDE_TEN))[3].any()
 
 
 def test_values_beside_a_power_of_ten_match():

@@ -36,11 +36,20 @@ GAME = "random_uniform:4:1"
 
 
 def json_reference(trace) -> str:
-    """The per-record json.dumps writer the template replaced."""
-    return "".join(json.dumps({
-        "K": r.step, "alpha": r.alpha, "A_K": r.weight_sum, "gap_avg": r.gap_avg,
-        "gap_iter": r.gap_iter, "avg_step_norm": r.avg_step_norm,
-        "X": r.x.tolist(), "Xbar": r.xbar.tolist()}) + "\n" for r in trace.records)
+    """The per-record json.dumps writer the template replaced, each value
+    written as '%.17g' writes it: json.dumps lays out the record with the
+    values as strings, whose quotes are then dropped."""
+    def text(values):
+        return ["%.17g" % v for v in values]
+
+    def line(r):
+        scalars = text([r.alpha, r.weight_sum, r.gap_avg, r.gap_iter, r.avg_step_norm])
+        record = {"K": r.step,
+                  **dict(zip(("alpha", "A_K", "gap_avg", "gap_iter", "avg_step_norm"), scalars)),
+                  "X": text(r.x), "Xbar": text(r.xbar)}
+        return re.sub(r'"([-+.0-9e]+)"', r"\1", json.dumps(record)) + "\n"
+
+    return "".join(map(line, trace.records))
 
 
 def write(trace, tmp_path, fmt):

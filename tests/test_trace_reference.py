@@ -88,11 +88,15 @@ def reference_csv(records, n) -> str:
 
 
 def reference_jsonl(records) -> str:
-    return "".join(json.dumps({
-        "K": r.step, "alpha": r.alpha, "A_K": r.weight_sum, "gap_avg": r.gap_avg,
-        "gap_iter": r.gap_iter, "avg_step_norm": r.avg_step_norm,
-        "X": [float(v) for v in r.x], "Xbar": [float(v) for v in r.xbar],
-    }) + "\n" for r in records)
+    """One JSON object per record, laid out as json.dumps lays it out, but
+    each value written as '%.17g' writes it (json.dumps writes its repr)."""
+    def line(r):
+        xs = ", ".join(f"{v:.17g}" for v in r.x)
+        xbars = ", ".join(f"{v:.17g}" for v in r.xbar)
+        return (f'{{"K": {r.step}, "alpha": {r.alpha:.17g}, "A_K": {r.weight_sum:.17g}, '
+                f'"gap_avg": {r.gap_avg:.17g}, "gap_iter": {r.gap_iter:.17g}, '
+                f'"avg_step_norm": {r.avg_step_norm:.17g}, "X": [{xs}], "Xbar": [{xbars}]}}\n')
+    return "".join(map(line, records))
 
 
 def reference_read(path):
