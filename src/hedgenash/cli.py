@@ -235,7 +235,7 @@ def cmd_verify(args) -> int:
         raise GameError("exactly one of --x or --support is required")
 
     if args.support is not None:
-        candidate = [parse_int(tok, "--support: ") for tok in args.support.split(",")]
+        candidate = sorted({parse_int(tok, "--support: ") for tok in args.support.split(",")})
         cert = verify_support(game, candidate, tol=args.tol)
         if cert is None:
             print(f"support {candidate}: no equilibrium certificate "

@@ -32,7 +32,7 @@ from .game import (
     parse_float,
     read_file,
 )
-from .rng import Xoshiro256StarStar, draw_below, nonzero_draws
+from .rng import Xoshiro256StarStar
 
 
 class ScheduleError(ValueError):
@@ -139,21 +139,30 @@ def hedge_step(game: SymmetricGame, x, alpha: float) -> np.ndarray:
     """One exponential-weights update of an interior strategy.
 
     Equivalent to x(i)*exp(alpha*(Cx)_i) renormalized, computed in logit
-    space with max-subtraction.
+    space with max-subtraction. Logits that are not finite, or whose
+    max-subtraction overflows, raise GameError, as they do in
+    run_trajectory.
     """
     x = as_strategy(x)
+    if x.size != game.n:
+        raise GameError(f"strategy has length {x.size}, game has n={game.n}")
     if not is_interior(x):
         raise GameError("hedge step requires an interior strategy")
     if not (alpha > 0 and math.isfinite(alpha)):
         raise GameError(f"learning rate must be positive and finite, got {alpha!r}")
-    return _hedge_map(np.log(x), game.payoff @ x, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = np.log(x) + alpha * (game.payoff @ x)
+        widest = logits.max() - logits.min()      # the largest max-subtraction
+    if not math.isfinite(widest):
+        raise GameError(f"hedge step overflows: ln x + alpha * Cx at alpha = {alpha!r} "
+                        "is not finite")
+    return _hedge_map(logits)
 
 
-def _hedge_map(log_x, cx, alphas) -> np.ndarray:
-    """T_alpha(x) along the last axis: the softmax of ln x + alpha * Cx with
-    max-subtraction. The arguments broadcast, so one call maps a whole
-    (samples, rates, n) block; on 1-D input it is the single update."""
-    logits = log_x + alphas * cx
+def _hedge_map(logits) -> np.ndarray:
+    """T_alpha(x) along the last axis from its logits ln x + alpha * Cx: their
+    softmax with max-subtraction. One call maps a whole (samples, rates, n)
+    block; on 1-D input it is the single update."""
     w = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return w / w.sum(axis=-1, keepdims=True)
 
@@ -846,68 +855,27 @@ ENTROPY_CHECKS = (("entropy_alpha_convexity", POINTWISE_TOL),
 _DIAG_CHUNK = 256
 
 
-def _draw_entropy_samples(rng: Xoshiro256StarStar, n: int, count: int,
-                          ahead: list[int]):
-    """Draw count (X, Y, alpha grid) samples bit for bit as this loop would,
-    one sample at a time:
-
-        x = rng.interior_point(n)
-        size = 1 + rng.randint(n) if rng.random() < 0.3 else None
-        y = rng.simplex_point(n, size)
-        grid = sorted(set(ALPHA_GRID) | {rng.uniform(0.0, 2.0) for _ in range(10)})
-
-    The outputs are read from ``ahead`` (those an earlier block left), then
-    from one bulk draw of 2n + 11 a sample, about what a sample takes (n
-    for X, n + 1 on average for the support and Y, one for the branch and
-    ten for the grid), then from draws of that many more as needed; the
-    unread ones are returned after the samples. X and Y are normalized a
-    row length at a time, which sums each row as its own vector sum does.
-    Grids are sorted at once and padded to a common width by repeating
-    their largest rate, which adds no new value to any check. (np.unique
-    is not used: its first call imports numpy.ma, a MB of modules.)"""
-    per_sample = 2 * n + 11
-    stream = ahead + rng._draw(max(0, count * per_sample - len(ahead)))
-    at = 0
-
-    def take(k: int) -> list[int]:
-        nonlocal at
-        if at + k > len(stream):
-            stream.extend(rng._draw(max(at + k - len(stream), per_sample)))
-        at += k
-        return stream[at - k:at]
-
-    # X rows, then Y rows: each row's draws, its length and its columns
-    x_draws, y_draws, sizes, y_columns, rates = [], [], [], [], []
-    for _ in range(count):
-        x_draws += nonzero_draws(take, n)
-        size = 1 + draw_below(take, n) if (take(1)[0] >> 11) * 2.0**-53 < 0.3 else n
-        if size < n:
-            free = list(range(n))
-            y_columns += sorted(free.pop(draw_below(take, len(free))) for _ in range(size))
-        else:
-            y_columns += range(n)
-        y_draws += nonzero_draws(take, size)
-        sizes.append(size)
-        rates += take(10)
-    sizes = np.array([n] * count + sizes)
-    u = np.array([-math.log(v * 2.0**-53) for v in x_draws + y_draws])
-    starts = np.cumsum(sizes) - sizes
-    sums = np.empty(len(sizes))
-    for size in set(sizes.tolist()):
-        rows = np.flatnonzero(sizes == size)
-        sums[rows] = u[starts[rows, None] + np.arange(size)].sum(axis=1)
-    points = np.zeros((2 * count, n))
-    points[np.repeat(np.arange(2 * count), sizes), list(range(n)) * count + y_columns] = (
-        u / np.repeat(sums, sizes))
-    uniform = 2.0 * ((np.array(rates, dtype=np.uint64) >> 11) * 2.0**-53)
-    grids = np.sort(np.hstack([np.tile(ALPHA_GRID, (count, 1)), uniform.reshape(count, 10)]),
+def _draw_entropy_samples(rng: Xoshiro256StarStar, n: int, count: int):
+    """Draw count (X, Y, alpha grid) samples. Sample s reads the outputs
+    [s (3n + 12), (s + 1)(3n + 12)) of the stream, each as u = (v + 0.5) *
+    2**-52 from its top 52 bits v, which is exact and strictly inside
+    (0, 1): n for X and n for Y's weights (-ln u, normalized by row), n
+    keys for Y's support, one branch (a partial support when u < 0.3), one
+    support size (1 + floor(u n), at most n as u <= 1 - 2**-53) and ten
+    rates 2u. Y's support is the strategies with the size smallest keys,
+    and each grid is ALPHA_GRID and the ten rates, sorted. Every sample
+    reads as many outputs, so blocks of any size draw the same samples."""
+    width = 3 * n + 12
+    u = ((np.array(rng._draw(count * width), dtype=np.uint64) >> 12) + 0.5) * 2.0**-52
+    u = u.reshape(count, width)
+    weights = -np.log(u[:, :2 * n]).reshape(count, 2, n)
+    size = np.where(u[:, 3 * n] < 0.3, 1 + np.floor(u[:, 3 * n + 1] * n), n)
+    rank = np.argsort(np.argsort(u[:, 2 * n:3 * n], kind="stable"))
+    weights[:, 1] *= rank < size[:, None]
+    points = weights / weights.sum(axis=2, keepdims=True)
+    grids = np.sort(np.hstack([np.tile(ALPHA_GRID, (count, 1)), 2.0 * u[:, 3 * n + 2:]]),
                     axis=1)
-    repeats = grids[:, 1:] == grids[:, :-1]       # a rate drawn twice, or on ALPHA_GRID
-    for row in np.flatnonzero(repeats.any(axis=1)):
-        unique = sorted(set(grids[row].tolist()))
-        grids[row] = unique + unique[-1:] * (grids.shape[1] - len(unique))
-    width = grids.shape[1] - repeats.sum(axis=1).min()
-    return points[:count], points[count:], grids[:, :width], stream[at:]
+    return points[:, 0], points[:, 1], grids
 
 
 def _re_on_support(y, q) -> np.ndarray:
@@ -925,7 +893,7 @@ def _entropy_violations(c: np.ndarray, xs, ys, alphas) -> tuple[float, ...]:
     log_x = np.log(xs)
     cx = xs @ c.T
     re_t = _re_on_support(ys[:, None, :], _hedge_map(
-        log_x[:, None, :], cx[:, None, :], rates[:, :, None]))
+        log_x[:, None, :] + rates[:, :, None] * cx[:, None, :]))
     re_at, re_mid = re_t[:, :width], re_t[:, width:]
     re_yx = _re_on_support(ys, xs)[:, None]
     drift = np.sum((ys - xs) * cx, axis=-1)[:, None]
@@ -956,10 +924,8 @@ def diagnose_entropy_bounds(game: SymmetricGame, samples: int,
         raise GameError(f"samples must be >= 0, got {samples}")
     rng = Xoshiro256StarStar(seed)
     worst = [0.0] * len(ENTROPY_CHECKS)
-    ahead: list[int] = []
     for start in range(0, samples, _DIAG_CHUNK):
-        *block, ahead = _draw_entropy_samples(rng, game.n,
-                                              min(_DIAG_CHUNK, samples - start), ahead)
+        block = _draw_entropy_samples(rng, game.n, min(_DIAG_CHUNK, samples - start))
         worst = [max(w, v) for w, v in
                  zip(worst, _entropy_violations(game.payoff, *block))]
     return DiagnosticsReport(checks=[

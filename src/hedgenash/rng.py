@@ -15,26 +15,6 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def nonzero_draws(draw, count: int) -> list[int]:
-    """The first count nonzero 53-bit values (v >> 11) of the outputs that
-    draw(k) returns k at a time, as a draw-by-draw rejection of zeros takes
-    them."""
-    values = []
-    while len(values) < count:
-        values += [v >> 11 for v in draw(count - len(values)) if v >> 11]
-    return values
-
-
-def draw_below(draw, n: int) -> int:
-    """Uniform integer in [0, n) from the outputs of draw(1), by rejection,
-    bias-free."""
-    limit = _MASK64 - (_MASK64 + 1) % n
-    while True:
-        v, = draw(1)
-        if v <= limit:
-            return v % n
-
-
 def _splitmix64(state: int) -> tuple[int, int]:
     state = (state + 0x9E3779B97F4A7C15) & _MASK64
     z = state
@@ -78,22 +58,6 @@ class Xoshiro256StarStar:
         self._s = [s0, s1, s2, s3]
         return out
 
-    def next_u64(self) -> int:
-        return self._draw(1)[0]
-
-    def random(self) -> float:
-        """Uniform double in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return low + (high - low) * self.random()
-
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection, bias-free."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return draw_below(self._draw, n)
-
     def doubles(self, count: int) -> np.ndarray:
         return np.array([(v >> 11) * 2.0**-53 for v in self._draw(count)])
 
@@ -102,19 +66,8 @@ class Xoshiro256StarStar:
 
     def interior_point(self, n: int) -> np.ndarray:
         """Random point in the interior of the n-simplex (Dirichlet(1))."""
-        u = np.array([-math.log(v * 2.0**-53) for v in nonzero_draws(self._draw, n)])
+        values = []                  # nonzero 53-bit values, zeros skipped
+        while len(values) < n:
+            values += [v >> 11 for v in self._draw(n - len(values)) if v >> 11]
+        u = np.array([-math.log(v * 2.0**-53) for v in values])
         return u / u.sum()
-
-    def simplex_point(self, n: int, support_size: int | None = None) -> np.ndarray:
-        """Random simplex point, optionally restricted to a random support."""
-        if support_size is None or support_size >= n:
-            return self.interior_point(n)
-        if support_size < 1:
-            raise ValueError("support_size must be >= 1")
-        idx = list(range(n))
-        chosen = []
-        for _ in range(support_size):
-            chosen.append(idx.pop(self.randint(len(idx))))
-        x = np.zeros(n)
-        x[sorted(chosen)] = self.interior_point(support_size)
-        return x

@@ -514,6 +514,12 @@ class TestVerify:
         rc = main(["verify", "--game", rps_file, "--support", "0"])
         assert rc == 1
 
+    def test_failed_support_names_the_carrier_checked(self, rps_file, capsys):
+        # the carrier is the set of the listed indices, sorted
+        assert main(["verify", "--game", rps_file, "--support", "1,0,0"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("support [0, 1]: no equilibrium certificate ")
+
     def test_support_tol_is_honoured(self, tmp_path):
         # row 1 earns row 0's payoff plus 1e-5 against anything: spread 1e-5
         path = tmp_path / "near.json"

@@ -84,6 +84,22 @@ class TestHedgeStep:
         with pytest.raises(GameError):
             hedge_step(identity2, [0.5, 0.5], math.inf)
 
+    def test_rejects_a_strategy_of_the_wrong_length(self, identity2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GameError, match=r"strategy has length 3, game has n=2"):
+                hedge_step(identity2, [0.2, 0.3, 0.5], 1.0)
+
+    @pytest.mark.parametrize("payoff, x, alpha", [
+        ([[1e308, 0], [0, 1e308]], [0.5, 0.5], 10.0),       # alpha * Cx is inf
+        ([[-1e308, 0], [0, -1e308]], [0.5, 0.5], 10.0),     # every logit is -inf
+        ([[-8e307, 0], [0, 8e307]], [0.5, 0.5], 2.5)])      # finite, 2e308 apart
+    def test_rejects_an_overflowing_step(self, payoff, x, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GameError, match="hedge step overflows"):
+                hedge_step(validate_game(payoff), x, alpha)
+
     @given(st.integers(min_value=0, max_value=10**6),
            st.integers(min_value=2, max_value=6),
            st.floats(min_value=1e-3, max_value=2.0))

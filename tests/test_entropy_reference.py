@@ -1,6 +1,5 @@
 """The batched entropy diagnostics, their bulk sampler and the Hedge map
-against their former per-sample loops, kept here as the reference
-implementations."""
+against per-sample loops, kept here as the reference implementations."""
 
 import math
 
@@ -15,7 +14,7 @@ from hedgenash import (
     hedge_step,
     normalize_payoffs,
 )
-from hedgenash.dynamics import _DIAG_CHUNK, ALPHA_GRID, POINTWISE_TOL
+from hedgenash.dynamics import ALPHA_GRID, POINTWISE_TOL
 
 
 def reference_hedge_step(game, x, alpha):
@@ -28,9 +27,24 @@ def _re_on_support(p, q, mask):
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
+def reference_sample(rng, n):
+    """One (X, Y, alpha grid) sample from its 3n + 12 outputs, one value at
+    a time: u = (v + 0.5) * 2**-52 from each output's top 52 bits v."""
+    u = [((v >> 12) + 0.5) * 2.0 ** -52 for v in rng._draw(3 * n + 12)]
+    x = -np.log(u[:n])
+    size = 1 + math.floor(u[3 * n + 1] * n) if u[3 * n] < 0.3 else n
+    keys = u[2 * n:3 * n]
+    chosen = sorted(range(n), key=lambda i: keys[i])[:size]
+    y = np.zeros(n)
+    y[chosen] = -np.log(u[n:2 * n])[chosen]
+    grid = sorted(ALPHA_GRID + tuple(2.0 * w for w in u[3 * n + 2:]))
+    return x / x.sum(), y / y.sum(), grid
+
+
 def reference_entropy_violations(game, samples, seed):
     """One sample at a time, one rate at a time: the three worst violations
-    in the order convexity, upper bound, lower bound."""
+    in the order convexity, upper bound, lower bound. Each grid's rates are
+    taken once: a repeated rate changes no maximum."""
     rng = Xoshiro256StarStar(seed)
     c = game.payoff
     n = game.n
@@ -38,16 +52,14 @@ def reference_entropy_violations(game, samples, seed):
             "entropy_lower_bound": 0.0}
 
     for _ in range(samples):
-        x = rng.interior_point(n)
-        support_size = 1 + rng.randint(n) if rng.random() < 0.3 else None
-        y = rng.simplex_point(n, support_size)
+        x, y, grid = reference_sample(rng, n)
         mask = y > 0.0
         cx = c @ x
         drift = float((y - x) @ cx)
         re_yx = _re_on_support(y, x, mask)
         log_x = np.log(x)
 
-        alphas = sorted(set(ALPHA_GRID) | {rng.uniform(0.0, 2.0) for _ in range(10)})
+        alphas = sorted(set(grid))
 
         def t_of(alpha):
             logits = log_x + alpha * cx
@@ -103,9 +115,14 @@ def test_diagnostics_match_per_sample_loop(kind, n, seed):
 
 
 def test_chunk_boundaries_keep_the_samples(monkeypatch):
-    # 7-sample blocks: draws and grid padding cross many block boundaries
+    # 7-sample blocks: the draws cross many block boundaries, and the
+    # samples and the report are those of one block, bit for bit
+    game = normalized("random_uniform", 4, 3)
+    whole = diagnose_entropy_bounds(game, 50, 11).to_dict()
     monkeypatch.setattr(dynamics, "_DIAG_CHUNK", 7)
-    assert_matches_reference(normalized("random_uniform", 4, 3), 50, 11)
+    assert_matches_reference(game, 50, 11)
+    assert diagnose_entropy_bounds(game, 50, 11).to_dict() == whole
+    assert_bulk_matches_reference(lambda: Xoshiro256StarStar(11), 4, 50)
 
 
 def test_hedge_step_is_bitwise_unchanged():
@@ -121,27 +138,18 @@ def test_hedge_step_is_bitwise_unchanged():
 
 
 def reference_entropy_samples(rng, n, count):
-    """The per-sample draw loop: count (X, Y, alpha grid) samples, the
-    grids padded to a common width by repeating their largest rate."""
-    xs = np.empty((count, n))
-    ys = np.empty((count, n))
-    grids = []
-    for s in range(count):
-        xs[s] = rng.interior_point(n)
-        support_size = 1 + rng.randint(n) if rng.random() < 0.3 else None
-        ys[s] = rng.simplex_point(n, support_size)
-        grids.append(sorted(set(ALPHA_GRID) | {rng.uniform(0.0, 2.0) for _ in range(10)}))
-    width = max(len(g) for g in grids)
-    return xs, ys, np.array([g + g[-1:] * (width - len(g)) for g in grids])
+    """count samples drawn one at a time, stacked."""
+    xs, ys, grids = zip(*(reference_sample(rng, n) for _ in range(count)))
+    return np.array(xs), np.array(ys), np.array(grids)
 
 
 def assert_bulk_matches_reference(make_rng, n, samples):
     """The blocks diagnose_entropy_bounds draws, bulk and one sample at a
     time from generators made alike, bit for bit."""
-    bulk, reference, ahead = make_rng(), make_rng(), []
-    for start in range(0, samples, _DIAG_CHUNK):
-        count = min(_DIAG_CHUNK, samples - start)
-        *got, ahead = dynamics._draw_entropy_samples(bulk, n, count, ahead)
+    bulk, reference, chunk = make_rng(), make_rng(), dynamics._DIAG_CHUNK
+    for start in range(0, samples, chunk):
+        count = min(chunk, samples - start)
+        got = dynamics._draw_entropy_samples(bulk, n, count)
         for a, b in zip(got, reference_entropy_samples(reference, n, count)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -164,26 +172,51 @@ class Scripted(Xoshiro256StarStar):
         out, self.head = self.head[:count], self.head[count:]
         return out + super()._draw(count - len(out))
 
-    def next_u64(self):
-        return self._draw(1)[0]
-
-
-# n = 3: X's first draw is 0 after the shift and is skipped; the branch is
-# taken; randint(3) rejects 2**64 - 1 and then gives 1 (support size 2);
-# randint(3) = 0 and randint(2) = 1 choose strategies 0 and 2; then Y's two
-# draws. The grid's ten draws, past the 2n + 11 of the bulk draw, give 0.5
-# twice and 0.0, both on ALPHA_GRID: a grid of 12 rates.
-BIG = [k * 0x9E3779B97F4A7C15 % 2 ** 64 for k in range(1, 13)]
-HEAD = [5, *BIG[:3], 1 << 11, 2 ** 64 - 1, 4, 0, 1, *BIG[3:5],
-        2 ** 62, 5, 2 ** 62, *BIG[5:]]
-
 
 @pytest.mark.parametrize("samples", [1, 2, 300])
-def test_bulk_samples_take_a_rejection_and_a_zero_draw(samples):
-    reference = Scripted(4, HEAD)
+def test_bulk_samples_take_the_extreme_outputs(samples):
+    # n = 3, every output 0 or 2**64 - 1, the ends of the range: u is
+    # 2**-53 or 1 - 2**-53, so every weight is finite and positive; the
+    # branch is taken and the size's u is 1 - 2**-53, whose u * n rounds
+    # below n: the full support
+    top = 2 ** 64 - 1
+    head = [0, top, 0, top, 0, top, 0, top, 0, 0, top, *[0, top] * 5]
+    reference = Scripted(4, head)
     xs, ys, grids = reference_entropy_samples(reference, 3, 1)
     assert not reference.head                     # the script was read through
-    assert ys[0, 1] == 0.0 and ys[0, 0] > 0.0 and ys[0, 2] > 0.0
-    assert np.array_equal(xs[0], Scripted(4, HEAD[1:4]).interior_point(3))
-    assert grids.shape == (1, 12) and (np.diff(grids[0]) > 0).all()
-    assert_bulk_matches_reference(lambda: Scripted(4, HEAD), 3, samples)
+    assert xs[0, 0] == xs[0, 2] > xs[0, 1] > 0.0 and ys[0, 1] > ys[0, 0] == ys[0, 2] > 0.0
+    assert xs[0, 1] == pytest.approx(2.0 ** -53 / (106 * math.log(2)), rel=1e-12)
+    assert grids[0].tolist() == [0.0, *[2.0 ** -52] * 5, 0.25, 0.5, 1.0,
+                                 *[2.0 - 2.0 ** -52] * 5, 2.0]
+    assert_bulk_matches_reference(lambda: Scripted(4, head), 3, samples)
+
+
+def test_sampler_distribution():
+    # 20,000 samples at n = 4, each share within 5 binomial standard
+    # deviations of its expectation (a false failure has odds under 1e-5
+    # per share)
+    n, count = 4, 20_000
+    xs, ys, grids = dynamics._draw_entropy_samples(Xoshiro256StarStar(2), n, count)
+
+    def near(hits, trials, p):
+        return abs(hits / trials - p) <= 5 * math.sqrt(p * (1 - p) / trials)
+
+    assert (xs > 0).all() and np.abs(xs.sum(axis=1) - 1).max() <= 1e-15
+    assert (ys >= 0).all() and np.abs(ys.sum(axis=1) - 1).max() <= 1e-15
+    sizes = (ys > 0).sum(axis=1)
+    assert near((sizes == n).sum(), count, 0.7 + 0.3 / n)
+    for size in range(1, n):
+        partial = ys[sizes == size] > 0
+        assert near(len(partial), count, 0.3 / n), size
+        # each strategy is in a support of this size with chance size / n
+        for column in partial.T:
+            assert near(column.sum(), len(partial), size / n), size
+    # each grid: ALPHA_GRID and ten rates strictly inside (0, 2), sorted
+    assert grids.shape == (count, len(ALPHA_GRID) + 10)
+    assert (np.diff(grids, axis=1) >= 0).all()
+    on_grid = np.isin(grids, ALPHA_GRID)
+    assert (on_grid.sum(axis=1) == len(ALPHA_GRID)).all()
+    assert (grids[on_grid].reshape(count, -1) == ALPHA_GRID).all()
+    rates = grids[~on_grid]
+    assert rates.min() > 0.0 and rates.max() < 2.0
+    assert abs(rates.mean() - 1.0) <= 5 * math.sqrt(1 / 3 / rates.size)

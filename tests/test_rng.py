@@ -1,6 +1,7 @@
 """The generator against a per-call reference of the published xoshiro256**
-algorithm (Blackman and Vigna), seeded through splitmix64: every public
-method must return what the reference returns, call for call."""
+algorithm (Blackman and Vigna), seeded through splitmix64: the raw outputs
+(``_draw``) and every public method must return what the reference
+returns, call for call."""
 
 import math
 
@@ -43,18 +44,11 @@ class Reference:
         s[3] = rotl(s[3], 45)
         return result
 
+    def _draw(self, count):
+        return [self.next_u64() for _ in range(count)]
+
     def random(self):
         return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def uniform(self, low=0.0, high=1.0):
-        return low + (high - low) * self.random()
-
-    def randint(self, n):
-        limit = MASK - (MASK + 1) % n
-        while True:
-            v = self.next_u64()
-            if v <= limit:
-                return v % n
 
     def doubles(self, count):
         return np.array([self.random() for _ in range(count)])
@@ -71,15 +65,6 @@ class Reference:
             u[i] = -math.log(v)
         return u / u.sum()
 
-    def simplex_point(self, n, support_size=None):
-        if support_size is None or support_size >= n:
-            return self.interior_point(n)
-        idx = list(range(n))
-        chosen = [idx.pop(self.randint(len(idx))) for _ in range(support_size)]
-        x = np.zeros(n)
-        x[sorted(chosen)] = self.interior_point(support_size)
-        return x
-
 
 def same(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -87,27 +72,28 @@ def same(a, b):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("method, args, draws", [
-    ("next_u64", (), 1), ("random", (), 1), ("uniform", (-1.5, 2.0), 1),
-    ("randint", (7,), 1), ("randint", (2 ** 63 + 1,), 1), ("doubles", (5,), 5),
-    ("matrix", (3, 4), 12), ("interior_point", (8,), 8),
-    ("simplex_point", (6, 2), 4), ("simplex_point", (5, None), 5)])
+    # _draw at a few counts, among them the 3n + 12 outputs of an entropy
+    # sample at n = 8 and n = 16
+    ("_draw", (1,), 1), ("_draw", (2,), 2), ("_draw", (7,), 7), ("_draw", (36,), 36),
+    ("_draw", (60,), 60), ("doubles", (5,), 5), ("matrix", (3, 4), 12),
+    ("interior_point", (8,), 8)])
 def test_each_method_matches_reference(seed, method, args, draws):
     # about 10^4 draws per seed, one call at a time
     ours, ref = Xoshiro256StarStar(seed), Reference(seed)
     for _ in range(10 ** 4 // draws):
         assert same(getattr(ours, method)(*args), getattr(ref, method)(*args))
-    assert ours.next_u64() == ref.next_u64()     # the state is in step too
+    assert ours._draw(1) == [ref.next_u64()]     # the state is in step too
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_interleaved_calls_match_reference(seed):
     ours, ref = Xoshiro256StarStar(seed), Reference(seed)
     for i in range(2000):
-        method, args = [("next_u64", ()), ("random", ()), ("randint", (1 + i % 13,)),
-                        ("doubles", (i % 9,)), ("interior_point", (1 + i % 8,)),
-                        ("simplex_point", (6, 1 + i % 7)),
-                        ("uniform", (0.0, 2.0))][i % 7]
+        method, args = [("_draw", (i % 5,)), ("doubles", (i % 9,)),
+                        ("matrix", (1 + i % 3, 1 + i % 4)),
+                        ("interior_point", (1 + i % 8,))][i % 4]
         assert same(getattr(ours, method)(*args), getattr(ref, method)(*args)), (i, method)
+    assert ours._draw(1) == [ref.next_u64()]
 
 
 def test_interior_point_skips_zero_draws(monkeypatch):
