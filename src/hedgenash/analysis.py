@@ -5,17 +5,14 @@ Gaps and spreads are measured in the game's own payoffs, and the
 tolerances they are held to are read in its payoff unit
 (``SymmetricGame.payoff_unit``): 1 while the payoff range max - min lies in
 [2^-4, 2^4], as for every normalized game, else the power of two nearest
-the range. The certificate
-tolerance (default 1e-8) defines "exact" equilibrium throughout and can be
-overridden with the HEDGE_NASH_TOL environment variable (for ``verify``,
-with ``--tol``); both are read in that unit, so a game scaled by a power
-of two gets the same certificates.
+the range. The certificate tolerance, fixed at 1e-8 in that unit, defines
+"exact" equilibrium throughout, so a game scaled by a power of two gets the
+same certificates.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,35 +21,18 @@ from .game import (
     SUPPORT_TOL,
     GameError,
     SymmetricGame,
-    as_strategy,
-    parse_float,
     support,
 )
 from .lp import LPError, StandardFormLP, solve_lp
 
-DEFAULT_CERT_TOL = 1e-8
 ORACLE_MAX_N = 6        # the largest n of the oracle, which solves 2^n - 1 supports
 # The residual above which an indifference system has no solution.
 INDIFFERENCE_TOL = 1e-7
 
 
-def parse_tolerance(text: str) -> float:
-    """A tolerance read by parse_float, finite and >= 0; anything else is a
-    GameError."""
-    tol = parse_float(text, "tolerance: ")
-    if not 0.0 <= tol < np.inf:
-        raise GameError(f"tolerance must be finite and >= 0, got {text!r}")
-    return tol
-
-
 def certificate_tolerance() -> float:
-    env = os.environ.get("HEDGE_NASH_TOL")
-    if not env:
-        return DEFAULT_CERT_TOL
-    try:
-        return parse_tolerance(env)
-    except GameError as exc:
-        raise GameError(f"HEDGE_NASH_TOL: {exc}") from None
+    """The gap bound a certificate is issued at, in the game's payoff unit."""
+    return 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,7 +60,7 @@ class EquilibriumCertificate:
 
 def epsilon_gap(game: SymmetricGame, x) -> float:
     """(CX)_max - X.CX: zero exactly at symmetric equilibrium strategies."""
-    x = as_strategy(x)
+    x = game.strategy(x)
     cx = game.payoff @ x
     return float(cx.max() - x @ cx)
 
@@ -88,27 +68,26 @@ def epsilon_gap(game: SymmetricGame, x) -> float:
 def well_supported_eps(game: SymmetricGame, x) -> float:
     """Smallest eps at which every supported pure strategy is within eps
     of the best payoff against x."""
-    x = as_strategy(x)
+    x = game.strategy(x)
     cx = game.payoff @ x
     supported = x > SUPPORT_TOL
     return float(cx.max() - cx[supported].min())
 
 
-def within_tolerance(game: SymmetricGame, value: float, tol: float | None = None) -> bool:
-    """Whether a gap or a payoff spread ``value`` on ``game`` is within ``tol``
-    (default: the certificate tolerance) in the game's payoff unit: the one
-    certificate test."""
-    return value <= (certificate_tolerance() if tol is None else tol) * game.payoff_unit
+def within_tolerance(game: SymmetricGame, value: float) -> bool:
+    """Whether a gap or a payoff spread ``value`` on ``game`` is within the
+    certificate tolerance in the game's payoff unit: the one certificate
+    test."""
+    return value <= certificate_tolerance() * game.payoff_unit
 
 
-def make_certificate(game: SymmetricGame, x, method: str,
-                     tol: float | None = None) -> EquilibriumCertificate | None:
+def make_certificate(game: SymmetricGame, x, method: str) -> EquilibriumCertificate | None:
     """The certificate of ``x``, clipped at 0 and renormalized, or None when
-    its gap exceeds ``tol`` (default: the certificate tolerance)."""
+    its gap exceeds the certificate tolerance."""
     x = np.clip(np.asarray(x, dtype=float), 0.0, None)
-    x = as_strategy(x / x.sum())
+    x = game.strategy(x / x.sum())
     gap = epsilon_gap(game, x)
-    if not within_tolerance(game, gap, tol):
+    if not within_tolerance(game, gap):
         return None
     return EquilibriumCertificate(
         strategy=x,
@@ -191,20 +170,18 @@ def best_subequalizer(game: SymmetricGame, carrier) -> tuple[np.ndarray, float] 
     return x, float(result.objective_value) * game.payoff_unit
 
 
-def verify_support(game: SymmetricGame, candidate_support,
-                   tol: float | None = None) -> EquilibriumCertificate | None:
+def verify_support(game: SymmetricGame, candidate_support) -> EquilibriumCertificate | None:
     """Exact equilibrium with support inside ``candidate_support``, if the
-    subequalizer program solves with spread within ``tol`` (default: the
-    certificate tolerance). ``verify --support`` keeps this LP: for any
-    ``tol`` it searches every strategy with support inside the candidate
-    whose payoffs on the candidate are within ``tol`` of each other, where
-    extraction's indifference solve looks only at exact solutions of the
-    candidate's system, which gives the same verdict at the certificate
-    tolerance."""
+    subequalizer program solves with spread within the certificate
+    tolerance. ``verify --support`` keeps this LP: it searches every
+    strategy with support inside the candidate whose payoffs on the
+    candidate are within the tolerance of each other, where extraction's
+    indifference solve looks only at exact solutions of the candidate's
+    system, which gives the same verdict."""
     result = best_subequalizer(game, candidate_support)
-    if result is None or not within_tolerance(game, result[1], tol):
+    if result is None or not within_tolerance(game, result[1]):
         return None
-    return make_certificate(game, result[0], method="support_lp", tol=tol)
+    return make_certificate(game, result[0], method="support_lp")
 
 
 def _equalizing_solution(game: SymmetricGame, carrier: list[int]):

@@ -18,10 +18,10 @@ import numpy as np
 from .analysis import (
     certificate_tolerance,
     enumerate_symmetric_equilibria,
-    make_certificate,
+    epsilon_gap,
     min_equalizer_gap,
-    parse_tolerance,
     verify_support,
+    well_supported_eps,
     within_tolerance,
 )
 from .dynamics import (
@@ -230,16 +230,15 @@ def cmd_extract(args) -> int:
 
 def cmd_verify(args) -> int:
     game = _load_game_spec(args.game)
-    tol = args.tol if args.tol is not None else certificate_tolerance()   # printed
     if (args.x is None) == (args.support is None):
         raise GameError("exactly one of --x or --support is required")
 
     if args.support is not None:
         candidate = sorted({parse_int(tok, "--support: ") for tok in args.support.split(",")})
-        cert = verify_support(game, candidate, tol=args.tol)
+        cert = verify_support(game, candidate)
         if cert is None:
             print(f"support {candidate}: no equilibrium certificate "
-                  f"(subequalizer infeasible or spread > {tol:g})")
+                  f"(subequalizer infeasible or spread > {certificate_tolerance():g})")
             return EXIT_FAILED
         print(f"certificate strategy: {[round(float(v), 12) for v in cert.strategy]}")
         print(f"support: {list(cert.support)}")
@@ -247,27 +246,28 @@ def cmd_verify(args) -> int:
         return EXIT_OK
 
     x = _parse_x0(args.x, game.n, args.seed, "--x")
-    if x.size != game.n:
-        raise GameError(f"strategy has length {x.size}, game has n={game.n}")
     with np.errstate(over="ignore"):           # a sum past the float range is inf
         total = x.sum()
     if x.min() < -OFF_SIMPLEX_TOL or abs(total - 1.0) > OFF_SIMPLEX_TOL:
         raise GameError(
             f"vector is off the simplex beyond {OFF_SIMPLEX_TOL:g} (sum {total:.17g}, "
             f"min {x.min():.17g}); refusing to renormalize silently")
-    cert = make_certificate(game, x, "verify --x", tol=np.inf)   # its evidence, at any gap
-    if cert is None:                           # a NaN gap: payoff sums past the float range
+    x = np.clip(x, 0.0, None)
+    x = x / x.sum()
+    with np.errstate(over="ignore", invalid="ignore"):   # a NaN gap is refused below
+        gap = epsilon_gap(game, x)
+    if np.isnan(gap):                          # payoff sums past the float range
         raise GameError("the strategy's gap is not a number (its payoffs overflow)")
+    ws = well_supported_eps(game, x)
     # the spread is informational: the verdict is the gap's alone
     try:
         spread = f"{min_equalizer_gap(game)[1]:.17g}"
     except LPError as exc:
         spread = f"unavailable ({exc})"
-    passed = within_tolerance(game, cert.gap, args.tol)
-    ws = cert.well_supported_eps
-    print(f"gap: {cert.gap:.17g}")
-    print(f"well-supported at eps={tol:g}: {within_tolerance(game, ws, args.tol)} "
-          f"(eps* = {ws:.17g})")
+    passed = within_tolerance(game, gap)
+    print(f"gap: {gap:.17g}")
+    print(f"well-supported at eps={certificate_tolerance():g}: "
+          f"{within_tolerance(game, ws)} (eps* = {ws:.17g})")
     print(f"equalizer spread: {spread}")
     print("verified" if passed else "verification failed")
     return EXIT_OK if passed else EXIT_FAILED
@@ -329,18 +329,13 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _arg(parse):
-    """parse as an argparse type: its GameError becomes the message that
+def _int_arg(text: str) -> int:
+    """parse_int as an argparse type: its GameError becomes the message that
     argparse prints after the flag's name."""
-    def convert(text: str):
-        try:
-            return parse(text)
-        except GameError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return convert
-
-
-_int_arg = _arg(parse_int)
+    try:
+        return parse_int(text)
+    except GameError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache
@@ -390,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_game(p)
     p.add_argument("--x", help="uniform | random | csv:p1,p2,...")
     p.add_argument("--support", help="comma list of 0-based indices")
-    p.add_argument("--tol", type=_arg(parse_tolerance),
-                   help="certificate tolerance (default $HEDGE_NASH_TOL or 1e-8)")
     p.add_argument("--seed", type=_int_arg, default=0)
     p.set_defaults(func=cmd_verify)
 

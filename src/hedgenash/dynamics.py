@@ -143,9 +143,7 @@ def hedge_step(game: SymmetricGame, x, alpha: float) -> np.ndarray:
     max-subtraction overflows, raise GameError, as they do in
     run_trajectory.
     """
-    x = as_strategy(x)
-    if x.size != game.n:
-        raise GameError(f"strategy has length {x.size}, game has n={game.n}")
+    x = game.strategy(x)
     if not is_interior(x):
         raise GameError("hedge step requires an interior strategy")
     if not (alpha > 0 and math.isfinite(alpha)):
@@ -715,10 +713,11 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     allocated once for every emitted step, before the next block
     overwrites the step buffers.
 
-    A schedule whose running weight A_K or logits overflow, or whose
-    A_K - alpha_K rounds to 0 at a step K >= 1 (so that Xbar^{K-1} cannot
-    be recovered from step K), raises ``ScheduleError`` naming the first
-    such step instead of emitting NaN; every value of the trace is finite.
+    A schedule whose running weight A_K, logits of X^1..X^{k_max} or
+    running self-play sum overflow, or whose A_K - alpha_K rounds to 0 at a
+    step K >= 1 (so that Xbar^{K-1} cannot be recovered from step K),
+    raises ``ScheduleError`` naming the first such step instead of emitting
+    NaN; every value of the trace is finite.
     """
     x0, alphas = check_run(game, x0, schedule, k_max, emit_every, force)
     c = game.payoff
@@ -761,12 +760,17 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
                 total(w, None, None, wsum)
                 divide(w, wsum, x_next)
             weights = _running_sum(weight, rates)
-        xs, cxs, shifteds = x_block[:size], cx_block[:size], shifted_block[:size]
-        if not (np.isfinite(shifteds).all() and np.isfinite(weights).all()):
-            finite = np.isfinite(shifteds).all(axis=1) & np.isfinite(weights)
+            xs, cxs = x_block[:size], cx_block[:size]
+            xcx = _row_dots(xs, cxs)
+            self_plays = _running_sum(self_play_sum, rates * xcx)
+        # step K's logits give X^{K+1}, which is recorded only for K < k_max
+        finite = np.isfinite(weights) & np.isfinite(self_plays)
+        logit_rows = min(size, k_max - start)
+        finite[:logit_rows] &= np.isfinite(shifted_block[:logit_rows]).all(axis=1)
+        if not finite.all():
             raise ScheduleError(f"schedule {schedule.label} overflows at step "
-                                f"{start + int(np.argmin(finite))}: A_K or the "
-                                "logits are no longer finite")
+                                f"{start + int(np.argmin(finite))}: A_K, the "
+                                "logits or the self-play sum are no longer finite")
         # A_{K-1} as step K's sums give it back; K = 0 has no predecessor
         prev_weights = weights - rates
         skip = int(start == 0)
@@ -778,8 +782,6 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
 
         terms = rates[:, None] * xs
         accums = _running_sum(accum, terms)
-        xcx = _row_dots(xs, cxs)
-        self_plays = _running_sum(self_play_sum, rates * xcx)
         accum, weight, self_play_sum = accums[-1], weights[-1], self_plays[-1]
 
         # the emitted steps of this block: their trace rows, then e, their block rows

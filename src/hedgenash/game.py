@@ -26,7 +26,8 @@ SUPPORT_TOL = 1e-9
 # negative entry, within it is accepted.
 OFF_SIMPLEX_TOL = 1e-6
 # The largest n generate_game draws: a game of n strategies draws n^2
-# doubles one at a time, about 1.6 s at n = 1000.
+# doubles, about 0.7-0.9 s at n = 1000 on a 2-core Xeon VM, nearly all of it
+# stepping the generator in Python.
 GENERATOR_MAX_N = 1000
 
 GAME_KINDS = ("random_uniform", "zero_sum_symmetric", "doubly_symmetric", "coordination")
@@ -60,6 +61,14 @@ class SymmetricGame:
         if spread == 0.0 or 2.0**-4 <= spread <= 2.0**4:
             return 1.0
         return 2.0 ** min(round(math.log2(spread)), 1023)
+
+    def strategy(self, x) -> np.ndarray:
+        """``x`` validated by as_strategy as a strategy of this game, with
+        one entry per pure strategy."""
+        x = as_strategy(x)
+        if x.size != self.n:
+            raise GameError(f"strategy has length {x.size}, game has n={self.n}")
+        return x
 
     def digest(self) -> str:
         # CPython's built-in SHA-1, which hashlib itself falls back to without

@@ -59,7 +59,7 @@ class Xoshiro256StarStar:
         return out
 
     def doubles(self, count: int) -> np.ndarray:
-        return np.array([(v >> 11) * 2.0**-53 for v in self._draw(count)])
+        return (np.array(self._draw(count), dtype=np.uint64) >> 11) * 2.0**-53
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.doubles(rows * cols).reshape(rows, cols)

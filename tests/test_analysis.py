@@ -20,7 +20,6 @@ from hedgenash import (
 from hedgenash.analysis import (
     best_subequalizer,
     make_certificate,
-    parse_tolerance,
     well_supported_eps,
 )
 from hedgenash.game import support
@@ -58,6 +57,10 @@ class TestEpsilonGap:
             mapped = validate_game(a * g.payoff + b)
             assert abs(epsilon_gap(mapped, x) - a * epsilon_gap(g, x)) <= 1e-10
 
+    def test_rejects_a_strategy_of_the_wrong_length(self):
+        with pytest.raises(GameError, match=r"^strategy has length 2, game has n=3$"):
+            epsilon_gap(validate_game(np.eye(3)), [0.5, 0.5])
+
 
 class TestWellSupported:
     def test_uniform_rps_at_zero(self, rps_nonneg):
@@ -68,6 +71,10 @@ class TestWellSupported:
         x = np.array([0.5, 0.5, 0.0])
         assert not well_supported_eps(rps_nonneg, x) <= 0.2
         assert well_supported_eps(rps_nonneg, x) == pytest.approx(1.0)
+
+    def test_rejects_a_strategy_of_the_wrong_length(self):
+        with pytest.raises(GameError, match=r"^strategy has length 2, game has n=3$"):
+            well_supported_eps(validate_game(np.eye(3)), [0.5, 0.5])
 
 
 class TestCertificates:
@@ -82,24 +89,29 @@ class TestCertificates:
 
     def test_game_units_gap(self):
         # a gap is in the payoffs of the game it is measured on: normalizing
-        # by C' = a*C + b multiplies it by a
+        # by C' = a*C + b multiplies it by a. (1 - d, d) has gap 4(1 - 2d)d
+        # on the raw game, above the tolerance, and (1 - 2d)d, below it, on
+        # the normalized one; both games have payoff unit 1
         raw = validate_game(np.array([[4.0, 0.0], [0.0, 4.0]]))
         norm, a, _ = normalize_payoffs(raw)
-        x = np.array([0.9, 0.1])
-        # the strategy has gap 0.08: a certificate only at a loose tolerance
-        cert = make_certificate(norm, x, method="manual", tol=1.0)
-        assert a == 0.25
+        x = np.array([1 - 0.9e-8, 0.9e-8])
+        assert a == 0.25 and raw.payoff_unit == norm.payoff_unit == 1.0
+        assert epsilon_gap(raw, x) > certificate_tolerance()
+        assert make_certificate(raw, x, method="manual") is None
+        cert = make_certificate(norm, x, method="manual")
         assert cert.gap == pytest.approx(a * epsilon_gap(raw, x))
         assert "game_units_gap" not in cert.to_dict()
 
     def test_issued_only_within_tolerance(self):
+        # (1 - d, d) has gap (1 - 2d)d on the identity game: just below the
+        # 1e-8 tolerance at d = 0.9999e-8, just above it at d = 1.0001e-8
         game = normalize_payoffs(validate_game([[4.0, 0.0], [0.0, 4.0]]))[0]
-        x = np.array([0.9, 0.1])
-        gap = epsilon_gap(game, x)
-        assert gap > 0.0
-        assert make_certificate(game, x, method="manual") is None
-        assert make_certificate(game, x, method="manual", tol=np.nextafter(gap, 0)) is None
-        assert make_certificate(game, x, method="manual", tol=gap).gap == gap
+        below, above = (np.array([1 - d, d]) for d in (0.9999e-8, 1.0001e-8))
+        gap = epsilon_gap(game, below)
+        assert 0.9998e-8 < gap <= certificate_tolerance()
+        assert make_certificate(game, below, method="manual").gap == pytest.approx(gap)
+        assert 1e-8 < epsilon_gap(game, above) < 1.0002e-8
+        assert make_certificate(game, above, method="manual") is None
 
     def test_support_follows_strategy(self, rps_nonneg):
         cert = make_certificate(rps_nonneg, uniform_strategy(3), method="manual")
@@ -107,25 +119,17 @@ class TestCertificates:
         assert replace(cert, strategy=y).support == support(y) == (0, 2)
         assert replace(cert, method="other").support == (0, 1, 2)
 
-    def test_tolerance_env_override(self, monkeypatch):
-        monkeypatch.setenv("HEDGE_NASH_TOL", "1e-4")
-        assert certificate_tolerance() == 1e-4
-        monkeypatch.delenv("HEDGE_NASH_TOL")
+    # the environment is not read: the tolerance is the same unset, as a
+    # number and as a string that is no number
+    @pytest.mark.parametrize("value", [None, "1e-4", "1", "1e-8", "0", "0.5", "2.5E-3",
+                                       ".5", "3.", "tight", "nan", "-1e-6", "inf", "1_0",
+                                       "\u0663", "0x10", "1e400", " 1e-4"])
+    def test_tolerance_ignores_env(self, monkeypatch, value):
+        if value is not None:
+            monkeypatch.setenv("HEDGE_NASH_TOL", value)
+        else:
+            monkeypatch.delenv("HEDGE_NASH_TOL", raising=False)
         assert certificate_tolerance() == 1e-8
-
-    @pytest.mark.parametrize("value", ["tight", "nan", "-1e-6", "inf", "1_0", "\u0663",
-                                       "0x10", "1e400", " 1e-4"])
-    def test_bad_tolerance_env_is_game_error(self, monkeypatch, value):
-        monkeypatch.setenv("HEDGE_NASH_TOL", value)
-        with pytest.raises(GameError, match="HEDGE_NASH_TOL"):
-            certificate_tolerance()
-
-    @pytest.mark.parametrize("value, tol", [("1e-8", 1e-8), ("0", 0.0), ("0.5", 0.5),
-                                            ("2.5E-3", 2.5e-3), (".5", 0.5), ("3.", 3.0)])
-    def test_tolerance_syntax(self, monkeypatch, value, tol):
-        assert parse_tolerance(value) == tol
-        monkeypatch.setenv("HEDGE_NASH_TOL", value)
-        assert certificate_tolerance() == tol
 
 
 class TestEqualizers:
@@ -219,10 +223,12 @@ class TestVerifySupport:
         assert verify_support(rps_nonneg, [0]) is None
 
     def test_explicit_tolerance(self):
-        # row 1 earns row 0's payoff plus 1e-5 against anything: spread 1e-5
+        # row 1 earns row 0's payoff plus 1e-5 against anything: spread 1e-5,
+        # past the tolerance; plus 5e-9: spread 5e-9, within it
         g = validate_game([[0.2, 0.4], [0.2 + 1e-5, 0.4 + 1e-5]])
         assert verify_support(g, [0, 1]) is None
-        assert verify_support(g, [0, 1], tol=1e-4) is not None
+        g = validate_game([[0.2, 0.4], [0.2 + 5e-9, 0.4 + 5e-9]])
+        assert verify_support(g, [0, 1]) is not None
 
     def test_hawk_dove(self, hawk_dove):
         cert = verify_support(hawk_dove, [0, 1])

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             "error: schedule constant:1e+307 overflows at step 17: "
-            "A_K or the logits are no longer finite"]
+            "A_K, the logits or the self-play sum are no longer finite"]
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_cancelled_weight_is_config_error(self, tmp_path, capsys, fmt):
@@ -526,7 +527,6 @@ class TestVerify:
         save_game(validate_game([[0.2, 0.4], [0.2 + 1e-5, 0.4 + 1e-5]]), path)
         args = ["verify", "--game", str(path), "--support", "0,1"]
         assert main(args) == 1
-        assert main(args + ["--tol", "1e-4"]) == 0
 
     def test_tol_is_read_in_the_payoff_unit(self, tmp_path, capsys):
         # rock-paper-scissors times 1e-9: rock's gap, 1e-9, is half the
@@ -577,35 +577,48 @@ class TestVerify:
 
     def test_gap_that_is_not_a_number_is_config_error(self, tmp_path, capsys):
         # every payoff the largest double: the sums behind this strategy's
-        # gap overflow, and inf - inf is no gap to judge
+        # gap overflow, and inf - inf is no gap to judge; no RuntimeWarning
+        # joins the error line
         path = tmp_path / "max.json"
         path.write_text(json.dumps({"payoff": [[1.7976931348623157e308] * 5] * 5}))
         x = "0.21552447048356196,0.11093009353909235,0.24956618609682735," \
             "0.07409626181971563,0.34988298806080276"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["verify", "--game", str(path), "--x", f"csv:{x}"]) == 2
         assert capsys.readouterr().err == (
             "error: the strategy's gap is not a number (its payoffs overflow)\n")
 
-    # 1_0, an Arabic-Indic 3 and spaces are floats to Python, but no
-    # tolerance: on normalized payoffs a tolerance of 1 verifies anything
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1_0", "\u0663", "0x10", " 1e-4",
-                                     "1e", ""])
+    # the certificate tolerance is fixed: verify takes no --tol, whatever
+    # its value
+    @pytest.mark.parametrize("tol", ["1e-4", "nan", "-1", "inf", "1_0", "\u0663", "0x10",
+                                     " 1e-4", "1e", ""])
     def test_bad_tol_is_config_error(self, rps_file, capsys, tol):
         assert main(["verify", "--game", rps_file, "--x", "csv:1,0,0",
                      f"--tol={tol}"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and len(captured.err.splitlines()) == 1
-        assert captured.err.startswith((
-            "error: argument --tol: tolerance: could not convert string to float: ",
-            "error: argument --tol: tolerance must be finite and >= 0"))
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: --tol={tol}\n"
 
-    def test_non_numeric_env_tolerance_is_config_error(self, rps_file, capsys,
-                                                       monkeypatch):
-        monkeypatch.setenv("HEDGE_NASH_TOL", "tight")
-        assert main(["verify", "--game", rps_file, "--support", "0,1,2"]) == 2
-        err = capsys.readouterr().err
-        assert "HEDGE_NASH_TOL" in err and len(err.splitlines()) == 1
+    # HEDGE_NASH_TOL is not read: a loose value and one that is no number
+    # change no output and no exit code
+    @pytest.mark.parametrize("argv", [["verify", "--x", "csv:1,0,0"],
+                                      ["verify", "--x", "uniform"],
+                                      ["verify", "--support", "0"],
+                                      ["verify", "--support", "0,1,2"],
+                                      ["extract", "--steps", "2000"]],
+                             ids=["x-pure", "x-uniform", "support-pure", "support-full",
+                                  "extract"])
+    @pytest.mark.parametrize("value", ["1", "tight"])
+    def test_tolerance_env_changes_nothing(self, rps_file, capsys, monkeypatch, argv,
+                                           value):
+        args = [argv[0], "--game", rps_file, *argv[1:]]
+        monkeypatch.delenv("HEDGE_NASH_TOL", raising=False)
+        rc = main(args)
+        unset = capsys.readouterr()
+        monkeypatch.setenv("HEDGE_NASH_TOL", value)
+        assert main(args) == rc
+        assert capsys.readouterr() == unset
 
     def test_lp_failure_is_config_error(self, rps_file, capsys, monkeypatch):
         # --support takes its verdict from the LP, so a failed LP is exit 2

@@ -267,6 +267,32 @@ class TestSchedules:
                 run_trajectory(validate_game(payoff), uniform_strategy(2),
                                parse_schedule("constant:1e307"), 100, force=True)
 
+    def test_overflow_past_the_last_record_is_accepted(self, tmp_path):
+        # step 1's logits overflow, but they give X^2, which a run of one
+        # step does not record; with a third rate X^2 is recorded
+        game = validate_game([[1, -1], [-1, 1]])
+        x0 = np.array([0.6, 0.4])
+        schedule = schedule_of(tmp_path, "file", "1e300 1.2e308")
+        assert schedule.valid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_trajectory(game, x0, schedule, 1, emit_every=1)
+            assert trace.steps.tolist() == [0, 1]
+            assert np.isfinite(trace.table).all()
+            assert np.isfinite(trace.avg_self_play).all()
+            with pytest.raises(ScheduleError, match="overflows at step 1:"):
+                run_trajectory(game, x0, schedule_of(tmp_path, "file", "1e300 1.2e308 1"),
+                               2, emit_every=1)
+
+    def test_overflowing_self_play_sum_rejected(self):
+        # every payoff 1.7e308: X^1 has finite logits, but the running
+        # self-play sum alpha_0 X.CX + alpha_1 X.CX behind record 1 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScheduleError, match="overflows at step 1:"):
+                run_trajectory(validate_game(np.full((2, 2), 1.7e308)),
+                               uniform_strategy(2), DEFAULT_SCHEDULE, 1, emit_every=1)
+
     @pytest.mark.parametrize("force", [False, True])
     def test_cancelled_weight_rejected(self, tmp_path, monkeypatch, force):
         # A_1 = 1e-300 + 1 rounds to 1, so A_1 - alpha_1 is 0 and Xbar^0
