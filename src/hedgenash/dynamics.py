@@ -27,7 +27,6 @@ from .game import (
     OFF_SIMPLEX_TOL,
     GameError,
     SymmetricGame,
-    as_strategy,
     is_interior,
     parse_float,
     read_file,
@@ -136,31 +135,19 @@ DEFAULT_SCHEDULE = parse_schedule("power:0.6666666666666666")
 # ---------------------------------------------------------------------------
 
 def hedge_step(game: SymmetricGame, x, alpha: float) -> np.ndarray:
-    """One exponential-weights update of an interior strategy.
-
-    Equivalent to x(i)*exp(alpha*(Cx)_i) renormalized, computed in logit
-    space with max-subtraction. Logits that are not finite, or whose
-    max-subtraction overflows, raise GameError, as they do in
-    run_trajectory.
-    """
-    x = game.strategy(x)
-    if not is_interior(x):
-        raise GameError("hedge step requires an interior strategy")
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise GameError(f"learning rate must be positive and finite, got {alpha!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = np.log(x) + alpha * (game.payoff @ x)
-        widest = logits.max() - logits.min()      # the largest max-subtraction
-    if not math.isfinite(widest):
-        raise GameError(f"hedge step overflows: ln x + alpha * Cx at alpha = {alpha!r} "
-                        "is not finite")
-    return _hedge_map(logits)
+    """One exponential-weights update, x(i)*exp(alpha*(Cx)_i) renormalized:
+    X^1 of a one-step run_trajectory at the constant rate alpha. It refuses
+    what that run refuses: a GameError for a start that is not an interior
+    strategy of the game, a ScheduleError for a rate that is not positive
+    and finite or for a step that overflows."""
+    rate = Schedule(f"constant:{alpha!r}", lambda count: np.full(count, alpha, dtype=float))
+    return run_trajectory(game, x, rate, 1, emit_every=1).final.x
 
 
 def _hedge_map(logits) -> np.ndarray:
     """T_alpha(x) along the last axis from its logits ln x + alpha * Cx: their
-    softmax with max-subtraction. One call maps a whole (samples, rates, n)
-    block; on 1-D input it is the single update."""
+    softmax with max-subtraction. One call maps the entropy checks' whole
+    (samples, rates, n) block."""
     w = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return w / w.sum(axis=-1, keepdims=True)
 
@@ -665,11 +652,9 @@ def check_run(game: SymmetricGame, x0, schedule: Schedule, k_max: int, emit_ever
     schedule is valid unless forced, and its rates alpha_0..alpha_{k_max}
     are finite and non-negative with alpha_0 > 0. Returns the start as a
     strategy and the rates."""
-    x0 = as_strategy(x0)
+    x0 = game.strategy(x0)
     if not is_interior(x0):
         raise GameError("trajectories must start in the simplex interior")
-    if x0.size != game.n:
-        raise GameError(f"start vector has length {x0.size}, game has n={game.n}")
     if k_max < 1:
         raise GameError("k_max must be >= 1")
     if emit_every < 1:
@@ -689,7 +674,8 @@ def check_run(game: SymmetricGame, x0, schedule: Schedule, k_max: int, emit_ever
 
 def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
                    emit_every: int = 1000, force: bool = False) -> Trace:
-    """Run Hedge self-play for steps k = 0..k_max and record emitted snapshots.
+    """Run k_max steps of Hedge self-play and record emitted snapshots of
+    K = 0..k_max.
 
     Each emitted record at step K carries the iterate X^K, the weighted
     average Xbar^K, both epsilon-gaps and the distance between consecutive
@@ -748,10 +734,12 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
     for start in range(0, k_max + 1, block):
         rates = alphas[start:start + block]
         size = len(rates)
+        # step K updates X^K to X^{K+1}, which is recorded only for K < k_max
+        updates = min(size, k_max - start)
         rate_block[:size] = rates
         with np.errstate(over="ignore", invalid="ignore"):
             for alpha, x, cx, shifted, x_next in zip(
-                    rate_cells[:size], x_rows, cx_rows, shifted_rows, next_rows):
+                    rate_cells[:updates], x_rows, cx_rows, shifted_rows, next_rows):
                 dot(x, cx)
                 multiply(alpha, cx, tmp)
                 add(logits, tmp, logits)
@@ -759,14 +747,14 @@ def run_trajectory(game: SymmetricGame, x0, schedule: Schedule, k_max: int,
                 exp(shifted, w)
                 total(w, None, None, wsum)
                 divide(w, wsum, x_next)
+            if updates < size:                  # CX^{k_max}, for the last record
+                dot(x_rows[updates], cx_rows[updates])
             weights = _running_sum(weight, rates)
             xs, cxs = x_block[:size], cx_block[:size]
             xcx = _row_dots(xs, cxs)
             self_plays = _running_sum(self_play_sum, rates * xcx)
-        # step K's logits give X^{K+1}, which is recorded only for K < k_max
         finite = np.isfinite(weights) & np.isfinite(self_plays)
-        logit_rows = min(size, k_max - start)
-        finite[:logit_rows] &= np.isfinite(shifted_block[:logit_rows]).all(axis=1)
+        finite[:updates] &= np.isfinite(shifted_block[:updates]).all(axis=1)
         if not finite.all():
             raise ScheduleError(f"schedule {schedule.label} overflows at step "
                                 f"{start + int(np.argmin(finite))}: A_K, the "

@@ -289,7 +289,7 @@ class TestRun:
     @pytest.mark.parametrize("entry, message", [
         ({"steps": 0}, "k_max must be >= 1"),
         ({"emit_every": 0}, "emit_every must be >= 1"),
-        ({"x0": "csv:0.5,0.5"}, "start vector has length 2, game has n=3"),
+        ({"x0": "csv:0.5,0.5"}, "strategy has length 2, game has n=3"),
         ({"x0": "csv:1,0,0"}, "trajectories must start in the simplex interior"),
         ({"x0": "csv:0.5,0.5,0.5"}, "strategy entries sum to 1.5"),
         ({"schedule": "power:0.4"}, "sum alpha_k*(exp(alpha_k)-1) diverges"),

@@ -14,6 +14,7 @@ from hedgenash import (
     DEFAULT_SCHEDULE,
     GAME_KINDS,
     GameError,
+    Schedule,
     ScheduleError,
     Trace,
     diagnose_entropy_bounds,
@@ -75,13 +76,13 @@ class TestHedgeStep:
         assert np.max(np.abs(out - x)) <= 1e-10
 
     def test_rejects_boundary_and_bad_rates(self, identity2):
-        with pytest.raises(GameError):
+        with pytest.raises(GameError, match="start in the simplex interior"):
             hedge_step(identity2, [1.0, 0.0], 1.0)
-        with pytest.raises(GameError):
+        with pytest.raises(ScheduleError, match="needs alpha_0 > 0"):
             hedge_step(identity2, [0.5, 0.5], 0.0)
-        with pytest.raises(GameError):
+        with pytest.raises(ScheduleError, match="needs alpha_0 > 0"):
             hedge_step(identity2, [0.5, 0.5], -1.0)
-        with pytest.raises(GameError):
+        with pytest.raises(ScheduleError, match="yields a non-finite rate"):
             hedge_step(identity2, [0.5, 0.5], math.inf)
 
     def test_rejects_a_strategy_of_the_wrong_length(self, identity2):
@@ -90,15 +91,51 @@ class TestHedgeStep:
             with pytest.raises(GameError, match=r"strategy has length 3, game has n=2"):
                 hedge_step(identity2, [0.2, 0.3, 0.5], 1.0)
 
-    @pytest.mark.parametrize("payoff, x, alpha", [
+    OVERFLOWING_STEPS = [
         ([[1e308, 0], [0, 1e308]], [0.5, 0.5], 10.0),       # alpha * Cx is inf
         ([[-1e308, 0], [0, -1e308]], [0.5, 0.5], 10.0),     # every logit is -inf
-        ([[-8e307, 0], [0, 8e307]], [0.5, 0.5], 2.5)])      # finite, 2e308 apart
+        ([[-8e307, 0], [0, 8e307]], [0.5, 0.5], 2.5)]       # finite, 2e308 apart
+
+    @pytest.mark.parametrize("payoff, x, alpha", OVERFLOWING_STEPS)
     def test_rejects_an_overflowing_step(self, payoff, x, alpha):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(GameError, match="hedge step overflows"):
+            with pytest.raises(ScheduleError, match="overflows at step 0:"):
                 hedge_step(validate_game(payoff), x, alpha)
+
+    def test_is_the_first_step_of_a_run(self, identity2):
+        # X^1 of a one-step run at the constant rate alpha, bit for bit, and
+        # the same refusal, type and message, for each input the run refuses
+        def one_step_run(game, x, alpha):
+            rate = Schedule(f"constant:{alpha!r}", lambda count: np.full(count, alpha))
+            return run_trajectory(game, x, rate, 1, emit_every=1).records[1].x
+
+        def outcome(step, game, x, alpha):
+            try:
+                return step(game, x, alpha)
+            except (GameError, ScheduleError) as exc:
+                return type(exc), str(exc)
+
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 5, 8, 13, 64):
+            game = generate_game("random_uniform", n, n)
+            for _ in range(20):
+                x = rng.dirichlet(np.ones(n)) + 1e-9
+                x = x / x.sum()
+                alpha = float(rng.uniform(1e-3, 4.0))
+                assert np.array_equal(hedge_step(game, x, alpha),
+                                      one_step_run(game, x, alpha))
+        refused = [(identity2, [1.0, 0.0], 1.0), (identity2, [0.2, 0.3, 0.5], 1.0)]
+        refused += [(identity2, [0.5, 0.5], alpha)
+                    for alpha in (0.0, -1.0, math.inf, math.nan, 1e308)]
+        refused += [(validate_game(payoff), x, alpha) for payoff, x, alpha in
+                    self.OVERFLOWING_STEPS]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for case in refused:
+                expected = outcome(one_step_run, *case)
+                assert isinstance(expected, tuple), case
+                assert outcome(hedge_step, *case) == expected
 
     @given(st.integers(min_value=0, max_value=10**6),
            st.integers(min_value=2, max_value=6),
@@ -403,6 +440,21 @@ class TestRunTrajectory:
                                 emit_every=1)
         assert tr.records[0].avg_step_norm == 0.0
         assert all(r.avg_step_norm > 0.0 for r in tr.records[1:])
+
+    @pytest.mark.parametrize("k_max", [1, 2, 511, 512, 513])
+    def test_takes_k_max_updates(self, rps_norm, monkeypatch, k_max):
+        # one exp per Hedge update: X^{k_max+1}, which no record holds, is
+        # never formed, on either side of a 512-step block boundary
+        calls, exp = [], np.exp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
+        trace = run_trajectory(rps_norm, np.array([0.5, 0.3, 0.2]), POWER_23, k_max)
+        assert len(calls) == k_max
+        assert trace.steps[-1] == k_max
 
     def test_determinism(self, hawk_dove_norm):
         a = run_trajectory(hawk_dove_norm, np.array([0.7, 0.3]), POWER_23, 500)
