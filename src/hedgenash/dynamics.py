@@ -144,14 +144,6 @@ def hedge_step(game: SymmetricGame, x, alpha: float) -> np.ndarray:
     return run_trajectory(game, x, rate, 1, emit_every=1).final.x
 
 
-def _hedge_map(logits) -> np.ndarray:
-    """T_alpha(x) along the last axis from its logits ln x + alpha * Cx: their
-    softmax with max-subtraction. One call maps the entropy checks' whole
-    (samples, rates, n) block."""
-    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # Traces
 # ---------------------------------------------------------------------------
@@ -625,7 +617,8 @@ def _parse_located(parse, lines: list[str], path: Path, first: int):
 # Steps per block of run_trajectory: at most _BLOCK_STEPS, at most
 # _BLOCK_CELLS iterate entries, and no more than the run takes. A block
 # costs a fixed few dozen numpy calls, small per step at 512 steps;
-# 4096-step blocks raised peak memory by 6 MB at n = 16.
+# 4096-step blocks raised peak memory by 6 MB at n = 16. The entropy
+# checks' blocks hold at most _BLOCK_CELLS logits too, at any n.
 _BLOCK_STEPS = 512
 _BLOCK_CELLS = 1 << 16
 
@@ -840,73 +833,61 @@ ENTROPY_CHECKS = (("entropy_alpha_convexity", POINTWISE_TOL),
                   ("entropy_upper_bound", POINTWISE_TOL),
                   ("entropy_lower_bound", POINTWISE_TOL))
 
-# Samples drawn and evaluated per block: the (samples, rates, n) arrays stay
-# a few MB however many samples are asked for.
-_DIAG_CHUNK = 256
-
 
 def _draw_entropy_samples(rng: Xoshiro256StarStar, n: int, count: int):
-    """Draw count (X, Y, alpha grid) samples. Sample s reads the outputs
+    """Draw count (X, alpha grid) samples. Sample s reads the outputs
     [s (3n + 12), (s + 1)(3n + 12)) of the stream, each as u = (v + 0.5) *
     2**-52 from its top 52 bits v, which is exact and strictly inside
-    (0, 1): n for X and n for Y's weights (-ln u, normalized by row), n
-    keys for Y's support, one branch (a partial support when u < 0.3), one
-    support size (1 + floor(u n), at most n as u <= 1 - 2**-53) and ten
-    rates 2u. Y's support is the strategies with the size smallest keys,
-    and each grid is ALPHA_GRID and the ten rates, sorted. Every sample
-    reads as many outputs, so blocks of any size draw the same samples."""
+    (0, 1): X is the first n (-ln u, normalized by row) and the rates 2u
+    the last ten; the 2n + 2 between are not read. Each grid is ALPHA_GRID
+    and the ten rates, sorted. Every sample reads as many outputs, so
+    blocks of any size draw the same samples."""
     width = 3 * n + 12
     u = ((np.array(rng._draw(count * width), dtype=np.uint64) >> 12) + 0.5) * 2.0**-52
     u = u.reshape(count, width)
-    weights = -np.log(u[:, :2 * n]).reshape(count, 2, n)
-    size = np.where(u[:, 3 * n] < 0.3, 1 + np.floor(u[:, 3 * n + 1] * n), n)
-    rank = np.argsort(np.argsort(u[:, 2 * n:3 * n], kind="stable"))
-    weights[:, 1] *= rank < size[:, None]
-    points = weights / weights.sum(axis=2, keepdims=True)
-    grids = np.sort(np.hstack([np.tile(ALPHA_GRID, (count, 1)), 2.0 * u[:, 3 * n + 2:]]),
-                    axis=1)
-    return points[:, 0], points[:, 1], grids
+    weights = -np.log(u[:, :n])
+    grids = np.sort(np.hstack([np.tile(ALPHA_GRID, (count, 1)), 2.0 * u[:, -10:]]), axis=1)
+    return weights / weights.sum(axis=1, keepdims=True), grids
 
 
-def _re_on_support(y, q) -> np.ndarray:
-    """RE(y, q) along the last axis, summed over the support of y."""
-    return np.sum(y * np.log(np.where(y > 0.0, y / q, 1.0)), axis=-1)
-
-
-def _entropy_violations(c: np.ndarray, xs, ys, alphas) -> tuple[float, ...]:
+def _entropy_violations(c: np.ndarray, xs, alphas) -> tuple[float, ...]:
     """Worst violation of each ENTROPY_CHECKS inequality over one block of
-    samples: xs, ys are (S, n), alphas is the (S, A) sorted rate grid."""
+    samples, xs (S, n) and the (S, A) sorted rate grids, read off the
+    log-partition psi(a) = ln sum_i x_i e^{a (Cx)_i}: one max-shifted
+    logsumexp of ln x + a Cx over every rate and midpoint at once."""
     width = alphas.shape[1]
     lo = np.r_[np.arange(width - 1), 0]      # midpoint pairs: neighbours,
     hi = np.r_[np.arange(1, width), width - 1]  # then first with last
     rates = np.concatenate([alphas, 0.5 * (alphas[:, lo] + alphas[:, hi])], axis=1)
-    log_x = np.log(xs)
     cx = xs @ c.T
-    re_t = _re_on_support(ys[:, None, :], _hedge_map(
-        log_x[:, None, :] + rates[:, :, None] * cx[:, None, :]))
-    re_at, re_mid = re_t[:, :width], re_t[:, width:]
-    re_yx = _re_on_support(ys, xs)[:, None]
-    drift = np.sum((ys - xs) * cx, axis=-1)[:, None]
-    convexity = re_mid - 0.5 * (re_at[:, lo] + re_at[:, hi])
-    upper = re_at - (re_yx - alphas * drift + alphas * (np.exp(alphas) - 1.0))
-    lower = (re_yx - alphas * drift) - re_at
+    logits = np.log(xs)[:, None, :] + rates[:, :, None] * cx[:, None, :]
+    peak = logits.max(axis=-1)
+    psi = peak + np.log(np.exp(logits - peak[:, :, None]).sum(axis=-1))
+    psi_at, psi_mid = psi[:, :width], psi[:, width:]
+    payoff = alphas * np.sum(xs * cx, axis=-1)[:, None]     # a x.Cx
+    convexity = psi_mid - 0.5 * (psi_at[:, lo] + psi_at[:, hi])
+    upper = psi_at - payoff - alphas * (np.exp(alphas) - 1.0)
+    lower = payoff - psi_at
     return float(convexity.max()), float(upper.max()), float(lower.max())
 
 
 def diagnose_entropy_bounds(game: SymmetricGame, samples: int,
                             seed: int) -> DiagnosticsReport:
     """Numerically verify the entropy inequalities behind the convergence
-    guarantee on random (X, Y, alpha) samples:
+    guarantee on random (X, alpha) samples. With psi_X(a) = ln sum_i X_i
+    e^{a (CX)_i}, RE(Y, T_a(X)) = RE(Y, X) - a Y.CX + psi_X(a) for every Y,
+    so Y cancels and each is a statement about psi_X:
 
-      * convexity of RE(Y, T_alpha(X)) in alpha (midpoint test);
+      * convexity of RE(Y, T_a(X)) in a: psi_X is convex (midpoint test);
       * the upper bound RE(Y,T(X)) <= RE(Y,X) - a(Y-X).CX + a(e^a - 1),
-        valid for payoffs in [0, 1];
-      * the lower bound RE(Y,T(X)) >= RE(Y,X) - a(Y-X).CX.
+        valid for payoffs in [0, 1]: psi_X(a) - a X.CX <= a(e^a - 1);
+      * the lower bound RE(Y,T(X)) >= RE(Y,X) - a(Y-X).CX: psi_X(a) >= a X.CX.
 
-    Samples are drawn in blocks and each block is checked with batched
-    array operations; a given seed always checks the same samples. The
-    bound these add up to along a run is checked on the run itself, as
-    diagnose_trajectory_identities' log_growth_bound.
+    Samples are drawn in blocks of at most _BLOCK_CELLS logits and each
+    block is checked with batched array operations; a given seed always
+    checks the same samples. The bound these add up to along a run is
+    checked on the run itself, as diagnose_trajectory_identities'
+    log_growth_bound.
     """
     if not game.normalized:
         raise GameError("entropy diagnostics assume payoffs in [0, 1]")
@@ -914,10 +895,12 @@ def diagnose_entropy_bounds(game: SymmetricGame, samples: int,
         raise GameError(f"samples must be >= 0, got {samples}")
     rng = Xoshiro256StarStar(seed)
     worst = [0.0] * len(ENTROPY_CHECKS)
-    for start in range(0, samples, _DIAG_CHUNK):
-        block = _draw_entropy_samples(rng, game.n, min(_DIAG_CHUNK, samples - start))
+    # each sample takes 2 * 15 rates: its grid and the midpoints
+    block = max(1, _BLOCK_CELLS // (2 * (len(ALPHA_GRID) + 10) * game.n))
+    for start in range(0, samples, block):
+        drawn = _draw_entropy_samples(rng, game.n, min(block, samples - start))
         worst = [max(w, v) for w, v in
-                 zip(worst, _entropy_violations(game.payoff, *block))]
+                 zip(worst, _entropy_violations(game.payoff, *drawn))]
     return DiagnosticsReport(checks=[
         DiagnosticCheck(name, samples, w, tol)
         for (name, tol), w in zip(ENTROPY_CHECKS, worst)])
@@ -935,7 +918,8 @@ def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace) -> Diagnos
 
       * log-ratio identity (a uniform start): ln(X^K(i)/X^K(j))/A_{K-1} = p_i - p_j;
       * payoff floor (X^0, the K = 0 record): p_i - p_max >= (ln c + ln
-        X^K(i))/A_{K-1}, c = X^0_min/X^0_max;
+        X^K(i))/A_{K-1}, c = X^0_min/X^0_max (a file's X^0 may hold a 0:
+        then ln c = -inf and the floor holds vacuously);
       * best-response bound (avg_self_play, a run in memory): X^K.p >= the
         avg self-play to K - 1, (A_K avg_self_play - alpha_K X^K.CX^K)/A_{K-1};
       * log-growth bound (X^0 and avg_self_play): (ln X^K(i) - ln
@@ -967,7 +951,7 @@ def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace) -> Diagnos
             d = log_x / a_prev - cxbar
             per_row["log_ratio_identity"] = np.fmax.reduce(d, 1) - np.fmin.reduce(d, 1)
         if x0 is not None:
-            floor = (math.log(x0.min() / x0.max()) + log_x) / a_prev
+            floor = (np.log(x0.min() / x0.max()) + log_x) / a_prev
             per_row["payoff_floor_bound"] = np.fmax.reduce(
                 floor - (cxbar - cxbar.max(axis=1, keepdims=True)), 1)
         if trace.avg_self_play is not None:

@@ -27,7 +27,6 @@ from hedgenash import (
     uniform_strategy,
     validate_game,
 )
-from hedgenash.dynamics import _re_on_support
 
 POWER_23 = DEFAULT_SCHEDULE
 SCHEDULES = ("harmonic", "power:0.55", "power:0.9")
@@ -355,28 +354,30 @@ class TestSchedules:
             schedule_of(tmp_path, "file", "1.0 0.5").rates(5)
 
 
-class TestRelativeEntropy:
-    """RE(y, q) as the entropy diagnostics evaluate it."""
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+@pytest.mark.parametrize("kind", GAME_KINDS)
+def test_relative_entropy_identity_of_the_run_map(kind, n):
+    # RE(y, T_a(x)) = RE(y, x) - a y.Cx + psi_x(a) with psi_x(a) = ln sum_i
+    # x_i e^{a (Cx)_i}, for the run's own map and a y of partial support:
+    # the identity by which the entropy checks read psi_x alone
+    game = generate_game(kind, n, n)
+    game = game if game.normalized else normalize_payoffs(game)[0]
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = rng.dirichlet(np.ones(n)) + 1e-6
+        x /= x.sum()
+        y = np.zeros(n)
+        support = rng.choice(n, rng.integers(1, n), replace=False)
+        y[support] = rng.dirichlet(np.ones(len(support)))
+        alpha = rng.uniform(1e-3, 4.0)
+        cx = game.payoff @ x
+        psi = np.logaddexp.reduce(np.log(x) + alpha * cx)
 
-    def test_zero_at_equality(self):
-        assert _re_on_support(uniform_strategy(3), uniform_strategy(3)) == 0.0
+        def re(q):
+            return float(np.sum(y[support] * np.log(y[support] / q[support])))
 
-    def test_point_vs_coin(self):
-        assert _re_on_support(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == \
-            pytest.approx(math.log(2))
-
-    def test_batched_along_last_axis(self):
-        ys = np.array([[1.0, 0.0], [0.5, 0.5]])
-        assert np.allclose(_re_on_support(ys, np.full((2, 2), 0.5)), [math.log(2), 0.0])
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=100, deadline=None)
-    def test_dominates_squared_distance(self, seed):
-        rng = np.random.default_rng(seed)
-        p = rng.dirichlet(np.ones(4))
-        q = rng.dirichlet(np.ones(4)) + 1e-9
-        q = q / q.sum()
-        assert _re_on_support(p, q) + 1e-12 >= np.sum((p - q) ** 2)
+        assert re(hedge_step(game, x, alpha)) == pytest.approx(
+            re(x) - alpha * (y @ cx) + psi, abs=1e-12)
 
 
 class TestRunTrajectory:
@@ -598,6 +599,19 @@ class TestDiagnostics:
         assert [c.name for c in report.checks] == ["log_ratio_identity",
                                                    "payoff_floor_bound"]
         assert report.all_passed
+
+    def test_file_start_with_a_zero_entry(self, tmp_path, identity2):
+        # Trace.from_file accepts an X^0 with a 0: ln(X^0_min / X^0_max) is
+        # -inf, so the payoff floor holds vacuously, with no RuntimeWarning
+        path = tmp_path / "t.csv"
+        path.write_text("K,alpha,A_K,gap_avg,gap_iter,avg_step_norm,X_1,X_2,Xbar_1,Xbar_2\n"
+                        "0,1,1,0,0,0,1,0,1,0\n1,0.5,1.5,0,0,0,1,0,1,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = diagnose_trajectory_identities(identity2, Trace.from_file(path))
+        assert [c.to_dict() for c in report.checks] == [
+            {"name": "payoff_floor_bound", "samples": 1, "max_violation": 0.0,
+             "tolerance": 1e-8, "passed": True}]
 
     def test_report_serializes(self, identity2):
         payload = diagnose_entropy_bounds(identity2, 10, seed=0).to_dict()
