@@ -99,8 +99,8 @@ def make_certificate(game: SymmetricGame, x, method: str) -> EquilibriumCertific
 
 def find_equalizer(game: SymmetricGame) -> EquilibriumCertificate | None:
     """Strategy equalizing all pure payoffs: the support check on the full
-    carrier, whose spread program then has optimum 0. None if no equalizer
-    exists. Equalizers are always equilibria."""
+    carrier, whose indifference system says that every payoff is equal.
+    None if no equalizer exists. Equalizers are always equilibria."""
     cert = verify_support(game, range(game.n))
     return None if cert is None else replace(cert, method="equalizer_lp")
 
@@ -128,7 +128,7 @@ def _spread_lp(payoff: np.ndarray, carrier: list[int]) -> StandardFormLP:
                   [np.ones(m), np.zeros(n + m + 2)]])                # sum(X) = 1
     d = np.zeros(a.shape[1])
     d[m:m + 2] = 1.0, -1.0
-    return StandardFormLP(a=a, b=np.eye(n + m + 1)[-1], objective=d)
+    return StandardFormLP(a=a, b=np.r_[np.zeros(n + m), 1.0], objective=d)
 
 
 def min_equalizer_gap(game: SymmetricGame) -> tuple[np.ndarray, float]:
@@ -155,33 +155,48 @@ def best_subequalizer(game: SymmetricGame, carrier) -> tuple[np.ndarray, float] 
     (CX)_i >= (CX)_j for every i in the carrier, j outside, and X(j) = 0
     outside. Returns None when the dominance constraints are infeasible.
     """
-    carrier = sorted(set(int(i) for i in carrier))
-    if not carrier:
-        raise GameError("carrier must be nonempty")
-    n = game.n
-    if carrier[0] < 0 or carrier[-1] >= n:
-        raise GameError(f"carrier indices out of range for n={n}")
+    carrier = sorted(_checked_carrier(game, carrier))
     result = solve_lp(_spread_lp(game.payoff / game.payoff_unit, carrier))
     if result.status != "optimal":
         return None
-    x = np.zeros(n)
+    x = np.zeros(game.n)
     x[carrier] = np.clip(result.solution[:len(carrier)], 0.0, None)
     x /= x.sum()
     return x, float(result.objective_value) * game.payoff_unit
 
 
 def verify_support(game: SymmetricGame, candidate_support) -> EquilibriumCertificate | None:
-    """Exact equilibrium with support inside ``candidate_support``, if the
-    subequalizer program solves with spread within the certificate
-    tolerance. ``verify --support`` keeps this LP: it searches every
-    strategy with support inside the candidate whose payoffs on the
-    candidate are within the tolerance of each other, where extraction's
-    indifference solve looks only at exact solutions of the candidate's
-    system, which gives the same verdict."""
-    result = best_subequalizer(game, candidate_support)
-    if result is None or not within_tolerance(game, result[1]):
+    """Exact equilibrium with support inside ``candidate_support``. Its
+    payoffs on the candidate are within the certificate tolerance of each
+    other, so it solves the candidate's indifference system, solved once in
+    the order given: a residual above INDIFFERENCE_TOL rules every one out,
+    at full rank the one solution is checked, and only a singular,
+    consistent system is searched with the subequalizer LP."""
+    candidate = _checked_carrier(game, candidate_support)
+    sol, null, residual = _equalizing_solution(game, candidate)
+    if residual > INDIFFERENCE_TOL:
         return None
-    return make_certificate(game, result[0], method="support_lp")
+    if null.shape[0]:
+        result = best_subequalizer(game, candidate)
+        if result is None or not within_tolerance(game, result[1]):
+            return None
+        return make_certificate(game, result[0], method="support_lp")
+    if sol.min() < -SUPPORT_TOL:
+        return None
+    x = np.zeros(game.n)
+    x[candidate] = sol
+    return make_certificate(game, x, method="indifference_solve")
+
+
+def _checked_carrier(game: SymmetricGame, carrier) -> list[int]:
+    """The distinct indices of ``carrier`` in the order given; an empty
+    carrier or an index outside 0..n-1 is a GameError."""
+    carrier = list(dict.fromkeys(int(i) for i in carrier))
+    if not carrier:
+        raise GameError("carrier must be nonempty")
+    if min(carrier) < 0 or max(carrier) >= game.n:
+        raise GameError(f"carrier indices out of range for n={game.n}")
+    return carrier
 
 
 def _equalizing_solution(game: SymmetricGame, carrier: list[int]):

@@ -3,11 +3,11 @@
 Late in a run, the pure strategies supporting the limiting equilibrium
 separate from the rest in average mass and in payoff against the average,
 both read from the final record's Xbar^K alone. Each ranking criterion
-yields candidate supports (its top-m prefixes). Each candidate S is checked
-with one solve of its indifference system, C_SS x = v 1 with sum(x) = 1:
-an inconsistent system fails at once, a full-rank one has the one solution
-that is checked, and only a singular, consistent system is searched with
-the subequalizer LP (``verify_support``).
+yields candidate supports (its top-m prefixes), and ``verify_support``
+checks each, in the criterion's order: one solve of its indifference
+system, C_SS x = v 1 with sum(x) = 1, in which an inconsistent system fails
+at once, a full-rank one has the one solution that is checked, and only a
+singular, consistent system is searched with the subequalizer LP.
 """
 
 from __future__ import annotations
@@ -16,15 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import (
-    INDIFFERENCE_TOL,
-    EquilibriumCertificate,
-    _equalizing_solution,
-    make_certificate,
-    verify_support,
-)
+from .analysis import EquilibriumCertificate, verify_support
 from .dynamics import Trace, TraceRecord
-from .game import SUPPORT_TOL, SymmetricGame
+from .game import SymmetricGame
 from .lp import LPError
 
 CRITERIA = ("average_payoff", "average_mass")
@@ -34,27 +28,6 @@ def _scores(game: SymmetricGame, record: TraceRecord) -> dict[str, np.ndarray]:
     """Each criterion's score per pure strategy at ``record``."""
     return {"average_payoff": game.payoff @ record.xbar,
             "average_mass": record.xbar}
-
-
-def _verify_prefix(game: SymmetricGame, candidate: list[int]) -> EquilibriumCertificate | None:
-    """verify_support's verdict on ``candidate`` from one indifference solve.
-
-    A certificate of verify_support has a payoff spread within the
-    certificate tolerance on the whole candidate, so its strategy solves the
-    candidate's indifference system. That system's residual above
-    INDIFFERENCE_TOL rules every certificate out; at full rank its one
-    solution is the only one to check. Only a singular, consistent system,
-    whose solutions form a family, goes to the LP."""
-    sol, null, residual = _equalizing_solution(game, candidate)
-    if residual > INDIFFERENCE_TOL:
-        return None
-    if null.shape[0]:
-        return verify_support(game, candidate)
-    if sol.min() < -SUPPORT_TOL:
-        return None
-    x = np.zeros(game.n)
-    x[candidate] = sol
-    return make_certificate(game, x, method="indifference_solve")
 
 
 @dataclass
@@ -72,7 +45,7 @@ class ExtractionOutcome:
 def extract_certificate(game: SymmetricGame, trace: Trace) -> ExtractionOutcome:
     """Sweep prefixes m = 1..n of each CRITERIA order in turn (descending
     score, ties by index) at the final record, verifying each as a
-    candidate support with _verify_prefix; first certificate wins. The
+    candidate support with verify_support; first certificate wins. The
     sweep avoids guessing a separation threshold: a correct prefix is
     guaranteed to recur, but its size is not computable from a finite
     trace. A candidate whose LP fails numerically is recorded with its
@@ -85,7 +58,7 @@ def extract_certificate(game: SymmetricGame, trace: Trace) -> ExtractionOutcome:
         for m in range(1, game.n + 1):
             candidate = order[:m]
             try:
-                cert, error = _verify_prefix(game, candidate), None
+                cert, error = verify_support(game, candidate), None
             except LPError as exc:
                 cert, error = None, str(exc)
             attempts.append({"criterion": criterion, "m": m, "support": candidate,

@@ -5,22 +5,23 @@ A y = b, objective d.y minimized. Callers convert inequalities by adding
 slack variables, and maximize d.y by minimizing -d.y.
 
 The solver is a two-phase tableau simplex; each pivot is one rank-1 update
-of the dense tableau. The entering column has the most negative reduced
-cost, and the leaving row comes from the lexicographic ratio test (Dantzig,
-Orden and Wolfe 1955): ratio ties are broken by the rows of the basis
-inverse, which phase 1's artificial columns hold at every pivot. Those rows
-are independent, so the choice is unique, and in exact arithmetic
-degeneracy (most right-hand sides are 0) cannot make phase 1 cycle. The
-pivots that drive leftover artificials out before phase 2 can void that
-guarantee there, and round-off can void it anywhere; ``PIVOT_CAP`` is the
-backstop. The programs it serves are the payoff-spread programs of ``analysis``: n + m + 1
-rows for an n x n game and a carrier of m strategies (2n + 1 on the full
-carrier), so each pivot is O(n^2) work. They come from
-``min_equalizer_gap``, ``find_equalizer`` and ``verify_support``;
-extraction solves a candidate's indifference system instead, and reaches
-the LP only when that system is singular and consistent. Numerical
-breakdown, and a phase that reaches ``PIVOT_CAP``, are reported as an
-``LPError``, never as an unchecked result or a hang.
+of the dense tableau. Phase 1 starts each row on its slack, a column of A
+that is the row's unit vector, where it has one, else on its artificial.
+The entering column has the most negative reduced cost, and the leaving
+row comes from the lexicographic ratio test (Dantzig, Orden and Wolfe
+1955): ratio ties are broken by the rows of the basis inverse, which the
+artificial columns hold at every pivot. Those rows are independent, so the
+choice is unique, and in exact arithmetic degeneracy (most right-hand sides
+are 0) cannot make phase 1 cycle. The pivots that drive leftover
+artificials out before phase 2 can void that guarantee there, and round-off
+can void it anywhere; ``PIVOT_CAP`` is the backstop. The programs it serves
+are the payoff-spread programs of ``analysis``: n + m + 1 rows for an n x n
+game and a carrier of m strategies (2n + 1 on the full carrier), each with
+a slack but sum(X) = 1, so each pivot is O(n^2) work. ``min_equalizer_gap``
+solves the full carrier, and ``verify_support`` a candidate whose
+indifference system is singular and consistent. Numerical breakdown, and a
+phase that reaches ``PIVOT_CAP``, are reported as an ``LPError``, never as
+an unchecked result or a hang.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import numpy as np
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 # Pivots allowed per phase, per row plus column of the program. Solves in
-# the test suite need at most 1.7 and in the benchmark 0.8.
+# the test suite need at most 0.63, in the benchmark 0.36, and the full
+# carrier of random_uniform:400:0 2.6.
 PIVOT_CAP = 50
 
 
@@ -110,11 +112,12 @@ def solve_lp(lp: StandardFormLP) -> LPResult:
     a[flip] *= -1.0
     b[flip] *= -1.0
 
-    # Phase 1: artificial basis, minimize sum of artificials.
+    # Phase 1: minimize the sum of the artificials of the rows with no slack.
     tableau = np.hstack([a, np.eye(r), b.reshape(-1, 1)])
-    basis = np.arange(c, c + r)
+    unit = (a == 1.0) & (np.count_nonzero(a, axis=0) == 1)   # unit[i, j]: A e_j = e_i
+    basis = np.where(unit.any(axis=1), unit.argmax(axis=1), np.arange(c, c + r))
     reduced = np.zeros(c + r)
-    reduced[:c] = -a.sum(axis=0)
+    reduced[:c] = -a[basis >= c].sum(axis=0)
     status = _run_simplex(tableau, basis, reduced, c, limit)
     if status != "optimal":  # phase 1 is bounded below by 0: only round-off gets here
         raise LPError(f"phase 1 reported {status} (numerical breakdown)")
@@ -142,7 +145,8 @@ def solve_lp(lp: StandardFormLP) -> LPResult:
         return LPResult(status="unbounded")
 
     y = np.zeros(c)
-    y[basis] = tableau[:, -1]
+    # solved from the final basis, free of the pivots' round-off in the tableau
+    y[basis] = np.linalg.solve(a[keep][:, basis], b[keep])
     value = float(d @ y)
     _verify_optimal(lp, y)
     return LPResult(status="optimal", solution=y, objective_value=value)

@@ -179,6 +179,16 @@ class TestSubequalizer:
     def test_rps_pure_carrier_infeasible(self, rps_nonneg):
         assert best_subequalizer(rps_nonneg, [0]) is None
 
+    def test_strategy_as_accurate_as_the_solve(self):
+        # read from the tableau, this LP's strategy lies 1.4e-12 from the
+        # full-rank system's exact solution; solved from the final basis it
+        # lies within 1e-14
+        game = generate_game("random_uniform", 7, 7)
+        x, _ = best_subequalizer(game, [0, 1, 3, 4, 6])
+        cert = verify_support(game, [3, 4, 1, 6, 0])
+        assert cert.method == "indifference_solve"
+        assert np.max(np.abs(x - cert.strategy)) <= 1e-13
+
     def test_empty_carrier_rejected(self, rps_nonneg):
         with pytest.raises(GameError):
             best_subequalizer(rps_nonneg, [])
@@ -213,11 +223,30 @@ class TestSpreadProgramSize:
 
 class TestVerifySupport:
     def test_identity_full_support(self, identity2):
+        # a full-rank indifference system: its one solution is the certificate
         cert = verify_support(identity2, [0, 1])
         assert cert is not None
         assert np.allclose(cert.strategy, 0.5, atol=1e-9)
+        assert cert.method == "indifference_solve"
+        assert cert.gap <= 1e-8
+
+    def test_duplicated_strategy_goes_to_the_lp(self):
+        # rock-paper-scissors with rock copied as strategy 3: the full
+        # carrier's system is singular and consistent, and the LP picks one
+        # strategy of its family
+        game = validate_game([[1, 0, 2, 1], [2, 1, 0, 2], [0, 2, 1, 0], [1, 0, 2, 1]])
+        cert = verify_support(game, range(4))
+        assert cert is not None
         assert cert.method == "support_lp"
         assert cert.gap <= 1e-8
+        x = cert.strategy
+        assert np.allclose([x[0] + x[3], x[1], x[2]], 1 / 3, atol=1e-9)
+
+    def test_carrier_checked_before_the_solve(self, rps_nonneg):
+        with pytest.raises(GameError, match="carrier must be nonempty"):
+            verify_support(rps_nonneg, [])
+        with pytest.raises(GameError, match="out of range for n=3"):
+            verify_support(rps_nonneg, [2, -1])
 
     def test_rps_pure_support_fails(self, rps_nonneg):
         assert verify_support(rps_nonneg, [0]) is None

@@ -88,6 +88,25 @@ class TestRun:
         assert err == ["error: --game is required without --config"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_steps_required_without_config(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--game", "random_uniform:3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --steps is required without --config"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_object_is_config_error(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"game": "random_uniform:3", "steps": 10, "out": "u.csv"}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "c.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --config must hold a JSON list of run configs"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "forced"])
     # nan is no decimal; -1e400 and 1e400 read as -inf and inf, so the
     # others reach the check of the rates
@@ -620,13 +639,19 @@ class TestVerify:
         assert main(args) == rc
         assert capsys.readouterr() == unset
 
-    def test_lp_failure_is_config_error(self, rps_file, capsys, monkeypatch):
-        # --support takes its verdict from the LP, so a failed LP is exit 2
+    def test_lp_failure_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # rock copied as strategy 3: the full carrier's indifference system
+        # is singular and consistent, so --support takes its verdict from the
+        # LP, and a failed LP is exit 2
+        path = tmp_path / "dup_rps.json"
+        save_game(validate_game([[0.5, 0, 1, 0.5], [1, 0.5, 0, 1], [0, 1, 0.5, 0],
+                                 [0.5, 0, 1, 0.5]]), path)
+
         def broken(lp):
             raise LPError("LP solution violates A y = b by 0.1")
 
         monkeypatch.setattr(analysis, "solve_lp", broken)
-        assert main(["verify", "--game", rps_file, "--support", "0,1,2"]) == 2
+        assert main(["verify", "--game", str(path), "--support", "0,1,2,3"]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: LP solution violates A y = b by 0.1"]
 
@@ -813,6 +838,15 @@ class TestExtract:
         assert rc == 2 and captured.out == ""
         assert captured.err.splitlines() == [
             "error: unrecognized arguments: --emit-every 3"]
+
+    def test_trace_of_another_n_is_config_error(self, rps_file, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        assert main(["run", "--game", rps_file, "--steps", "20", "--out", str(trace)]) == 0
+        capsys.readouterr()
+        rc = main(["extract", "--game", "random_uniform:4", "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == ["error: trace has n=3, game has n=4"]
 
     def test_missing_trace_and_steps(self, rps_file):
         assert main(["extract", "--game", rps_file]) == 2

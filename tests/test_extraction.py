@@ -134,17 +134,17 @@ class TestExtractCertificate:
 
     @staticmethod
     def failing_on(monkeypatch, bad):
-        """Make the LP fallback raise LPError on the carrier bad; count calls."""
+        """Make the LP fallback raise LPError on the carrier bad; count LP calls."""
         calls = []
-        original = extraction.verify_support
+        original = analysis.best_subequalizer
 
-        def verify_support(game, candidate):
-            calls.append(frozenset(candidate))
-            if frozenset(candidate) == bad:
+        def best_subequalizer(game, carrier):
+            calls.append(frozenset(carrier))
+            if frozenset(carrier) == bad:
                 raise LPError("LP solution violates A y = b by 0.06")
-            return original(game, candidate)
+            return original(game, carrier)
 
-        monkeypatch.setattr(extraction, "verify_support", verify_support)
+        monkeypatch.setattr(analysis, "best_subequalizer", best_subequalizer)
         return calls
 
     def test_degenerate_candidate_certified_by_lp_fallback(self, monkeypatch):
@@ -186,6 +186,16 @@ class TestExtractCertificate:
         assert float(cx.max() - cert.strategy @ cx) <= 1e-8
 
 
+def lp_verdict(game, candidate):
+    """The subequalizer LP's verdict on every candidate, with no
+    indifference solve: the certificate of its best strategy when the
+    spread is within the certificate tolerance."""
+    solved = analysis.best_subequalizer(game, candidate)
+    if solved is None or not analysis.within_tolerance(game, solved[1]):
+        return None
+    return analysis.make_certificate(game, solved[0], method="support_lp")
+
+
 def sweep_prefixes(game, trace):
     """Every top-m prefix of every criterion's order at the final record."""
     scores = _scores(game, trace.final)
@@ -201,8 +211,8 @@ class TestIndifferenceSolve:
     @pytest.mark.parametrize("kind", GAME_KINDS)
     def test_same_verdict_as_the_lp(self, kind):
         # every prefix of both orders, not only those before the first
-        # certificate: the solve and the LP certify the same candidates,
-        # with the same strategy
+        # certificate: verify_support and the LP on its own certify the
+        # same candidates, with the same strategy
         checked = certified = 0
         for n in (3, 5, 8, 12, 16):
             for seed in (0, 1):
@@ -210,8 +220,8 @@ class TestIndifferenceSolve:
                 tr = run_trajectory(game, uniform_strategy(n), POWER_23, 2000,
                                     emit_every=2000)
                 for prefix in sweep_prefixes(game, tr):
-                    solved = extraction._verify_prefix(game, list(prefix))
-                    lp = analysis.verify_support(game, list(prefix))
+                    solved = analysis.verify_support(game, list(prefix))
+                    lp = lp_verdict(game, list(prefix))
                     assert (solved is None) == (lp is None), (kind, n, seed, prefix)
                     checked += 1
                     if lp is not None:

@@ -54,6 +54,23 @@ class TestSolveLP:
         assert res.status == "optimal"
         assert res.solution[0] == pytest.approx(1.0, abs=1e-10)
 
+    def test_artificial_left_at_zero_is_driven_out(self, monkeypatch):
+        # phase 1 pivots y0 in on row 0 and ends with row 1's artificial
+        # basic at 0; one pivot on y1 drives it out before phase 2
+        pivots = []
+        original = lp_module._pivot
+
+        def recording(tableau, basis, row, col):
+            pivots.append((row, col))
+            original(tableau, basis, row, col)
+
+        monkeypatch.setattr(lp_module, "_pivot", recording)
+        res = solve([[1, 1], [1, -1]], [0, 0], [1, 1])
+        assert pivots == [(0, 0), (1, 1)]
+        assert res.status == "optimal"
+        assert np.array_equal(res.solution, [0.0, 0.0])
+        assert res.objective_value == 0.0
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(LPError):
             solve([[1, 1]], [1, 2], [1, 0])
@@ -107,10 +124,21 @@ class TestSolveLP:
         assert res.objective_value <= sampled_best + 1e-7
 
     def test_pivot_cap_raises_lperror(self, monkeypatch):
-        # with no pivot allowed, phase 1 cannot bring y0 into the basis
+        # y0's column is the row's unit vector, so y0 = 1 starts the basis
+        # and phase 1 needs no pivot; with no pivot allowed, phase 2 cannot
+        # bring y1 into the basis
         monkeypatch.setattr(lp_module, "PIVOT_CAP", 0)
         with pytest.raises(LPError, match="iteration limit: 0 pivots"):
-            solve([[1, 1]], [1], [-1, 0])
+            solve([[1, 1]], [1], [0, -1])
+
+    def test_unit_columns_start_the_basis(self, monkeypatch):
+        # y0 and y2 are the rows' unit vectors: they start the basis, which
+        # is optimal, so no pivot is needed
+        monkeypatch.setattr(lp_module, "PIVOT_CAP", 0)
+        res = solve([[1, 1, 0], [0, 1, 1]], [1, 1], [-1, 0, -1])
+        assert res.status == "optimal"
+        assert np.array_equal(res.solution, [1.0, 0.0, 1.0])
+        assert res.objective_value == -2.0
 
     def test_bland_cycling_spread_program_solves(self):
         # phase 2 of this full-carrier program (81 rows, 122 columns) cycles
