@@ -843,7 +843,7 @@ def _draw_entropy_samples(rng: Xoshiro256StarStar, n: int, count: int):
     and the ten rates, sorted. Every sample reads as many outputs, so
     blocks of any size draw the same samples."""
     width = 3 * n + 12
-    u = ((np.array(rng._draw(count * width), dtype=np.uint64) >> 12) + 0.5) * 2.0**-52
+    u = ((rng._draw(count * width) >> 12) + 0.5) * 2.0**-52
     u = u.reshape(count, width)
     weights = -np.log(u[:, :n])
     grids = np.sort(np.hstack([np.tile(ALPHA_GRID, (count, 1)), 2.0 * u[:, -10:]]), axis=1)

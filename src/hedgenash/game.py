@@ -26,8 +26,8 @@ SUPPORT_TOL = 1e-9
 # negative entry, within it is accepted.
 OFF_SIMPLEX_TOL = 1e-6
 # The largest n generate_game draws: a game of n strategies draws n^2
-# doubles, about 0.7-0.9 s at n = 1000 on a 2-core Xeon VM, nearly all of it
-# stepping the generator in Python.
+# doubles, about 0.05 s at n = 1000 on a 2-core Xeon VM, where the
+# generator steps jump-ahead lanes in numpy.
 GENERATOR_MAX_N = 1000
 
 GAME_KINDS = ("random_uniform", "zero_sum_symmetric", "doubly_symmetric", "coordination")

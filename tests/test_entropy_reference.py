@@ -188,7 +188,8 @@ class Scripted(Xoshiro256StarStar):
 
     def _draw(self, count):
         out, self.head = self.head[:count], self.head[count:]
-        return out + super()._draw(count - len(out))
+        return np.concatenate([np.array(out, dtype=np.uint64),
+                               super()._draw(count - len(out))])
 
 
 @pytest.mark.parametrize("samples", [1, 2, 300])

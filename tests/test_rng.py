@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from hedgenash import Xoshiro256StarStar
+from hedgenash import Xoshiro256StarStar, generate_game, validate_game
+from hedgenash.rng import _LANE_MIN
 
 MASK = (1 << 64) - 1
 SEEDS = (0, 1, 7, 2 ** 63 + 5, MASK)
@@ -45,7 +46,7 @@ class Reference:
         return result
 
     def _draw(self, count):
-        return [self.next_u64() for _ in range(count)]
+        return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
 
     def random(self):
         return (self.next_u64() >> 11) * 2.0 ** -53
@@ -103,5 +104,42 @@ def test_interior_point_skips_zero_draws(monkeypatch):
     stream = [5 << 11, 0, 7 << 11, 3, 9 << 11, 11 << 11]
     ref.next_u64 = iter(stream).__next__
     monkeypatch.setattr(ours, "_draw", lambda count, it=iter(stream):
-                        [next(it) for _ in range(count)])
+                        np.array([next(it) for _ in range(count)], dtype=np.uint64))
     assert same(ours.interior_point(4), ref.interior_point(4))
+
+
+# draws of _LANE_MIN outputs or more step jump-ahead lanes; 60**2 is a
+# perfect square, so its lanes are all full
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("count", [_LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1, 60 ** 2,
+                                   10_007, 160_003])
+def test_large_draws_match_reference(seed, count):
+    ours, ref = Xoshiro256StarStar(seed), Reference(seed)
+    assert same(ours._draw(count), ref._draw(count))
+    assert ours._draw(1).tolist() == [ref.next_u64()]     # the state is in step
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lanes_at_every_small_count(seed):
+    # the lane path itself, below the threshold: one lane, a short last
+    # lane, full lanes
+    ours, ref = Xoshiro256StarStar(seed), Reference(seed)
+    for count in range(1, 60):
+        assert same(ours._draw_lanes(count), ref._draw(count)), count
+        assert ours._draw(1).tolist() == [ref.next_u64()]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_small_and_large_draws_interleaved(seed):
+    ours, ref = Xoshiro256StarStar(seed), Reference(seed)
+    for count in (3, 5000, 1, _LANE_MIN, 0, 7, 2500, _LANE_MIN - 1, 12_000, 2):
+        drawn = ours._draw(count)
+        assert drawn.dtype == np.uint64 and same(drawn, ref._draw(count)), count
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_game_past_the_threshold_matches_reference(seed):
+    n = math.isqrt(_LANE_MIN) + 1                # n^2 draws take the lanes
+    assert n * n >= _LANE_MIN > (n - 1) ** 2
+    game = generate_game("random_uniform", n, seed)
+    assert game.digest() == validate_game(Reference(seed).matrix(n, n)).digest()
