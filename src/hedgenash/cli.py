@@ -19,7 +19,6 @@ from .analysis import (
     certificate_tolerance,
     enumerate_symmetric_equilibria,
     epsilon_gap,
-    min_equalizer_gap,
     verify_support,
     well_supported_eps,
     within_tolerance,
@@ -48,7 +47,6 @@ from .game import (
     save_game,
     uniform_strategy,
 )
-from .lp import LPError
 from .rng import Xoshiro256StarStar
 
 EXIT_OK = 0
@@ -259,16 +257,10 @@ def cmd_verify(args) -> int:
     if np.isnan(gap):                          # payoff sums past the float range
         raise GameError("the strategy's gap is not a number (its payoffs overflow)")
     ws = well_supported_eps(game, x)
-    # the spread is informational: the verdict is the gap's alone
-    try:
-        spread = f"{min_equalizer_gap(game)[1]:.17g}"
-    except LPError as exc:
-        spread = f"unavailable ({exc})"
     passed = within_tolerance(game, gap)
     print(f"gap: {gap:.17g}")
     print(f"well-supported at eps={certificate_tolerance():g}: "
           f"{within_tolerance(game, ws)} (eps* = {ws:.17g})")
-    print(f"equalizer spread: {spread}")
     print("verified" if passed else "verification failed")
     return EXIT_OK if passed else EXIT_FAILED
 

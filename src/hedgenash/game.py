@@ -205,9 +205,10 @@ def generate_game(kind: str, n: int, seed: int) -> SymmetricGame:
 
 def save_game(game: SymmetricGame, path, fmt: str = "json") -> None:
     path = Path(path)
-    if fmt == "json":
-        payload = {"n": game.n, "payoff": [[float(v) for v in row] for row in game.payoff]}
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+    if fmt == "json":   # the text of json.dumps({"n": n, "payoff": rows}, indent=2)
+        rows = ",\n".join("    [\n      " + ",\n      ".join(map(repr, row)) + "\n    ]"
+                          for row in game.payoff.tolist())
+        path.write_text(f'{{\n  "n": {game.n},\n  "payoff": [\n{rows}\n  ]\n}}\n')
     elif fmt == "text":
         lines = [str(game.n)]
         lines += [" ".join(f"{v:.17g}" for v in row) for row in game.payoff]

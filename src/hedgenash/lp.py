@@ -84,7 +84,7 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, reduced: np.ndarray,
     place. Only the ``c`` original columns enter; the leaving row is the
     lexicographic minimum, rhs first, of [B^-1 | rhs] / pivot entry over the
     rows whose pivot entry exceeds ``PIVOT_TOL``, B^-1 being the artificial
-    block ``tableau[:, c:-1]``."""
+    block ``tableau[:, c:-1]``, which is read only where rhs ratios tie."""
     for pivots in range(limit + 1):
         col = int(np.argmin(reduced[:c]))
         if reduced[col] >= -PIVOT_TOL:
@@ -94,8 +94,12 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, reduced: np.ndarray,
             return "unbounded"
         if pivots == limit:
             raise LPError(f"iteration limit: {limit} pivots")
-        keys = tableau[rows, c:] / tableau[rows, col, None]  # lexsort's last key leads
-        row = int(rows[np.lexsort(keys.T)[0]])
+        ratio = tableau[rows, -1] / tableau[rows, col]
+        rows = rows[~(ratio > ratio.min())]   # the least ratio's rows; all if one is NaN
+        if rows.size > 1:
+            keys = tableau[rows, c:] / tableau[rows, col, None]  # lexsort's last key leads
+            rows = rows[np.lexsort(keys.T)]
+        row = int(rows[0])
         _pivot(tableau, basis, row, col)
         reduced -= reduced[col] * tableau[row, :-1]
         reduced[col] = 0.0

@@ -13,6 +13,7 @@ from hedgenash import (
     LPError,
     generate_game,
     load_game,
+    min_equalizer_gap,
     run_trajectory,
     save_game,
     uniform_strategy,
@@ -554,7 +555,7 @@ class TestVerify:
         save_game(validate_game(1e-9 * np.array([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])),
                   path)
         assert main(["verify", "--game", str(path), "--x", "csv:1,0,0"]) == 1
-        assert capsys.readouterr().out.splitlines()[3] == "verification failed"
+        assert capsys.readouterr().out.splitlines()[2] == "verification failed"
 
     @pytest.mark.parametrize("payoff, argv, line", [
         ("[[8e307, -8e307], [0, 1]]", ["--support", "0,1"], "support: [0, 1]"),
@@ -570,6 +571,10 @@ class TestVerify:
         captured = capsys.readouterr()
         assert line in captured.out.splitlines()
         assert captured.err == ""
+        if argv[0] == "--x":   # verify --x solves no LP: solve the full carrier's here
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.isfinite(min_equalizer_gap(load_game(path))[1])
 
     @pytest.mark.parametrize("argv", [["--x", "csv:0.2,0.2,0.2,0.2,0.2"],
                                       ["--support", "0,2,4"]])
@@ -590,9 +595,10 @@ class TestVerify:
         path = tmp_path / "max.json"
         path.write_text(json.dumps({"payoff": [[1.7976931348623157e308] * 3] * 3}))
         assert main(["verify", "--game", str(path), "--x", "csv:0.3,0.3,0.4"]) == 0
-        captured = capsys.readouterr()
-        assert "equalizer spread: 0" in captured.out.splitlines()
-        assert captured.err == ""
+        assert capsys.readouterr().err == ""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert min_equalizer_gap(load_game(path))[1] == 0.0
 
     def test_gap_that_is_not_a_number_is_config_error(self, tmp_path, capsys):
         # every payoff the largest double: the sums behind this strategy's
@@ -656,6 +662,7 @@ class TestVerify:
         assert err.splitlines() == ["error: LP solution violates A y = b by 0.1"]
 
     def test_lp_failure_leaves_x_verdict_to_gap(self, rps_file, capsys, monkeypatch):
+        # verify --x never calls the LP: a broken one changes nothing
         def broken(lp):
             raise LPError("LP solution violates A y = b by 0.1")
 
@@ -663,9 +670,11 @@ class TestVerify:
         assert main(["verify", "--game", rps_file, "--x", "uniform"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out.splitlines()[2:] == [
-            "equalizer spread: unavailable (LP solution violates A y = b by 0.1)",
-            "verified"]
+        lines = captured.out.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("gap: ")
+        assert lines[1].startswith("well-supported at eps=1e-08: ")
+        assert lines[2] == "verified"
 
     def test_bland_cycling_spread_is_numeric(self, capsys):
         # under Bland's rule with tolerance ties, phase 2 of this spread
@@ -674,16 +683,15 @@ class TestVerify:
         assert main(["verify", "--game", "random_uniform:40:5", "--x", "uniform"]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
-        lines = captured.out.splitlines()
-        assert lines[3] == "verification failed"
-        label, spread = lines[2].split(": ")
-        assert label == "equalizer spread"
-        assert float(spread) == pytest.approx(0.0935471516845554, abs=1e-9)
+        assert captured.out.splitlines()[2] == "verification failed"
+        spread = min_equalizer_gap(generate_game("random_uniform", 40, 5))[1]
+        assert spread == pytest.approx(0.0935471516845554, abs=1e-9)
 
     def test_mid_size_equalizer_spread_solves(self):
         # the pairwise spread program broke down on this game
-        assert main(["verify", "--game", "random_uniform:16:1",
-                     "--x", "uniform"]) in (0, 1)
+        x, spread = min_equalizer_gap(generate_game("random_uniform", 16, 1))
+        assert x.min() >= 0.0 and x.sum() == pytest.approx(1.0)
+        assert 0.0 <= spread < 1.0
 
     @pytest.mark.parametrize("name, text", [
         ("arabic.txt", "\u0662\n0.5 0\n0 0.5\n"),

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -245,6 +246,17 @@ class TestGameIO:
         save_game(g, path, fmt="json")
         loaded = load_game(path)
         assert np.array_equal(loaded.payoff, g.payoff)
+
+    @pytest.mark.parametrize("game", [
+        *(pytest.param(generate_game(kind, n, 1), id=f"{kind}:{n}")
+          for kind in GAME_KINDS for n in (2, 3, 8)),
+        pytest.param(validate_game([[-0.0, 1.0], [1e-05, 1.7976931348623157e308]]),
+                     id="edge values")])
+    def test_json_is_the_text_of_json_dumps(self, tmp_path, game):
+        path = tmp_path / "g.json"
+        save_game(game, path)
+        payload = {"n": game.n, "payoff": [[float(v) for v in row] for row in game.payoff]}
+        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
     def test_text_round_trip(self, tmp_path):
         g = generate_game("random_uniform", 4, seed=4)

@@ -158,6 +158,37 @@ class TestSolveLP:
         with pytest.raises(LPError, match="negative entry"):
             _verify_optimal(lp, np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_leaving_row_is_the_lexicographic_minimum(self, monkeypatch, seed):
+        # the rhs ratios are 0 or 1 and the B^-1 ratios -1, 0 or 1, so rows
+        # tie on the leading keys, and rows 7 and 9 copy rows 2 and 4: the
+        # row chosen is the first of the full lexsort of [B^-1 | rhs] / entry
+        rng = np.random.default_rng(seed)
+        r, c = 12, 5
+        entry = rng.choice([0.5, 1.0, 2.0, 4.0, 0.0, -1.0], size=r)
+        entry[[2, 4]] = 1.0, 0.5
+        tableau = np.hstack([rng.uniform(-1, 1, (r, c)),
+                             rng.integers(-1, 2, (r, r)) * entry[:, None],
+                             rng.integers(0, 2, (r, 1)) * entry[:, None]])
+        tableau[:, 0] = entry
+        tableau[[7, 9]] = tableau[[2, 4]]
+        rows = np.flatnonzero(tableau[:, 0] > lp_module.PIVOT_TOL)
+        keys = tableau[rows, c:] / tableau[rows, 0, None]
+        expected = int(rows[np.lexsort(keys.T)[0]])
+
+        chosen = []
+
+        def stop(tableau, basis, row, col):
+            chosen.append((row, col))
+            raise StopIteration
+
+        monkeypatch.setattr(lp_module, "_pivot", stop)
+        reduced = np.ones(c + r)
+        reduced[0] = -1.0
+        with pytest.raises(StopIteration):
+            lp_module._run_simplex(tableau, np.arange(c, c + r), reduced, c, 10)
+        assert chosen == [(expected, 0)]
+
     def test_pivot_matches_row_by_row_elimination(self):
         rng = np.random.default_rng(3)
         tableau = rng.uniform(-1, 1, size=(5, 8))
