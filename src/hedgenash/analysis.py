@@ -13,7 +13,7 @@ same certificates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,8 +101,7 @@ def find_equalizer(game: SymmetricGame) -> EquilibriumCertificate | None:
     """Strategy equalizing all pure payoffs: the support check on the full
     carrier, whose indifference system says that every payoff is equal.
     None if no equalizer exists. Equalizers are always equilibria."""
-    cert = verify_support(game, range(game.n))
-    return None if cert is None else replace(cert, method="equalizer_lp")
+    return verify_support(game, range(game.n))
 
 
 def _spread_lp(payoff: np.ndarray, carrier: list[int]) -> StandardFormLP:
@@ -218,8 +217,7 @@ def _equalizing_solution(game: SymmetricGame, carrier: list[int]):
     residual = float(np.max(np.abs(a @ sol - b)))
     if rank < m and residual <= INDIFFERENCE_TOL:
         _, sv, vh = np.linalg.svd(a)
-        cutoff = 1e-10 * max(float(sv.max()), 1.0)
-        null = vh[np.concatenate([sv, np.zeros(m - sv.size)]) < cutoff]
+        null = vh[sv < 1e-10 * sv[0]]
     else:
         null = np.zeros((0, m))
     return sol, null, residual

@@ -40,7 +40,6 @@ from .game import (
     decompose,
     generate_game,
     load_game,
-    normalize_payoffs,
     parse_float,
     parse_int,
     read_file,
@@ -291,13 +290,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    game = _load_game_spec(args.game)
-    if args.samples == 0:
-        _print_json({"all_passed": True, "vacuous": True, "checks": []}, args.out)
-        return EXIT_OK
-    if not game.normalized:
-        game, _, _ = normalize_payoffs(game)
-    report = diagnose_entropy_bounds(game, args.samples, args.seed)
+    report = diagnose_entropy_bounds(_load_game_spec(args.game), args.samples, args.seed)
     _print_json(report.to_dict(), args.out)
     return EXIT_OK if report.all_passed else EXIT_FAILED
 

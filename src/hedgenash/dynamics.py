@@ -28,6 +28,7 @@ from .game import (
     GameError,
     SymmetricGame,
     is_interior,
+    normalize_payoffs,
     parse_float,
     read_file,
 )
@@ -885,14 +886,15 @@ def diagnose_entropy_bounds(game: SymmetricGame, samples: int,
 
     Samples are drawn in blocks of at most _BLOCK_CELLS logits and each
     block is checked with batched array operations; a given seed always
-    checks the same samples. The bound these add up to along a run is
+    checks the same samples. A game whose payoffs leave [0, 1] is checked
+    as normalize_payoffs maps it there. The bound these add up to along a run is
     checked on the run itself, as diagnose_trajectory_identities'
     log_growth_bound.
     """
-    if not game.normalized:
-        raise GameError("entropy diagnostics assume payoffs in [0, 1]")
     if samples < 0:
         raise GameError(f"samples must be >= 0, got {samples}")
+    if not game.normalized:
+        game, _, _ = normalize_payoffs(game)
     rng = Xoshiro256StarStar(seed)
     worst = [0.0] * len(ENTROPY_CHECKS)
     # each sample takes 2 * 15 rates: its grid and the midpoints
@@ -916,16 +918,16 @@ def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace) -> Diagnos
     = (A_K Xbar^K - alpha_K X^K)/A_{K-1} and ln X^K = ln X^0 + A_{K-1} C
     Xbar^{K-1} - ln(normalizer). With p = C Xbar^{K-1}:
 
-      * log-ratio identity (a uniform start): ln(X^K(i)/X^K(j))/A_{K-1} = p_i - p_j;
+      * log-ratio identity (X^0): g_i = (ln X^K(i) - ln X^0(i))/A_{K-1} - p_i
+        = -ln(normalizer)/A_{K-1} for every i (X^K(i) > X^0(i) = 0 reads inf);
       * payoff floor (X^0, the K = 0 record): p_i - p_max >= (ln c + ln
         X^K(i))/A_{K-1}, c = X^0_min/X^0_max (a file's X^0 may hold a 0:
         then ln c = -inf and the floor holds vacuously);
       * best-response bound (avg_self_play, a run in memory): X^K.p >= the
         avg self-play to K - 1, (A_K avg_self_play - alpha_K X^K.CX^K)/A_{K-1};
-      * log-growth bound (X^0 and avg_self_play): (ln X^K(i) - ln
-        X^0(i))/A_{K-1} <= p_i - that avg self-play, the telescoped
-        multiplicative-weights bound ln(normalizer) >= sum_{k<K} alpha_k
-        X^k.CX^k.
+      * log-growth bound (X^0 and avg_self_play): g_i <= -(that avg
+        self-play), the telescoped multiplicative-weights bound
+        ln(normalizer) >= sum_{k<K} alpha_k X^k.CX^k.
 
     The report holds, in TRAJECTORY_CHECKS order, the checks whose inputs
     (named in parentheses) the trace holds. X^K entries below the smallest
@@ -947,10 +949,9 @@ def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace) -> Diagnos
         a_prev = a_k - alpha
         xbar_prev = (a_k * table[:, lo + n:] - alpha * x) / a_prev
         cxbar = np.matmul(c, xbar_prev[:, :, None])[:, :, 0]   # gemv per row, as np.dot
-        if x0 is not None and np.allclose(x0, 1.0 / n, atol=1e-12):
-            d = log_x / a_prev - cxbar
-            per_row["log_ratio_identity"] = np.fmax.reduce(d, 1) - np.fmin.reduce(d, 1)
         if x0 is not None:
+            growth = (log_x - np.log(x0)) / a_prev - cxbar
+            per_row["log_ratio_identity"] = np.fmax.reduce(growth, 1) - np.fmin.reduce(growth, 1)
             floor = (np.log(x0.min() / x0.max()) + log_x) / a_prev
             per_row["payoff_floor_bound"] = np.fmax.reduce(
                 floor - (cxbar - cxbar.max(axis=1, keepdims=True)), 1)
@@ -959,7 +960,6 @@ def diagnose_trajectory_identities(game: SymmetricGame, trace: Trace) -> Diagnos
             self_play = (a_k * trace.avg_self_play[later, None] - alpha * xcx) / a_prev
             per_row["self_play_bound"] = self_play[:, 0] - _row_dots(x, cxbar)
             if x0 is not None:
-                growth = (log_x - np.log(x0)) / a_prev - cxbar
                 per_row["log_growth_bound"] = np.fmax.reduce(growth, 1) + self_play[:, 0]
     # the largest violation over the snapshots, at least 0, a NaN one as inf
     return DiagnosticsReport(checks=[

@@ -137,7 +137,7 @@ class TestEqualizers:
         cert = find_equalizer(rps_nonneg)
         assert cert is not None
         assert np.max(np.abs(cert.strategy - 1 / 3)) <= 1e-9
-        assert cert.method == "equalizer_lp"
+        assert cert.method == "indifference_solve"
 
     def test_identity_equalizer(self, identity2):
         cert = find_equalizer(identity2)

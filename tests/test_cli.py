@@ -765,17 +765,21 @@ class TestDiagnose:
         assert payload["all_passed"] is True
 
     def test_zero_samples_vacuous(self, rps_file, capsys):
+        # the library's report: three checks of no sample, each passing
         rc = main(["diagnose", "--game", rps_file, "--samples", "0"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["vacuous"] is True and payload["checks"] == []
+        assert payload["all_passed"] is True and len(payload["checks"]) == 3
+        assert all(c["samples"] == 0 and c["max_violation"] == 0.0 and c["passed"]
+                   for c in payload["checks"])
 
     def test_zero_samples_written_to_out(self, rps_file, tmp_path, capsys):
         out = tmp_path / "diag.json"
         assert main(["diagnose", "--game", rps_file, "--samples", "0",
                      "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
-        assert json.loads(out.read_text())["vacuous"] is True
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["samples"] for c in checks] == [0, 0, 0]
 
     def test_negative_samples_is_config_error(self, rps_file, capsys):
         assert main(["diagnose", "--game", rps_file, "--samples", "-5"]) == 2

@@ -572,9 +572,12 @@ class TestDiagnostics:
         assert report.all_passed and len(report.checks) == 3
         assert all(c.samples == 0 and c.max_violation == 0.0 for c in report.checks)
 
-    def test_requires_normalized_game(self, rps_nonneg):
-        with pytest.raises(GameError):
-            diagnose_entropy_bounds(rps_nonneg, 10, seed=0)
+    def test_unnormalized_game_is_normalized(self, rps_nonneg):
+        # payoffs outside [0, 1] are checked on the game normalize_payoffs maps there
+        report = diagnose_entropy_bounds(rps_nonneg, 10, seed=0)
+        assert not rps_nonneg.normalized and report.all_passed
+        normalized, _, _ = normalize_payoffs(rps_nonneg)
+        assert report == diagnose_entropy_bounds(normalized, 10, seed=0)
 
     def test_trajectory_identities_pass(self, hawk_dove_norm):
         tr = run_trajectory(hawk_dove_norm, uniform_strategy(2), POWER_23,
@@ -582,12 +585,11 @@ class TestDiagnostics:
         report = diagnose_trajectory_identities(hawk_dove_norm, tr)
         assert report.all_passed
 
-    def test_log_ratio_needs_uniform_start(self, rps_norm):
+    def test_log_ratio_from_any_start(self, rps_norm):
         tr = run_trajectory(rps_norm, np.array([0.6, 0.2, 0.2]), POWER_23,
                             100, emit_every=10)
         report = diagnose_trajectory_identities(rps_norm, tr)
-        assert [c.name for c in report.checks] == ["payoff_floor_bound",
-                                                   "self_play_bound", "log_growth_bound"]
+        assert [c.name for c in report.checks] == list(dynamics.TRAJECTORY_CHECKS)
         assert report.all_passed
 
     def test_file_traces_lack_logits(self, tmp_path, hawk_dove_norm):
@@ -602,7 +604,8 @@ class TestDiagnostics:
 
     def test_file_start_with_a_zero_entry(self, tmp_path, identity2):
         # Trace.from_file accepts an X^0 with a 0: ln(X^0_min / X^0_max) is
-        # -inf, so the payoff floor holds vacuously, with no RuntimeWarning
+        # -inf, so the payoff floor holds vacuously, with no RuntimeWarning;
+        # X^1 keeps the 0, which the log-ratio check leaves out
         path = tmp_path / "t.csv"
         path.write_text("K,alpha,A_K,gap_avg,gap_iter,avg_step_norm,X_1,X_2,Xbar_1,Xbar_2\n"
                         "0,1,1,0,0,0,1,0,1,0\n1,0.5,1.5,0,0,0,1,0,1,0\n")
@@ -610,8 +613,21 @@ class TestDiagnostics:
             warnings.simplefilter("error")
             report = diagnose_trajectory_identities(identity2, Trace.from_file(path))
         assert [c.to_dict() for c in report.checks] == [
-            {"name": "payoff_floor_bound", "samples": 1, "max_violation": 0.0,
-             "tolerance": 1e-8, "passed": True}]
+            {"name": name, "samples": 1, "max_violation": 0.0, "tolerance": 1e-8,
+             "passed": True} for name in ("log_ratio_identity", "payoff_floor_bound")]
+
+    def test_mass_outside_the_start_fails_log_ratio(self, tmp_path, identity2):
+        # Hedge keeps X^K(i) = 0 where X^0(i) = 0: an X^1 that gives it mass
+        # reads ln X^1(i) - ln X^0(i) = inf, with no RuntimeWarning
+        path = tmp_path / "t.csv"
+        path.write_text("K,alpha,A_K,gap_avg,gap_iter,avg_step_norm,X_1,X_2,Xbar_1,Xbar_2\n"
+                        "0,1,1,0,0,0,1,0,1,0\n1,0.5,1.5,0,0,0,0.5,0.5,0.5,0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = diagnose_trajectory_identities(identity2, Trace.from_file(path))
+        log_ratio = report.checks[0]
+        assert log_ratio.name == "log_ratio_identity"
+        assert log_ratio.max_violation == math.inf and not log_ratio.passed
 
     def test_report_serializes(self, identity2):
         payload = diagnose_entropy_bounds(identity2, 10, seed=0).to_dict()

@@ -267,50 +267,45 @@ def test_trace_without_step_zero_has_no_start(trace_file, capsys):
 # Trajectory identities against the per-record loop
 # ---------------------------------------------------------------------------
 
-def identities_loop(game, trace, checks):
+def identities_loop(game, trace):
     """The per-record evaluation, one step back from each record K >= 1:
-    Xbar^{K-1} and the self-play average to K - 1 recovered from record K."""
+    Xbar^{K-1} and the self-play average to K - 1 recovered from record K,
+    and the log growth from X^0, whatever X^0 is."""
     c = game.payoff
     log_c0 = math.log(trace.x0.min() / trace.x0.max())
-    viol = dict.fromkeys(checks, 0.0)
+    viol = dict.fromkeys(TRAJECTORY_CHECKS, 0.0)
     later = [r for r in trace.records if r.step > 0]
     for r in later:
         a_prev = r.weight_sum - r.alpha
         cxbar = c @ ((r.weight_sum * r.xbar - r.alpha * r.x) / a_prev)
         log_x = np.log(r.x)
-        if "log_ratio_identity" in checks:
-            d = log_x / a_prev - cxbar
-            viol["log_ratio_identity"] = max(viol["log_ratio_identity"],
-                                             float(d.max() - d.min()))
-        if "payoff_floor_bound" in checks:
-            floor = (log_c0 + log_x) / a_prev
-            gap_to_max = cxbar - cxbar.max()
-            viol["payoff_floor_bound"] = max(viol["payoff_floor_bound"],
-                                             float(np.max(floor - gap_to_max)))
-        if "self_play_bound" in checks:
-            xcx = float(r.x @ (c @ r.x))
-            self_play = (r.weight_sum * r.avg_self_play - r.alpha * xcx) / a_prev
-            viol["self_play_bound"] = max(viol["self_play_bound"],
-                                          self_play - float(r.x @ cxbar))
-        if "log_growth_bound" in checks:
-            growth = (log_x - np.log(trace.x0)) / a_prev - cxbar
-            viol["log_growth_bound"] = max(viol["log_growth_bound"],
-                                           float(growth.max()) + self_play)
-    return [(name, len(later), viol[name], ACCUMULATED_TOL) for name in checks]
+        growth = (log_x - np.log(trace.x0)) / a_prev - cxbar
+        viol["log_ratio_identity"] = max(viol["log_ratio_identity"],
+                                         float(growth.max() - growth.min()))
+        floor = (log_c0 + log_x) / a_prev
+        gap_to_max = cxbar - cxbar.max()
+        viol["payoff_floor_bound"] = max(viol["payoff_floor_bound"],
+                                         float(np.max(floor - gap_to_max)))
+        xcx = float(r.x @ (c @ r.x))
+        self_play = (r.weight_sum * r.avg_self_play - r.alpha * xcx) / a_prev
+        viol["self_play_bound"] = max(viol["self_play_bound"],
+                                      self_play - float(r.x @ cxbar))
+        viol["log_growth_bound"] = max(viol["log_growth_bound"],
+                                       float(growth.max()) + self_play)
+    return [(name, len(later), viol[name], ACCUMULATED_TOL) for name in TRAJECTORY_CHECKS]
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
 @pytest.mark.parametrize("kind", GAME_KINDS)
 def test_identities_match_per_record_loop(kind, n):
+    # every start gets all four checks
     game = generate_game(kind, n, 3)
-    starts = {"uniform": (uniform_strategy(n), TRAJECTORY_CHECKS),
-              "random": (Xoshiro256StarStar(n).interior_point(n), TRAJECTORY_CHECKS[1:])}
-    for x0, checks in starts.values():
+    for x0 in (uniform_strategy(n), Xoshiro256StarStar(n).interior_point(n)):
         for emit_every in (1, 7, 1000):
             trace = run_trajectory(game, x0, DEFAULT_SCHEDULE, 1500, emit_every=emit_every)
             report = diagnose_trajectory_identities(game, trace)
             got = [(c.name, c.samples, c.max_violation, c.tolerance) for c in report.checks]
-            assert got == identities_loop(game, trace, checks)
+            assert got == identities_loop(game, trace)
             assert all(type(c.max_violation) is float for c in report.checks)
 
 
@@ -324,7 +319,9 @@ def test_log_growth_bound_holds_under_each_schedule(spec):
             for x0 in (uniform_strategy(n), Xoshiro256StarStar(n).interior_point(n)):
                 trace = run_trajectory(game, x0, parse_schedule(spec), 2000,
                                        emit_every=1, force=True)
-                growth = diagnose_trajectory_identities(game, trace).checks[-1]
+                checks = diagnose_trajectory_identities(game, trace).checks
+                log_ratio, growth = checks[0], checks[-1]
+                assert log_ratio.name == "log_ratio_identity" and log_ratio.passed
                 assert growth.name == "log_growth_bound" and growth.passed
 
 
@@ -381,6 +378,28 @@ def test_nudged_iterate_fails_log_ratio_check(trace_file):
     assert log_ratio.name == "log_ratio_identity" and not log_ratio.passed
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_nudged_random_start_fails_log_ratio_check(tmp_path, fmt):
+    # 1e-6 moved from X^0_2 to X^0_1 of a random start: the spread of
+    # ln X^0 grows by about 1e-6 (1/X^0_1 + 1/X^0_2), which the first record
+    # after K = 0, K = 3, reads divided by its A_2
+    game = generate_game("random_uniform", 4, 1)
+    trace = run_trajectory(game, Xoshiro256StarStar(4).interior_point(4), DEFAULT_SCHEDULE,
+                           60, emit_every=3)
+    path = write(trace, tmp_path, fmt)
+    assert diagnose_trajectory_identities(game, Trace.from_file(path)).all_passed
+    rewrite(path, fmt, lambda body: [nudged(fmt, body[0], 1e-6)] + body[1:])
+    first = trace.records[1]
+    shift = ((math.log1p(1e-6 / trace.x0[0]) - math.log1p(-1e-6 / trace.x0[1]))
+             / (first.weight_sum - first.alpha))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = diagnose_trajectory_identities(game, Trace.from_file(path)).checks
+    assert [c.name for c in checks] == list(WIRE_CHECKS)
+    assert not checks[0].passed and checks[1].passed
+    assert checks[0].max_violation == pytest.approx(shift, rel=1e-3)
+
+
 def test_underflowed_iterate_left_out_of_log_checks(tmp_path):
     # strategy 1 loses 5 per step: its mass is below the smallest normal
     # float from about step 142 and 0 on the wire from about step 149
@@ -413,15 +432,13 @@ def test_cancelled_weight_fails_the_identities(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_self_play_bound_needs_a_memory_trace(tmp_path, fmt):
-    # a file trace reports the wire checks its start allows, and no self-play
+    # a file trace reports both wire checks from any start, and no self-play
     game = generate_game("random_uniform", 4, 1)
-    starts = {"uniform": (uniform_strategy(4), list(WIRE_CHECKS)),
-              "random": (Xoshiro256StarStar(4).interior_point(4), ["payoff_floor_bound"])}
-    for x0, names in starts.values():
+    for x0 in (uniform_strategy(4), Xoshiro256StarStar(4).interior_point(4)):
         trace = run_trajectory(game, x0, DEFAULT_SCHEDULE, 60, emit_every=3)
         report = diagnose_trajectory_identities(game, Trace.from_file(
             write(trace, tmp_path, fmt)))
-        assert [c.name for c in report.checks] == names and report.all_passed
+        assert [c.name for c in report.checks] == list(WIRE_CHECKS) and report.all_passed
 
 
 # ---------------------------------------------------------------------------
